@@ -47,7 +47,6 @@ namespace {
 using hbold::FleetReport;
 using hbold::IncrementalMode;
 using hbold::Json;
-using hbold::SimClock;
 using hbold::Stopwatch;
 
 constexpr double kChurnFraction = 0.05;
@@ -57,7 +56,7 @@ constexpr int64_t kStalenessBudgetDays = 4;
 /// driving them. Rebuilt from scratch per arm — mutation rewrites the
 /// stores day by day, so arms must not share them.
 struct AdversarialWorld {
-  SimClock clock;
+  hbold::sim::EventLoop loop;
   std::vector<std::unique_ptr<hbold::rdf::TripleStore>> stores;
   std::vector<std::unique_ptr<hbold::endpoint::SimulatedRemoteEndpoint>>
       endpoints;
@@ -82,7 +81,7 @@ std::unique_ptr<AdversarialWorld> BuildWorld(size_t num_endpoints,
   options.server.incremental.quarantine_strikes = 2;
   options.server.incremental.quarantine_days = 2;
   if (shards == 1 && parallelism == 1) options.fleet_workers = 1;
-  world->fleet = std::make_unique<hbold::Fleet>(&world->clock, options);
+  world->fleet = std::make_unique<hbold::Fleet>(&world->loop, options);
 
   for (size_t i = 0; i < num_endpoints; ++i) {
     auto store = std::make_unique<hbold::rdf::TripleStore>();
@@ -129,8 +128,8 @@ std::unique_ptr<AdversarialWorld> BuildWorld(size_t num_endpoints,
     }
 
     auto ep = std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
-        Url(i), "Adv " + std::to_string(i), store.get(), &world->clock,
-        dialect, hbold::endpoint::AvailabilityModel{},
+        Url(i), "Adv " + std::to_string(i), store.get(),
+        world->loop.clock(), dialect, hbold::endpoint::AvailabilityModel{},
         hbold::endpoint::LatencyModel{}, mutation, faults);
     hbold::endpoint::EndpointRecord record;
     record.url = Url(i);

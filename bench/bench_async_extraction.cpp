@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
   config.seed = 4242;
   hbold::workload::GenerateSyntheticLd(config, &data);
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   // No GROUP BY: the extractor lands on per-class counting, whose query
   // count scales with classes * properties — the widest fan-out surface.
   hbold::endpoint::SimulatedRemoteEndpoint ep(
-      "http://wide.example.org/sparql", "wide", &data, &clock,
+      "http://wide.example.org/sparql", "wide", &data, loop.clock(),
       hbold::endpoint::Dialect::NoGroupBy());
 
   hbold::bench::PrintHeader(
@@ -120,16 +120,15 @@ int main(int argc, char** argv) {
   fleet_options.no_group_by_fraction = 1.0;  // all per-class-count
   fleet_options.no_aggregates_fraction = 0;
   fleet_options.row_capped_fraction = 0;
-  auto fleet = hbold::bench::BuildFleet(fleet_options, &clock);
+  auto fleet = hbold::bench::BuildFleet(fleet_options, loop.clock());
 
   double cycle_makespan = 0, cycle_batched_makespan = 0;
   for (int width : {1, 4}) {
     hbold::store::Database db;
-    hbold::SimClock cycle_clock;
     hbold::ServerOptions options;
     options.parallelism = 4;
     options.query_batch_width = width;
-    hbold::Server server(&db, &cycle_clock, options);
+    hbold::Server server(&db, &loop, options);
     hbold::bench::AttachFleet(&fleet, &server);
     hbold::DailyReport report = server.RunDailyUpdate();
     std::printf("%-8d %14.1f %14.1f %16.1f\n", width, report.sum_latency_ms,

@@ -21,9 +21,9 @@
 int main() {
   using hbold::bench::Percentile;
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
 
   hbold::bench::FleetOptions options;
   options.size = 130;
@@ -34,7 +34,7 @@ int main() {
   options.no_aggregates_fraction = 0;
   options.no_group_by_fraction = 0;
   options.row_capped_fraction = 0;
-  auto fleet = hbold::bench::BuildFleet(options, &clock);
+  auto fleet = hbold::bench::BuildFleet(options, loop.clock());
   hbold::bench::AttachFleet(&fleet, &server);
 
   std::printf("processing %zu endpoints through the server pipeline...\n",

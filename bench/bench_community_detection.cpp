@@ -1,6 +1,6 @@
 // E9 — community detection for the Cluster Schema [Po & Malvezzi 2018]:
-// Louvain (the algorithm H-BOLD ships) against label propagation and
-// greedy agglomerative merging, on schema-shaped graphs of growing size.
+// Louvain (the algorithm H-BOLD ships) against label propagation, on
+// schema-shaped graphs of growing size.
 // Reports modularity, community count and runtime per (algorithm, size).
 
 #include <benchmark/benchmark.h>
@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "cluster/cluster_schema.h"
-#include "cluster/greedy_merge.h"
 #include "cluster/label_propagation.h"
 #include "cluster/louvain.h"
 #include "cluster/modularity.h"
@@ -56,17 +55,8 @@ void PrintTable() {
          [](const hbold::cluster::UGraph& g) {
            return hbold::cluster::LabelPropagation(g);
          }},
-        {"greedy-merge",
-         [](const hbold::cluster::UGraph& g) {
-           return hbold::cluster::GreedyMerge(g);
-         }},
     };
     for (const Algo& algo : algos) {
-      if (classes > 400 && std::string(algo.name) == "greedy-merge") {
-        std::printf("%-10zu %-18s %12s %12s %12s\n", classes, algo.name,
-                    "(skipped)", "-", "-");
-        continue;  // O(n^2) merge bookkeeping; not competitive at scale
-      }
       hbold::Stopwatch sw;
       hbold::cluster::Partition partition = algo.run(graph);
       double ms = sw.ElapsedMillis();
@@ -76,7 +66,7 @@ void PrintTable() {
     }
   }
   std::printf(
-      "\nshape check: Louvain matches or beats the baselines on modularity\n"
+      "\nshape check: Louvain matches or beats the baseline on modularity\n"
       "at every size while staying near-linear in runtime — the reason the\n"
       "Cluster Schema uses it.\n");
 }

@@ -35,7 +35,6 @@ namespace {
 using hbold::FleetReport;
 using hbold::IncrementalMode;
 using hbold::Json;
-using hbold::SimClock;
 using hbold::Stopwatch;
 
 constexpr double kChurnFraction = 0.05;
@@ -72,9 +71,9 @@ struct ArmResult {
 /// replay identical churn histories.
 ArmResult RunArm(size_t num_endpoints, int64_t days, IncrementalMode mode,
                  int shards, int parallelism) {
-  SimClock clock;
+  hbold::sim::EventLoop loop;
   std::vector<hbold::bench::FleetMember> members =
-      hbold::bench::BuildFleet(WorldOptions(num_endpoints), &clock);
+      hbold::bench::BuildFleet(WorldOptions(num_endpoints), loop.clock());
 
   hbold::FleetOptions options;
   options.num_shards = shards;
@@ -82,7 +81,7 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, IncrementalMode mode,
   options.server.refresh_age_days = 1;  // churn-sensitive: crawl daily
   options.server.incremental.mode = mode;
   if (shards == 1 && parallelism == 1) options.fleet_workers = 1;
-  hbold::Fleet fleet(&clock, options);
+  hbold::Fleet fleet(&loop, options);
   for (hbold::bench::FleetMember& member : members) {
     hbold::endpoint::EndpointRecord record;
     record.url = member.url;

@@ -39,7 +39,6 @@ using hbold::Fleet;
 using hbold::HexU64;
 using hbold::Json;
 using hbold::SessionResult;
-using hbold::SimClock;
 using hbold::Stopwatch;
 using hbold::ThreadPool;
 using hbold::workload::ExplorationWorkloadOptions;
@@ -103,15 +102,15 @@ int main(int argc, char** argv) {
 
   // A 2-shard fleet over the standard bench endpoint mix, extracted once;
   // serving runs against the persisted summaries/cluster schemas.
-  SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::bench::FleetOptions world_options;
   world_options.size = num_endpoints;
   std::vector<hbold::bench::FleetMember> members =
-      hbold::bench::BuildFleet(world_options, &clock);
+      hbold::bench::BuildFleet(world_options, loop.clock());
   hbold::FleetOptions fleet_options;
   fleet_options.num_shards = 2;
   fleet_options.fleet_workers = 4;
-  Fleet fleet(&clock, fleet_options);
+  Fleet fleet(&loop, fleet_options);
   for (hbold::bench::FleetMember& m : members) {
     hbold::endpoint::EndpointRecord record;
     record.url = m.url;

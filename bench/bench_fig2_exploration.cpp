@@ -16,7 +16,7 @@ namespace {
 
 struct Fixture {
   hbold::rdf::TripleStore store;
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
   std::unique_ptr<hbold::endpoint::SimulatedRemoteEndpoint> ep;
   std::unique_ptr<hbold::Server> server;
@@ -30,8 +30,9 @@ struct Fixture {
       hbold::workload::GenerateScholarly(config, &f->store);
       f->ep = std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
           "http://www.scholarlydata.org/sparql", "ScholarlyData", &f->store,
-          &f->clock);
-      f->server = std::make_unique<hbold::Server>(&f->db, &f->clock);
+          f->loop.clock());
+      f->server = std::make_unique<hbold::Server>(&f->db, &f->loop,
+                                                 hbold::ServerOptions{});
       f->server->AttachEndpoint(f->ep->url(), f->ep.get());
       hbold::endpoint::EndpointRecord record;
       record.url = f->ep->url();

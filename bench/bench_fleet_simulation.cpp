@@ -26,7 +26,6 @@
 #include "common/logging.h"
 #include "endpoint/simulated_endpoint.h"
 #include "hbold/fleet.h"
-#include "hbold/sim_options.h"
 #include "sim/event_loop.h"
 #include "workload/ld_generator.h"
 
@@ -35,7 +34,6 @@ namespace {
 using hbold::Fleet;
 using hbold::FleetReport;
 using hbold::Json;
-using hbold::SimulationOptions;
 using hbold::Stopwatch;
 
 constexpr size_t kLatentEndpoints = 4;
@@ -76,7 +74,6 @@ struct RunResult {
 RunResult RunWorld(
     const std::vector<std::unique_ptr<hbold::rdf::TripleStore>>& stores,
     int shards, int fleet_workers, int parallelism, int64_t days) {
-  // The primary time API: an explicit event loop owning the run's clock.
   hbold::sim::EventLoop loop;
   const hbold::SimClock* clock = loop.clock();
   const size_t base = stores.size() - kLatentEndpoints;
@@ -111,18 +108,18 @@ RunResult RunWorld(
             dialect, availability));
   }
 
-  SimulationOptions options;
+  hbold::FleetOptions options;
   options.num_shards = shards;
   // Per-shard pipeline fan-out rides the same shared pool the shard
   // cycles run on, so real scheduling is work-conserving at pipeline
   // granularity — an unlucky shard-hash imbalance cannot serialize the
   // wall clock behind one overloaded shard.
-  options.parallelism = parallelism;
-  options.query_batch_width = 1;
+  options.server.parallelism = parallelism;
+  options.server.query_batch_width = 1;
   options.fleet_workers = static_cast<size_t>(fleet_workers);
   options.churn.death_probability = kDeathProbability;
   options.churn.seed = kChurnSeed;
-  Fleet fleet(&loop, options.ToFleetOptions());
+  Fleet fleet(&loop, options);
 
   for (size_t i = 0; i < base; ++i) {
     hbold::endpoint::EndpointRecord record;

@@ -33,7 +33,6 @@
 #include "endpoint/simulated_endpoint.h"
 #include "hbold/exploration_service.h"
 #include "hbold/fleet.h"
-#include "hbold/sim_options.h"
 #include "sim/event_loop.h"
 #include "workload/exploration_workload.h"
 #include "workload/ld_generator.h"
@@ -47,7 +46,6 @@ using hbold::HexU64;
 using hbold::Json;
 using hbold::SessionResult;
 using hbold::SimClock;
-using hbold::SimulationOptions;
 using hbold::Stopwatch;
 using hbold::workload::SessionPlan;
 namespace sim = hbold::sim;
@@ -116,13 +114,13 @@ RunOutcome RunWorld(
             latency));
   }
 
-  SimulationOptions sim;
-  sim.num_shards = shards;
-  sim.parallelism = parallelism;
-  sim.fleet_workers = static_cast<size_t>(fleet_workers);
-  sim.churn.death_probability = 0.02;
-  sim.churn.seed = kChurnSeed;
-  Fleet fleet(&loop, sim.ToFleetOptions());
+  hbold::FleetOptions options;
+  options.num_shards = shards;
+  options.server.parallelism = parallelism;
+  options.fleet_workers = static_cast<size_t>(fleet_workers);
+  options.churn.death_probability = 0.02;
+  options.churn.seed = kChurnSeed;
+  Fleet fleet(&loop, options);
   for (size_t i = 0; i < stores.size(); ++i) {
     hbold::endpoint::EndpointRecord record;
     record.url = UrlOf(i);

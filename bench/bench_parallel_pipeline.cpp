@@ -26,16 +26,14 @@ namespace {
 
 using hbold::DailyReport;
 using hbold::Server;
-using hbold::SimClock;
 
 /// One fresh server over the shared fleet, one daily cycle at `workers`.
 DailyReport RunCycle(std::vector<hbold::bench::FleetMember>* fleet,
-                     const SimClock& clock, int workers) {
+                     const hbold::sim::EventLoop& loop, int workers) {
   hbold::store::Database db;
-  SimClock server_clock = clock;
   hbold::ServerOptions options;
   options.parallelism = workers;
-  Server server(&db, &server_clock, options);
+  Server server(&db, &loop, options);
   hbold::bench::AttachFleet(fleet, &server);
   return server.RunDailyCycle(workers);
 }
@@ -66,19 +64,19 @@ int main(int argc, char** argv) {
   hbold::bench::FleetOptions fleet_options;
   fleet_options.size = argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 50;
   fleet_options.max_classes = 60;
-  SimClock clock;
-  auto fleet = hbold::bench::BuildFleet(fleet_options, &clock);
+  hbold::sim::EventLoop loop;
+  auto fleet = hbold::bench::BuildFleet(fleet_options, loop.clock());
 
   hbold::bench::PrintHeader("parallel daily cycle, " +
                             std::to_string(fleet.size()) + " endpoints");
 
-  DailyReport sequential = RunCycle(&fleet, clock, 1);
+  DailyReport sequential = RunCycle(&fleet, loop, 1);
   std::printf("%-8s %12s %14s %14s %10s %10s\n", "workers", "wall ms",
               "sim sum ms", "sim makespan", "sim x", "wall x");
 
   bool all_match = true;
   for (int workers : {1, 2, 4, 8}) {
-    DailyReport report = RunCycle(&fleet, clock, workers);
+    DailyReport report = RunCycle(&fleet, loop, workers);
     bool match = SameOutcome(report, sequential);
     all_match = all_match && match;
     double sim_speedup = report.makespan_ms > 0

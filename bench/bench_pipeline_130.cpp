@@ -15,16 +15,16 @@
 int main() {
   using hbold::bench::Percentile;
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
 
   hbold::bench::FleetOptions options;
   options.size = 130;
   options.min_classes = 5;
   options.max_classes = 120;
   options.max_instances_per_class = 30;
-  auto fleet = hbold::bench::BuildFleet(options, &clock);
+  auto fleet = hbold::bench::BuildFleet(options, loop.clock());
   hbold::bench::AttachFleet(&fleet, &server);
 
   hbold::bench::PrintHeader("E10: full pipeline over the 130-endpoint fleet");

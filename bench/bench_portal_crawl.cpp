@@ -36,9 +36,9 @@ std::string NewUrl(const std::string& portal, size_t i) {
 }  // namespace
 
 int main() {
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
 
   // --- The pre-existing H-BOLD list: 610 endpoints, 110 of them indexed.
   for (size_t i = 0; i < 610; ++i) {
@@ -93,7 +93,7 @@ int main() {
     portals[p].endpoint =
         std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
             config.namespace_iri + "sparql", specs[p].name,
-            &portals[p].catalog, &clock);
+            &portals[p].catalog, loop.clock());
   }
 
   // --- Crawl all three portals in one batched fan-out (the Listing 1
@@ -136,7 +136,7 @@ int main() {
     config.seed = 77 + i;
     hbold::workload::GenerateSyntheticLd(config, store.get());
     auto ep = std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
-        new_urls[i], "New LD", store.get(), &clock);
+        new_urls[i], "New LD", store.get(), loop.clock());
     server.AttachEndpoint(new_urls[i], ep.get());
     stores.push_back(std::move(store));
     eps.push_back(std::move(ep));

@@ -12,9 +12,9 @@
 #include "workload/ld_generator.h"
 
 int main() {
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
 
   // 40 endpoints with 90% daily uptime (the paper: endpoints are "often
   // not available [but] might work again after 1 or 2 days").
@@ -36,7 +36,7 @@ int main() {
     std::string url = "http://flaky" + std::to_string(i) +
                       ".example.org/sparql";
     auto ep = std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
-        url, "Flaky " + std::to_string(i), store.get(), &clock,
+        url, "Flaky " + std::to_string(i), store.get(), loop.clock(),
         hbold::endpoint::Dialect::Full(), avail);
     server.AttachEndpoint(url, ep.get());
     hbold::endpoint::EndpointRecord record;
@@ -71,7 +71,7 @@ int main() {
     for (const auto& r : report.reports) last_success[r.url] = day;
     std::printf("%-6lld %6zu %6zu %8zu %8zu\n", static_cast<long long>(day),
                 report.due, report.succeeded, report.failed, report.reused);
-    clock.AdvanceDays(1);
+    loop.RunUntil(loop.NowMs() + hbold::SimClock::kMillisPerDay);
   }
 
   // With weekly refresh and 90% uptime, each endpoint is attempted roughly

@@ -25,11 +25,11 @@ struct Portal {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::store::Database db;
   hbold::ServerOptions options;
   if (argc > 1) options.parallelism = std::atoi(argv[1]);
-  hbold::Server server(&db, &clock, options);
+  hbold::Server server(&db, &loop, options);
 
   // Three portals, each listing a few SPARQL endpoints among many plain
   // file datasets.
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     portals[i].endpoint =
         std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
             config.namespace_iri + "sparql", names[i], &portals[i].catalog,
-            &clock);
+            loop.clock());
   }
 
   // Crawl.
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
               "known", "new");
   for (Portal& portal : portals) {
     auto result =
-        crawler.Crawl(portal.name, portal.endpoint.get(), clock.NowDay());
+        crawler.Crawl(portal.name, portal.endpoint.get(), loop.NowDay());
     if (!result.ok()) {
       std::fprintf(stderr, "crawl failed: %s\n",
                    result.status().ToString().c_str());
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     config.seed = attach_count;
     hbold::workload::GenerateSyntheticLd(config, store.get());
     auto ep = std::make_unique<hbold::endpoint::SimulatedRemoteEndpoint>(
-        record->url, record->name, store.get(), &clock);
+        record->url, record->name, store.get(), loop.clock());
     server.AttachEndpoint(record->url, ep.get());
     stores.push_back(std::move(store));
     eps.push_back(std::move(ep));
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(report.day), report.due, report.succeeded,
         report.failed, report.parallelism, report.sum_latency_ms,
         report.makespan_ms, server.registry().IndexedCount());
-    clock.AdvanceDays(1);
+    loop.RunUntil(loop.NowMs() + hbold::SimClock::kMillisPerDay);
   }
 
   // Show the dataset list a user would see.

@@ -43,13 +43,13 @@ int main(int argc, char** argv) {
   }
   std::printf("loaded %zu triples\n", store.size());
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::endpoint::SimulatedRemoteEndpoint ep(
-      "http://example.org/sparql", "example", &store, &clock);
+      "http://example.org/sparql", "example", &store, loop.clock());
 
   // 2. Server layer: register, extract, summarize, cluster, persist.
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
   server.AttachEndpoint(ep.url(), &ep);
   hbold::endpoint::EndpointRecord record;
   record.url = ep.url();

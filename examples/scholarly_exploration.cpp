@@ -20,11 +20,12 @@ int main(int argc, char** argv) {
   size_t triples = hbold::workload::GenerateScholarly(config, &store);
   std::printf("scholarly dataset: %zu triples\n", triples);
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::endpoint::SimulatedRemoteEndpoint ep(
-      "http://www.scholarlydata.org/sparql", "ScholarlyData", &store, &clock);
+      "http://www.scholarlydata.org/sparql", "ScholarlyData", &store,
+      loop.clock());
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
   server.AttachEndpoint(ep.url(), &ep);
   hbold::endpoint::EndpointRecord record;
   record.url = ep.url();

@@ -16,11 +16,12 @@ int main() {
   config.people = 80;
   hbold::workload::GenerateScholarly(config, &store);
 
-  hbold::SimClock clock;
+  hbold::sim::EventLoop loop;
   hbold::endpoint::SimulatedRemoteEndpoint ep(
-      "http://www.scholarlydata.org/sparql", "ScholarlyData", &store, &clock);
+      "http://www.scholarlydata.org/sparql", "ScholarlyData", &store,
+      loop.clock());
   hbold::store::Database db;
-  hbold::Server server(&db, &clock);
+  hbold::Server server(&db, &loop, hbold::ServerOptions{});
   server.AttachEndpoint(ep.url(), &ep);
   hbold::endpoint::EndpointRecord record;
   record.url = ep.url();

@@ -9,7 +9,8 @@ namespace hbold {
 /// Simulated wall-clock used by the refresh scheduler and the endpoint
 /// availability model. Time is measured in milliseconds since an arbitrary
 /// epoch; days matter for the §3.1 refresh policy (weekly re-extraction,
-/// daily retry after failure).
+/// daily retry after failure). In a simulation the sim::EventLoop owns the
+/// one clock and alone advances it; endpoints hold it read-only.
 class SimClock {
  public:
   static constexpr int64_t kMillisPerSecond = 1000;

@@ -134,7 +134,9 @@ class Parser {
   }
 
   Status ParseString(std::string* out) {
-    if (text_[pos_] != '"') return Err("expected string");
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Err("expected string");
+    }
     ++pos_;
     std::string s;
     while (true) {

@@ -113,15 +113,7 @@ int AdaptiveWidthController::Observe(const std::string& url,
 // ----------------------------------------------------------------- fleet
 
 Fleet::Fleet(sim::EventLoop* loop, const FleetOptions& options)
-    : Fleet(nullptr, loop, options) {}
-
-Fleet::Fleet(SimClock* clock, const FleetOptions& options)
-    : Fleet(std::make_unique<sim::EventLoop>(clock), nullptr, options) {}
-
-Fleet::Fleet(std::unique_ptr<sim::EventLoop> owned, sim::EventLoop* loop,
-             const FleetOptions& options)
-    : owned_loop_(std::move(owned)),
-      loop_(loop != nullptr ? loop : owned_loop_.get()),
+    : loop_(loop),
       options_(options),
       churn_(options.churn),
       widths_(options.adaptive_width,
@@ -139,8 +131,7 @@ Fleet::Fleet(std::unique_ptr<sim::EventLoop> owned, sim::EventLoop* loop,
   for (int s = 0; s < options_.num_shards; ++s) {
     dbs_.push_back(std::make_unique<store::Database>());
     shards_.push_back(std::make_unique<Server>(
-        dbs_.back().get(), static_cast<const sim::Timeline*>(loop_),
-        options_.server));
+        dbs_.back().get(), loop_, options_.server));
   }
   if (options_.fleet_workers > 1) pool_.emplace(options_.fleet_workers);
 }
@@ -431,14 +422,6 @@ FleetReport Fleet::TakeReport() {
   report.adaptive_width = options_.adaptive_width.enabled;
   report.days = std::move(collected_days_);
   collected_days_.clear();
-  return report;
-}
-
-FleetDayReport Fleet::RunDay() {
-  ScheduleCycles(1);
-  loop_->RunUntilIdle();
-  FleetDayReport report = std::move(collected_days_.back());
-  collected_days_.pop_back();
   return report;
 }
 

@@ -269,29 +269,19 @@ struct FleetReport {
 /// store contents are byte-identical for ANY (num_shards, fleet_workers,
 /// parallelism, query_batch_width, adaptive on/off) — differential-tested
 /// in tests/fleet_test.cc + tests/sim_test.cc and gated in
-/// bench_fleet_simulation / bench_mixed_timeline. Unlike the pre-loop
-/// API, the contract now covers overrun days too: the event timeline is
-/// priced by the canonical virtual-worker ledger, so catch-up cycles land
-/// on the same instants in every deployment shape.
+/// bench_fleet_simulation / bench_mixed_timeline. The contract covers
+/// overrun days too: the event timeline is priced by the canonical
+/// virtual-worker ledger, so catch-up cycles land on the same instants in
+/// every deployment shape.
 class Fleet {
  public:
-  /// Primary constructor: the fleet becomes a process on `loop` (which
-  /// must outlive it). Simulated endpoints must be built against
-  /// `loop->clock()` so the whole world shares one timeline.
+  /// The fleet becomes a process on `loop` (which must outlive it).
+  /// Simulated endpoints must be built against `loop->clock()` so the
+  /// whole world shares one timeline.
   Fleet(sim::EventLoop* loop, const FleetOptions& options);
-
-  /// SimClock compatibility shim (one release): wraps `clock` in an
-  /// internally-owned EventLoop. Existing worlds whose endpoints bind to
-  /// a bare SimClock keep working unchanged; RunDay()/RunSimulation()
-  /// schedule onto the internal loop and drain it. New code should build
-  /// the EventLoop itself and use the primary constructor.
-  Fleet(SimClock* clock, const FleetOptions& options);
 
   size_t num_shards() const { return shards_.size(); }
   const FleetOptions& options() const { return options_; }
-  /// The shared timeline every fleet event lands on.
-  sim::EventLoop& loop() { return *loop_; }
-  SimClock* clock() { return loop_->clock(); }
 
   /// Stable shard assignment: Fnv64(url) % num_shards.
   size_t ShardOf(const std::string& url) const;
@@ -346,18 +336,10 @@ class Fleet {
     cycle_complete_handler_ = std::move(fn);
   }
 
-  /// One simulated day, synchronously: schedules a single cycle at the
-  /// current instant and drains the loop. Retained from the pre-loop API;
-  /// equivalent to ScheduleCycles(1) + loop().RunUntilIdle().
-  FleetDayReport RunDay();
-
   /// Runs `days` consecutive daily cycles to idle and takes the report.
   FleetReport RunSimulation(int64_t days);
 
  private:
-  Fleet(std::unique_ptr<sim::EventLoop> owned, sim::EventLoop* loop,
-        const FleetOptions& options);
-
   /// Schedules the next cycle's kChurn + kCycleStart pair at `start_ms`
   /// (plus the kDayBoundary event when `start_ms` sits on one).
   void ScheduleCycleAt(int64_t start_ms);
@@ -375,8 +357,6 @@ class Fleet {
   void MergeShardReports(std::vector<DailyReport> shard_reports,
                          FleetDayReport* day_report) const;
 
-  /// Owned only by the SimClock compatibility constructor.
-  std::unique_ptr<sim::EventLoop> owned_loop_;
   sim::EventLoop* loop_;
   FleetOptions options_;
   std::vector<std::unique_ptr<store::Database>> dbs_;

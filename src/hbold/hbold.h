@@ -6,7 +6,6 @@
 /// crawling, manual insertion, visualization layouts).
 
 #include "cluster/cluster_schema.h"     // IWYU pragma: export
-#include "cluster/greedy_merge.h"       // IWYU pragma: export
 #include "cluster/label_propagation.h"  // IWYU pragma: export
 #include "cluster/louvain.h"            // IWYU pragma: export
 #include "cluster/modularity.h"         // IWYU pragma: export

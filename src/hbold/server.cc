@@ -17,12 +17,6 @@
 namespace hbold {
 
 namespace {
-ServerOptions WithRefreshAge(int64_t refresh_age_days) {
-  ServerOptions options;
-  options.refresh_age_days = refresh_age_days;
-  return options;
-}
-
 extraction::IndexExtractor MakeExtractor(const ServerOptions& options) {
   if (options.paginated_page_size == 0) return extraction::IndexExtractor();
   std::vector<std::unique_ptr<extraction::ExtractionStrategy>> chain;
@@ -34,23 +28,13 @@ extraction::IndexExtractor MakeExtractor(const ServerOptions& options) {
 }
 }  // namespace
 
-Server::Server(store::Database* db, const sim::Timeline* timeline,
+Server::Server(store::Database* db, const sim::EventLoop* loop,
                const ServerOptions& options)
     : db_(db),
-      timeline_(timeline),
+      loop_(loop),
       options_(options),
       scheduler_(options.refresh_age_days),
       extractor_(MakeExtractor(options)) {}
-
-Server::Server(store::Database* db, SimClock* clock, int64_t refresh_age_days)
-    : Server(db, clock, WithRefreshAge(refresh_age_days)) {}
-
-Server::Server(store::Database* db, SimClock* clock,
-               const ServerOptions& options)
-    : Server(db, static_cast<const sim::Timeline*>(nullptr), options) {
-  owned_timeline_ = std::make_unique<sim::ClockTimeline>(clock);
-  timeline_ = owned_timeline_.get();
-}
 
 void Server::AttachEndpoint(const std::string& url,
                             endpoint::SparqlEndpoint* ep) {
@@ -87,7 +71,7 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
                                                    PipelineCost* cost) {
   PipelineReport report;
   report.url = url;
-  const int64_t today = timeline_->NowDay();
+  const int64_t today = loop_->NowDay();
 
   // Bookkeeping writes go through the registry's serialized update path so
   // concurrent pipelines never race on a shared record.
@@ -645,7 +629,7 @@ DailyReport Server::RunDailyCycle(int parallelism) {
   // days of a multi-day simulation. (The due list is recomputed inside
   // RunDailyCycleOn from the same registry state; DueToday is read-only,
   // so the two computations agree.)
-  if (scheduler_.DueToday(registry_.Snapshot(), timeline_->NowDay()).size() <=
+  if (scheduler_.DueToday(registry_.Snapshot(), loop_->NowDay()).size() <=
       1) {
     return RunDailyCycleOn(nullptr, parallelism);
   }
@@ -663,7 +647,7 @@ endpoint::QueryEngineStats Server::SumEngineStats() const {
 
 DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
   DailyReport daily;
-  daily.day = timeline_->NowDay();
+  daily.day = loop_->NowDay();
   daily.parallelism = std::max(1, parallelism);
 
   // Data evolves first: every attached endpoint applies its seeded

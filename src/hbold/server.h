@@ -5,15 +5,12 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
-#include "common/clock.h"
 #include "common/result.h"
-#include "sim/timeline.h"
 #include "endpoint/endpoint.h"
 #include "endpoint/registry.h"
 #include "extraction/extractor.h"
 #include "extraction/scheduler.h"
+#include "sim/event_loop.h"
 #include "store/database.h"
 
 namespace hbold {
@@ -199,7 +196,7 @@ struct DailyReport {
   /// figure, identical regardless of parallelism.
   double sum_latency_ms = 0;
   /// Deterministic list-scheduling makespan of the simulated latencies
-  /// over `parallelism` workers — the *duration* figure a SimClock should
+  /// over `parallelism` workers — the *duration* figure simulated time should
   /// be advanced by. Equals sum_latency_ms when parallelism == 1.
   ///
   /// Charged from each pipeline's *sequential* latency total, so the
@@ -260,19 +257,12 @@ struct ServerOptions {
 /// endpoints.
 class Server {
  public:
-  /// Primary constructor: the server *reads* simulated time through
-  /// `timeline` (a sim::EventLoop, or any Timeline) and never advances
-  /// it — under the event-loop redesign only the loop's dispatcher moves
-  /// time. `db` and `timeline` must outlive the server.
-  Server(store::Database* db, const sim::Timeline* timeline,
+  /// The server *reads* simulated time from `loop` and never advances it:
+  /// only the loop's dispatcher moves time, so callers step the loop
+  /// (RunUntil / RunUntilIdle) between cycles. `db` and `loop` must
+  /// outlive the server.
+  Server(store::Database* db, const sim::EventLoop* loop,
          const ServerOptions& options);
-
-  /// SimClock compatibility shims (one release): wrap `clock` in an
-  /// owned ClockTimeline so pre-event-loop callers that still advance a
-  /// bare SimClock between manual cycles keep working unchanged.
-  Server(store::Database* db, SimClock* clock,
-         int64_t refresh_age_days = 7);
-  Server(store::Database* db, SimClock* clock, const ServerOptions& options);
 
   const ServerOptions& options() const { return options_; }
 
@@ -360,9 +350,7 @@ class Server {
   endpoint::QueryEngineStats SumEngineStats() const;
 
   store::Database* db_;
-  /// Owned only by the SimClock compatibility constructors.
-  std::unique_ptr<sim::ClockTimeline> owned_timeline_;
-  const sim::Timeline* timeline_;
+  const sim::EventLoop* loop_;
   ServerOptions options_;
   extraction::RefreshScheduler scheduler_;
   extraction::IndexExtractor extractor_;

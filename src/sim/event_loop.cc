@@ -31,16 +31,12 @@ const char* EventKindName(EventKind kind) {
   return "unknown";
 }
 
-EventLoop::EventLoop() : clock_(&owned_clock_) {}
-
-EventLoop::EventLoop(SimClock* clock) : clock_(clock) {}
-
 EventId EventLoop::ScheduleAt(int64_t time_ms, EventKind kind,
                               std::string label, Handler fn) {
   // The past is not schedulable: a handler asking for an elapsed instant
   // gets "as soon as possible" (now, after everything already queued at
   // now — the sequence tie-break preserves scheduling order).
-  time_ms = std::max(time_ms, clock_->NowMs());
+  time_ms = std::max(time_ms, clock_.NowMs());
   const EventId id = next_id_++;
   queue_.emplace(std::make_pair(time_ms, id),
                  Pending{kind, std::move(label), std::move(fn)});
@@ -50,7 +46,7 @@ EventId EventLoop::ScheduleAt(int64_t time_ms, EventKind kind,
 
 EventId EventLoop::ScheduleAfter(int64_t delay_ms, EventKind kind,
                                  std::string label, Handler fn) {
-  return ScheduleAt(clock_->NowMs() + std::max<int64_t>(0, delay_ms), kind,
+  return ScheduleAt(clock_.NowMs() + std::max<int64_t>(0, delay_ms), kind,
                     std::move(label), std::move(fn));
 }
 
@@ -66,13 +62,13 @@ void EventLoop::Note(EventKind kind, std::string label) {
   // Annotations share the id space with scheduled events so the history's
   // sequence column stays strictly increasing within an instant.
   history_.push_back(
-      EventRecord{clock_->NowMs(), next_id_++, kind, std::move(label)});
+      EventRecord{clock_.NowMs(), next_id_++, kind, std::move(label)});
 }
 
 void EventLoop::Dispatch(int64_t time_ms, EventId id, Pending pending) {
   // Time only moves forward through here: set, never add, so a re-entrant
   // read during the handler sees exactly the event's instant.
-  clock_->AdvanceMs(time_ms - clock_->NowMs());
+  clock_.AdvanceMs(time_ms - clock_.NowMs());
   history_.push_back(EventRecord{time_ms, id, pending.kind, pending.label});
   if (pending.fn) pending.fn();
 }
@@ -100,8 +96,8 @@ size_t EventLoop::RunUntil(int64_t horizon_ms) {
     Step();
     ++dispatched;
   }
-  if (clock_->NowMs() < horizon_ms) {
-    clock_->AdvanceMs(horizon_ms - clock_->NowMs());
+  if (clock_.NowMs() < horizon_ms) {
+    clock_.AdvanceMs(horizon_ms - clock_.NowMs());
   }
   return dispatched;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "sim/timeline.h"
 
 namespace hbold::sim {
 
@@ -62,36 +61,35 @@ struct EventRecord {
 /// order they were scheduled, which is what makes event histories
 /// byte-comparable across runs.
 ///
-/// The loop drives a SimClock (owned, or bound via the compatibility
-/// constructor): dispatching an event first sets the clock to the event's
-/// time, so everything that reads time through sim::Timeline — schedulers,
-/// availability models, simulated endpoints — sees a consistent instant.
+/// The loop owns the simulation's only SimClock, starting at t = 0, and is
+/// the only thing that moves it: dispatching an event first sets the clock
+/// to the event's time, and RunUntil fast-forwards it to the horizon.
+/// Everything else — servers, schedulers, availability models, simulated
+/// endpoints — reads time through a `const EventLoop*` or the read-only
+/// clock() handle, so every reader sees the same instant.
 ///
 /// Not thread-safe: all scheduling and dispatching must happen on one
 /// thread (handlers may fan work out over pools internally, but only the
 /// dispatching thread touches the loop). That single-threaded discipline
 /// is deliberate — it is what keeps sequence numbers, and with them the
 /// whole history, independent of worker counts.
-class EventLoop final : public Timeline {
+class EventLoop final {
  public:
   using Handler = std::function<void()>;
 
-  /// Owns its clock, starting at t = 0.
-  EventLoop();
-
-  /// Binds an externally-owned clock (the SimClock compatibility shim):
-  /// simulated endpoints built against `clock` share the loop's timeline
-  /// without being rebuilt. `clock` must outlive the loop.
-  explicit EventLoop(SimClock* clock);
+  EventLoop() = default;
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  int64_t NowMs() const override { return clock_->NowMs(); }
+  /// Milliseconds since the simulation epoch.
+  int64_t NowMs() const { return clock_.NowMs(); }
 
-  /// The driven clock — what legacy SimClock-reading code binds to.
-  SimClock* clock() { return clock_; }
-  const SimClock* clock() const { return clock_; }
+  /// Simulated day index (§3.1 refresh granularity).
+  int64_t NowDay() const { return clock_.NowDay(); }
+
+  /// Read handle on the loop's clock — what simulated endpoints bind to.
+  const SimClock* clock() const { return &clock_; }
 
   /// Schedules `fn` at absolute simulated time `time_ms` (clamped to now:
   /// the past is not schedulable). Returns the event's id.
@@ -154,8 +152,7 @@ class EventLoop final : public Timeline {
 
   void Dispatch(int64_t time_ms, EventId id, Pending pending);
 
-  SimClock owned_clock_;
-  SimClock* clock_;
+  SimClock clock_;
   /// Keyed by (time, sequence): iteration order IS dispatch order, and
   /// erase-by-id stays cheap for Cancel.
   std::map<std::pair<int64_t, EventId>, Pending> queue_;

@@ -1,5 +1,7 @@
 #include "sparql/parser.h"
 
+#include <charconv>
+
 #include "common/string_util.h"
 #include "rdf/vocab.h"
 #include "sparql/lexer.h"
@@ -107,16 +109,12 @@ class Parser {
       }
       if (IsKeyword("LIMIT")) {
         ++pos_;
-        if (Cur().kind != TokenKind::kNumber) return Err("expected number");
-        q.limit = static_cast<size_t>(std::stoll(Cur().text));
-        ++pos_;
+        HBOLD_ASSIGN_OR_RETURN(q.limit, ParseCount());
         continue;
       }
       if (IsKeyword("OFFSET")) {
         ++pos_;
-        if (Cur().kind != TokenKind::kNumber) return Err("expected number");
-        q.offset = static_cast<size_t>(std::stoll(Cur().text));
-        ++pos_;
+        HBOLD_ASSIGN_OR_RETURN(q.offset, ParseCount());
         continue;
       }
       break;
@@ -130,6 +128,22 @@ class Parser {
 
   bool IsKeyword(std::string_view kw) const {
     return Cur().kind == TokenKind::kKeyword && Cur().text == kw;
+  }
+
+  /// LIMIT/OFFSET operand: an unsigned decimal integer that fits size_t.
+  /// The number token also admits signs, decimals and exponents, none of
+  /// which is a row count.
+  Result<size_t> ParseCount() {
+    if (Cur().kind != TokenKind::kNumber) return Err<size_t>("expected number");
+    const std::string& text = Cur().text;
+    const char* end = text.data() + text.size();
+    size_t value = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      return Err<size_t>("expected unsigned integer, got " + text);
+    }
+    ++pos_;
+    return value;
   }
 
   template <typename T = SelectQuery>

@@ -115,11 +115,11 @@ class QueryBatchTest : public ::testing::Test {
     config.seed = 42;
     workload::GenerateSyntheticLd(config, &data_);
     ep_ = std::make_unique<SimulatedRemoteEndpoint>("http://x/sparql", "x",
-                                                    &data_, &clock_);
+                                                    &data_, loop_.clock());
   }
 
   rdf::TripleStore data_;
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::unique_ptr<SimulatedRemoteEndpoint> ep_;
 };
 
@@ -205,11 +205,11 @@ TEST_F(QueryBatchTest, AbortOnFailureKeepsPreFailurePrefixReal) {
 TEST_F(QueryBatchTest, ProbeBatchMixesAnswersAndErrors) {
   endpoint::AvailabilityModel down;
   down.forced_outage_days = {0};
-  SimulatedRemoteEndpoint dead("http://dead/sparql", "dead", &data_, &clock_,
-                               endpoint::Dialect::Full(), down);
+  SimulatedRemoteEndpoint dead("http://dead/sparql", "dead", &data_,
+                               loop_.clock(), endpoint::Dialect::Full(), down);
   rdf::TripleStore empty;
   SimulatedRemoteEndpoint hollow("http://empty/sparql", "empty", &empty,
-                                 &clock_);
+                                 loop_.clock());
   ThreadPool pool(2);
   QueryBatchOptions options;
   options.pool = &pool;
@@ -249,7 +249,7 @@ class AsyncCycleTest : public ::testing::Test {
 
       std::string url = config.namespace_iri + "sparql";
       endpoints_.push_back(std::make_unique<SimulatedRemoteEndpoint>(
-          url, "LD " + std::to_string(i), store.get(), &clock_, dialect));
+          url, "LD " + std::to_string(i), store.get(), loop_.clock(), dialect));
       stores_.push_back(std::move(store));
       urls_.push_back(std::move(url));
     }
@@ -262,7 +262,7 @@ class AsyncCycleTest : public ::testing::Test {
     ServerOptions options;
     options.parallelism = parallelism;
     options.query_batch_width = batch_width;
-    auto server = std::make_unique<Server>(db, &clock_, options);
+    auto server = std::make_unique<Server>(db, &loop_, options);
     for (size_t i = 0; i < kEndpoints; ++i) {
       if (i + 1 < kEndpoints) {
         server->AttachEndpoint(urls_[i], endpoints_[i].get());
@@ -315,7 +315,7 @@ class AsyncCycleTest : public ::testing::Test {
     EXPECT_EQ(a.makespan_ms, b.makespan_ms);
   }
 
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::string> urls_;
   std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
@@ -382,7 +382,7 @@ TEST_F(AsyncCycleTest, ReuseDetectionSurvivesBatchedSecondCycle) {
   auto server = MakeServer(&db, 4, 4);
   DailyReport first = server->RunDailyCycle(4);
   EXPECT_EQ(first.reused, 0u);
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   DailyReport second = server->RunDailyCycle(4);
   EXPECT_EQ(second.succeeded, kEndpoints - 1);
   EXPECT_EQ(second.reused, kEndpoints - 1);
@@ -429,11 +429,11 @@ class StrategyBatchTest : public ::testing::Test {
   }
 
   rdf::TripleStore data_;
-  SimClock clock_;
+  sim::EventLoop loop_;
 };
 
 TEST_F(StrategyBatchTest, PerClassCountWavesMatchSequential) {
-  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, &clock_,
+  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, loop_.clock(),
                              endpoint::Dialect::NoGroupBy());
   auto [seq, batched] =
       ExpectEquivalent(extraction::PerClassCountStrategy(), &ep);
@@ -444,7 +444,7 @@ TEST_F(StrategyBatchTest, PerClassCountWavesMatchSequential) {
 }
 
 TEST_F(StrategyBatchTest, DirectAggregationBatchMatchesSequential) {
-  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, &clock_);
+  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, loop_.clock());
   auto [seq, batched] =
       ExpectEquivalent(extraction::DirectAggregationStrategy(), &ep);
   EXPECT_GE(batched.batches_issued, 1u);
@@ -454,7 +454,7 @@ TEST_F(StrategyBatchTest, DirectAggregationBatchMatchesSequential) {
 TEST_F(StrategyBatchTest, SpeculativePaginationMatchesSequential) {
   // Page size far below the data volume: both passes page many times, so
   // the speculative waves (and their discard-at-terminal logic) run.
-  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, &clock_,
+  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, loop_.clock(),
                              endpoint::Dialect::NoAggregates());
   auto [seq, batched] =
       ExpectEquivalent(extraction::PaginatedScanStrategy(32), &ep);
@@ -466,7 +466,7 @@ TEST_F(StrategyBatchTest, RowCappedPaginationFallsBackIdentically) {
   // Every page comes back truncated below the LIMIT: the speculative
   // walk must drop to sequential paging and still charge the identical
   // logical stream.
-  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, &clock_,
+  SimulatedRemoteEndpoint ep("http://x/sparql", "x", &data_, loop_.clock(),
                              endpoint::Dialect::RowCapped(20));
   ExpectEquivalent(extraction::PaginatedScanStrategy(32), &ep);
 }
@@ -482,7 +482,7 @@ class BatchFailureTest : public ::testing::Test {
     config.seed = 11;
     workload::GenerateSyntheticLd(config, &data_);
     ep_ = std::make_unique<SimulatedRemoteEndpoint>(
-        "http://x/sparql", "x", &data_, &clock_,
+        "http://x/sparql", "x", &data_, loop_.clock(),
         endpoint::Dialect::NoGroupBy());
     // A marker class from the middle of the canonical class list, so the
     // poison lands mid-batch rather than on the head queries.
@@ -495,7 +495,7 @@ class BatchFailureTest : public ::testing::Test {
   }
 
   rdf::TripleStore data_;
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::unique_ptr<SimulatedRemoteEndpoint> ep_;
   std::string marker_;
 };
@@ -541,7 +541,7 @@ TEST_F(BatchFailureTest, MidBatchFailureLeavesNoPartialSummary) {
   ServerOptions options;
   options.parallelism = 2;
   options.query_batch_width = 4;
-  Server server(&db, &clock_, options);
+  Server server(&db, &loop_, options);
   server.AttachEndpoint(poisoned.url(), &poisoned);
   endpoint::EndpointRecord record;
   record.url = poisoned.url();
@@ -569,7 +569,7 @@ TEST_F(BatchFailureTest, MidBatchFailureLeavesNoPartialSummary) {
 // ------------------------------------------------- batched crawls
 
 TEST(BatchedCrawlTest, CrawlAllMatchesSequentialCrawls) {
-  SimClock clock;
+  sim::EventLoop loop;
   constexpr size_t kPortals = 3;
   std::vector<rdf::TripleStore> catalogs(kPortals);
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> portals;
@@ -589,7 +589,7 @@ TEST(BatchedCrawlTest, CrawlAllMatchesSequentialCrawls) {
     workload::GeneratePortalCatalog(config, &catalogs[p]);
     portals.push_back(std::make_unique<SimulatedRemoteEndpoint>(
         config.namespace_iri + "sparql", config.portal_name, &catalogs[p],
-        &clock));
+        loop.clock()));
     targets.push_back(PortalTarget{config.portal_name, portals.back().get()});
   }
 
@@ -628,7 +628,7 @@ TEST(BatchedCrawlTest, CrawlAllMatchesSequentialCrawls) {
 }
 
 TEST(BatchedCrawlTest, CrawlAllIsolatesDeadPortal) {
-  SimClock clock;
+  sim::EventLoop loop;
   rdf::TripleStore catalog;
   workload::PortalConfig config;
   config.namespace_iri = "http://alive.example.org/";
@@ -636,12 +636,12 @@ TEST(BatchedCrawlTest, CrawlAllIsolatesDeadPortal) {
   config.sparql_urls.push_back("http://found.example.org/sparql");
   workload::GeneratePortalCatalog(config, &catalog);
   SimulatedRemoteEndpoint alive("http://alive.example.org/sparql", "alive",
-                                &catalog, &clock);
+                                &catalog, loop.clock());
   endpoint::AvailabilityModel outage;
   outage.forced_outage_days = {0};
   SimulatedRemoteEndpoint dead("http://dead.example.org/sparql", "dead",
-                               &catalog, &clock, endpoint::Dialect::Full(),
-                               outage);
+                               &catalog, loop.clock(),
+                               endpoint::Dialect::Full(), outage);
 
   endpoint::EndpointRegistry registry;
   PortalCrawler crawler(&registry);
@@ -659,7 +659,7 @@ TEST(BatchedCrawlTest, CrawlAllIsolatesDeadPortal) {
 }
 
 TEST(BatchedCrawlTest, MetadataCrawlAllMatchesSequential) {
-  SimClock clock;
+  sim::EventLoop loop;
   constexpr size_t kRepos = 2;
   std::vector<rdf::TripleStore> stores(kRepos);
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> repos;
@@ -677,7 +677,7 @@ TEST(BatchedCrawlTest, MetadataCrawlAllMatchesSequential) {
         &stores[r]);
     repos.push_back(std::make_unique<SimulatedRemoteEndpoint>(
         "http://repo" + std::to_string(r) + ".example.org/sparql",
-        "repo" + std::to_string(r), &stores[r], &clock));
+        "repo" + std::to_string(r), &stores[r], loop.clock()));
     targets.push_back(
         MetadataRepositoryTarget{repos.back()->name(), repos.back().get()});
   }

@@ -1,5 +1,5 @@
 // Unit + property tests for src/cluster: graph, modularity, Louvain, label
-// propagation, greedy merge, and the Cluster Schema builder.
+// propagation, and the Cluster Schema builder.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <set>
 
 #include "cluster/cluster_schema.h"
-#include "cluster/greedy_merge.h"
 #include "cluster/label_propagation.h"
 #include "cluster/louvain.h"
 #include "cluster/modularity.h"
@@ -189,18 +188,6 @@ TEST(LabelPropagationTest, IsolatedNodesKeepOwnLabels) {
   EXPECT_EQ(CommunityCount(p), 3u);
 }
 
-TEST(GreedyMergeTest, RecoversTwoCliques) {
-  UGraph g = TwoCliques();
-  Partition p = GreedyMerge(g);
-  EXPECT_EQ(CommunityCount(p), 2u);
-  for (size_t i = 1; i < 4; ++i) EXPECT_EQ(p[i], p[0]);
-}
-
-TEST(GreedyMergeTest, EmptyGraph) {
-  UGraph g(0);
-  EXPECT_TRUE(GreedyMerge(g).empty());
-}
-
 // Property sweep: on random graphs every algorithm returns a valid
 // partition (size n, every node assigned) and Louvain's modularity is at
 // least as good as LPA's and the singleton baseline's.
@@ -216,7 +203,7 @@ TEST_P(AlgorithmPropertyTest, ValidPartitionsAndLouvainDominance) {
     size_t v = rng.Uniform(n);
     g.AddEdge(u, v, 1.0 + static_cast<double>(rng.Uniform(5)));
   }
-  for (auto algo : {Louvain(g, {}), LabelPropagation(g, {}), GreedyMerge(g)}) {
+  for (auto algo : {Louvain(g, {}), LabelPropagation(g, {})}) {
     ASSERT_EQ(algo.size(), n);
     size_t k = CommunityCount(algo);
     EXPECT_GE(k, 1u);

@@ -88,7 +88,7 @@ class DeltaWorld {
 
   explicit DeltaWorld(FleetOptions options, double churn = kChurnFraction) {
     options.server.refresh_age_days = 1;  // churn-sensitive: due daily
-    fleet_ = std::make_unique<Fleet>(&clock_, options);
+    fleet_ = std::make_unique<Fleet>(&loop_, options);
     for (size_t i = 0; i < kEndpoints; ++i) {
       auto store = std::make_unique<rdf::TripleStore>();
       workload::SyntheticLdConfig config;
@@ -110,7 +110,7 @@ class DeltaWorld {
       mutation.daily_churn_fraction = (i % 3 == 0) ? 0.0 : churn;
       mutation.seed = 500 + i * 104729;
       auto ep = std::make_unique<SimulatedRemoteEndpoint>(
-          Url(i), "Delta " + std::to_string(i), store.get(), &clock_,
+          Url(i), "Delta " + std::to_string(i), store.get(), loop_.clock(),
           dialect, endpoint::AvailabilityModel{}, endpoint::LatencyModel{},
           mutation);
       EndpointRecord record;
@@ -138,7 +138,7 @@ class DeltaWorld {
   }
 
  private:
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
   std::unique_ptr<Fleet> fleet_;
@@ -320,7 +320,7 @@ class AdversarialWorld {
 
   AdversarialWorld(FleetOptions options, int64_t freeze_after_day) {
     options.server.refresh_age_days = 1;
-    fleet_ = std::make_unique<Fleet>(&clock_, options);
+    fleet_ = std::make_unique<Fleet>(&loop_, options);
     for (size_t i = 0; i < kEndpoints; ++i) {
       auto store = std::make_unique<rdf::TripleStore>();
       workload::SyntheticLdConfig config;
@@ -365,8 +365,9 @@ class AdversarialWorld {
       }
 
       auto ep = std::make_unique<SimulatedRemoteEndpoint>(
-          Url(i), "Adv " + std::to_string(i), store.get(), &clock_, dialect,
-          AvailabilityModel{}, endpoint::LatencyModel{}, mutation, faults);
+          Url(i), "Adv " + std::to_string(i), store.get(), loop_.clock(),
+          dialect, AvailabilityModel{}, endpoint::LatencyModel{}, mutation,
+          faults);
       EndpointRecord record;
       record.url = Url(i);
       record.name = ep->name();
@@ -386,7 +387,7 @@ class AdversarialWorld {
   }
 
  private:
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
   std::unique_ptr<Fleet> fleet_;
@@ -475,7 +476,7 @@ TEST(AdversarialDeltaTest, AdversarialRunsAreDeploymentInvariant) {
 /// byte-identical to the always-full control arm's.
 TEST(AdversarialDeltaTest, RestrictedDialectDeltaRunsThroughPaginatedScan) {
   const std::string url = "http://restricted.example.org/sparql";
-  constexpr int64_t kRunDays = 6;
+  constexpr int64_t kCycleDays = 6;
 
   struct ArmResult {
     std::map<std::string, std::string> summaries;
@@ -485,7 +486,7 @@ TEST(AdversarialDeltaTest, RestrictedDialectDeltaRunsThroughPaginatedScan) {
   };
   auto run = [&](IncrementalMode mode) {
     ArmResult result;
-    SimClock clock;
+    sim::EventLoop loop;
     store::Database db;
     ServerOptions so;
     so.refresh_age_days = 1;
@@ -493,7 +494,7 @@ TEST(AdversarialDeltaTest, RestrictedDialectDeltaRunsThroughPaginatedScan) {
     // Small pages so this small simulated store exercises the multi-page
     // cost model the way a real million-triple endpoint would.
     so.paginated_page_size = 16;
-    Server server(&db, &clock, so);
+    Server server(&db, &loop, so);
 
     rdf::TripleStore store;
     workload::SyntheticLdConfig config;
@@ -506,15 +507,15 @@ TEST(AdversarialDeltaTest, RestrictedDialectDeltaRunsThroughPaginatedScan) {
     mutation.daily_churn_fraction = 0.04;
     mutation.hot_class_fraction = 0.2;
     mutation.seed = 31415;
-    SimulatedRemoteEndpoint ep(url, "restricted", &store, &clock,
+    SimulatedRemoteEndpoint ep(url, "restricted", &store, loop.clock(),
                                Dialect::NoAggregates(), {}, {}, mutation);
     server.AttachEndpoint(url, &ep);
     EndpointRecord record;
     record.url = url;
     server.RegisterEndpoint(record);
 
-    for (int64_t day = 0; day < kRunDays; ++day) {
-      if (day > 0) clock.AdvanceDays(1);
+    for (int64_t day = 0; day < kCycleDays; ++day) {
+      if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
       ep.AdvanceDataDay(day);
       auto r = server.ProcessEndpoint(url);
       EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();
@@ -559,22 +560,22 @@ TEST(AdversarialDeltaTest, RestrictedDialectDeltaRunsThroughPaginatedScan) {
 /// probe-skip: generation equality over an empty fingerprint set proves
 /// nothing about the content's provenance.
 TEST(ProbeEdgeCaseTest, EmptyStoreNeverProbeSkips) {
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions so;
   so.refresh_age_days = 1;
   so.incremental.mode = IncrementalMode::kDelta;
-  Server server(&db, &clock, so);
+  Server server(&db, &loop, so);
   rdf::TripleStore store;  // stays empty: zero classes forever
   SimulatedRemoteEndpoint ep("http://empty.example.org/sparql", "empty",
-                             &store, &clock);
+                             &store, loop.clock());
   server.AttachEndpoint(ep.url(), &ep);
   EndpointRecord record;
   record.url = ep.url();
   server.RegisterEndpoint(record);
 
   for (int64_t day = 0; day < 3; ++day) {
-    if (day > 0) clock.AdvanceDays(1);
+    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     auto r = server.ProcessEndpoint(ep.url());
     ASSERT_TRUE(r.ok()) << "day " << day << ": " << r.status();
     EXPECT_TRUE(r->probed);
@@ -609,25 +610,25 @@ TEST(ProbeEdgeCaseTest, OutageRecoveryProbeSeesTheMissedChurn) {
 
   // Delta arm: nobody advances the endpoint's data explicitly — the probe
   // itself must catch up on the recovery day (the regression under test).
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions so;
   so.refresh_age_days = 1;
   so.incremental.mode = IncrementalMode::kDelta;
-  Server server(&db, &clock, so);
+  Server server(&db, &loop, so);
   rdf::TripleStore store;
   make_store(&store);
-  SimulatedRemoteEndpoint ep(url, "flaky", &store, &clock, Dialect::Full(),
-                             avail, {}, make_mutation());
+  SimulatedRemoteEndpoint ep(url, "flaky", &store, loop.clock(),
+                             Dialect::Full(), avail, {}, make_mutation());
   server.AttachEndpoint(url, &ep);
   EndpointRecord record;
   record.url = url;
   server.RegisterEndpoint(record);
 
   ASSERT_TRUE(server.ProcessEndpoint(url).ok());
-  clock.AdvanceDays(1);
+  loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
   EXPECT_FALSE(server.ProcessEndpoint(url).ok());  // outage day
-  clock.AdvanceDays(1);
+  loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
   auto recovered = server.ProcessEndpoint(url);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   // Two days of churn happened behind the outage; a stale-store probe
@@ -636,22 +637,24 @@ TEST(ProbeEdgeCaseTest, OutageRecoveryProbeSeesTheMissedChurn) {
 
   // Oracle arm: the identical world crawled probe-less, with the data
   // advanced the way the fleet layer does it.
-  SimClock oracle_clock;
+  sim::EventLoop oracle_loop;
   store::Database oracle_db;
   ServerOptions oracle_so;
   oracle_so.refresh_age_days = 1;
-  Server oracle(&oracle_db, &oracle_clock, oracle_so);
+  Server oracle(&oracle_db, &oracle_loop, oracle_so);
   rdf::TripleStore oracle_store;
   make_store(&oracle_store);
   SimulatedRemoteEndpoint oracle_ep(url, "flaky", &oracle_store,
-                                    &oracle_clock, Dialect::Full(), avail,
+                                    oracle_loop.clock(), Dialect::Full(), avail,
                                     {}, make_mutation());
   oracle.AttachEndpoint(url, &oracle_ep);
   EndpointRecord oracle_record;
   oracle_record.url = url;
   oracle.RegisterEndpoint(oracle_record);
   for (int64_t day = 0; day < 3; ++day) {
-    if (day > 0) oracle_clock.AdvanceDays(1);
+    if (day > 0) {
+      oracle_loop.RunUntil(oracle_loop.NowMs() + SimClock::kMillisPerDay);
+    }
     oracle_ep.AdvanceDataDay(day);
     auto r = oracle.ProcessEndpoint(url);
     EXPECT_EQ(r.ok(), day != 1) << "day " << day;

@@ -54,10 +54,11 @@ class ServingWorld {
     FleetOptions options;
     options.num_shards = num_shards;
     options.fleet_workers = fleet_workers;
-    fleet_ = std::make_unique<Fleet>(&clock_, options);
+    fleet_ = std::make_unique<Fleet>(&loop_, options);
     for (size_t i = 0; i < kEndpoints; ++i) {
       endpoints_.push_back(std::make_unique<SimulatedRemoteEndpoint>(
-          Url(i), "Serve " + std::to_string(i), stores_[i].get(), &clock_));
+          Url(i), "Serve " + std::to_string(i), stores_[i].get(),
+          loop_.clock()));
       EndpointRecord record;
       record.url = Url(i);
       record.name = endpoints_[i]->name();
@@ -69,7 +70,7 @@ class ServingWorld {
   Fleet& fleet() { return *fleet_; }
 
  private:
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
   std::unique_ptr<Fleet> fleet_;
@@ -269,7 +270,7 @@ TEST(LayoutCacheTest, ZeroCapacityClampsToOne) {
 // ---------------------------------------- readers vs. daily-cycle writers
 
 /// The TSan hammer: presentation snapshots and serving reads race real
-/// RunDay() cycles. Every observed state must be a complete extraction —
+/// extraction cycles. Every observed state must be a complete extraction —
 /// a summary that loads must decode, and its cluster schema must load too
 /// (the atomic Replace contract: readers never see the gap between the
 /// old document's removal and the new one's insertion).

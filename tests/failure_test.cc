@@ -84,10 +84,10 @@ class PipelineFailureTest : public ::testing::Test {
     config.num_classes = 6;
     config.max_instances_per_class = 20;
     workload::GenerateSyntheticLd(config, &data_);
-    server_ = std::make_unique<Server>(&db_, &clock_);
+    server_ = std::make_unique<Server>(&db_, &loop_, ServerOptions{});
   }
   rdf::TripleStore data_;
-  SimClock clock_;
+  sim::EventLoop loop_;
   store::Database db_;
   std::unique_ptr<Server> server_;
 };
@@ -96,7 +96,7 @@ TEST_F(PipelineFailureTest, EndpointDownOnProcessingDayRecoversNextDay) {
   endpoint::AvailabilityModel avail;
   avail.forced_outage_days = {0};
   auto ep = std::make_unique<endpoint::SimulatedRemoteEndpoint>(
-      "http://x/sparql", "x", &data_, &clock_, endpoint::Dialect::Full(),
+      "http://x/sparql", "x", &data_, loop_.clock(), endpoint::Dialect::Full(),
       avail);
   server_->AttachEndpoint(ep->url(), ep.get());
   endpoint::EndpointRecord record;
@@ -109,7 +109,7 @@ TEST_F(PipelineFailureTest, EndpointDownOnProcessingDayRecoversNextDay) {
   // Nothing was persisted for the failed endpoint.
   EXPECT_EQ(db_.GetCollection(kSummariesCollection)->size(), 0u);
 
-  clock_.AdvanceDays(1);
+  loop_.RunUntil(loop_.NowMs() + SimClock::kMillisPerDay);
   auto day1 = server_->ProcessEndpoint(ep->url());
   ASSERT_TRUE(day1.ok()) << day1.status();
   EXPECT_EQ(db_.GetCollection(kSummariesCollection)->size(), 1u);
@@ -119,7 +119,7 @@ TEST_F(PipelineFailureTest, FailureDoesNotClobberPreviousGoodArtifacts) {
   endpoint::AvailabilityModel avail;
   avail.forced_outage_days = {7};
   auto ep = std::make_unique<endpoint::SimulatedRemoteEndpoint>(
-      "http://x/sparql", "x", &data_, &clock_, endpoint::Dialect::Full(),
+      "http://x/sparql", "x", &data_, loop_.clock(), endpoint::Dialect::Full(),
       avail);
   server_->AttachEndpoint(ep->url(), ep.get());
   endpoint::EndpointRecord record;
@@ -127,7 +127,7 @@ TEST_F(PipelineFailureTest, FailureDoesNotClobberPreviousGoodArtifacts) {
   server_->RegisterEndpoint(record);
 
   ASSERT_TRUE(server_->ProcessEndpoint(ep->url()).ok());
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   EXPECT_FALSE(server_->ProcessEndpoint(ep->url()).ok());
   // The day-0 artifacts are still served.
   Presentation pres(&db_);
@@ -143,7 +143,7 @@ TEST_F(PipelineFailureTest, FailureDoesNotClobberPreviousGoodArtifacts) {
 TEST_F(PipelineFailureTest, DailyUpdateIsolatesPerEndpointFailures) {
   // One good endpoint, one with no route: the good one must still index.
   auto good = std::make_unique<endpoint::SimulatedRemoteEndpoint>(
-      "http://good/sparql", "good", &data_, &clock_);
+      "http://good/sparql", "good", &data_, loop_.clock());
   server_->AttachEndpoint(good->url(), good.get());
   endpoint::EndpointRecord g;
   g.url = good->url();
@@ -254,12 +254,12 @@ TEST(RegistryFailureTest, GarbledIncrementalFieldsDegradeInsteadOfFailing) {
 
 TEST(RegistryFailureTest, HandCorruptedRecordFallsBackToFullRefresh) {
   const std::string url = "http://corrupt.example.org/sparql";
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions options;
   options.refresh_age_days = 1;
   options.incremental.mode = IncrementalMode::kDelta;
-  Server server(&db, &clock, options);
+  Server server(&db, &loop, options);
 
   rdf::TripleStore data;
   workload::SyntheticLdConfig config;
@@ -267,14 +267,14 @@ TEST(RegistryFailureTest, HandCorruptedRecordFallsBackToFullRefresh) {
   config.num_classes = 6;
   config.max_instances_per_class = 20;
   workload::GenerateSyntheticLd(config, &data);
-  endpoint::SimulatedRemoteEndpoint ep(url, "corrupt", &data, &clock);
+  endpoint::SimulatedRemoteEndpoint ep(url, "corrupt", &data, loop.clock());
   server.AttachEndpoint(url, &ep);
   endpoint::EndpointRecord record;
   record.url = url;
   server.RegisterEndpoint(record);
 
   ASSERT_TRUE(server.ProcessEndpoint(url).ok());
-  clock.AdvanceDays(1);
+  loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
   auto day1 = server.ProcessEndpoint(url);
   ASSERT_TRUE(day1.ok()) << day1.status();
   ASSERT_TRUE(day1->probe_skipped);  // quiet store: probe-skip works
@@ -293,7 +293,7 @@ TEST(RegistryFailureTest, HandCorruptedRecordFallsBackToFullRefresh) {
 
   // Next cycle: the degraded record forces a clean full refresh rather
   // than trusting (or crashing on) the corrupt fingerprints.
-  clock.AdvanceDays(1);
+  loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
   auto day2 = server.ProcessEndpoint(url);
   ASSERT_TRUE(day2.ok()) << day2.status();
   EXPECT_FALSE(day2->probe_skipped);
@@ -308,12 +308,12 @@ TEST(RegistryFailureTest, HandCorruptedRecordFallsBackToFullRefresh) {
 
 TEST(ProbeRetryTest, TransientProbeFlapRetriesThenDegradesToFull) {
   const std::string url = "http://flap.example.org/sparql";
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions options;
   options.refresh_age_days = 1;
   options.incremental.mode = IncrementalMode::kDelta;
-  Server server(&db, &clock, options);
+  Server server(&db, &loop, options);
 
   rdf::TripleStore data;
   workload::SyntheticLdConfig config;
@@ -324,7 +324,7 @@ TEST(ProbeRetryTest, TransientProbeFlapRetriesThenDegradesToFull) {
   endpoint::ProbeFaultModel faults;
   faults.transient_failure_probability = 1.0;  // every attempt times out
   faults.seed = 5;
-  endpoint::SimulatedRemoteEndpoint ep(url, "flap", &data, &clock,
+  endpoint::SimulatedRemoteEndpoint ep(url, "flap", &data, loop.clock(),
                                        endpoint::Dialect::Full(), {}, {}, {},
                                        faults);
   server.AttachEndpoint(url, &ep);
@@ -333,7 +333,7 @@ TEST(ProbeRetryTest, TransientProbeFlapRetriesThenDegradesToFull) {
   server.RegisterEndpoint(record);
 
   for (int64_t day = 0; day < 2; ++day) {
-    if (day > 0) clock.AdvanceDays(1);
+    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     auto r = server.ProcessEndpoint(url);
     ASSERT_TRUE(r.ok()) << "day " << day << ": " << r.status();
     // The probe was retried up to the cap, then the day degraded to a
@@ -386,7 +386,7 @@ class ScriptedLiarEndpoint : public endpoint::SparqlEndpoint {
 
 TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   const std::string url = "http://liar.example.org/sparql";
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions options;
   options.refresh_age_days = 1;
@@ -395,7 +395,7 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   options.incremental.quarantine_strikes = 2;
   options.incremental.quarantine_days = 2;
   options.incremental.parole_clean_cycles = 2;
-  Server server(&db, &clock, options);
+  Server server(&db, &loop, options);
 
   rdf::TripleStore data;
   workload::SyntheticLdConfig config;
@@ -408,7 +408,7 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   mutation.daily_churn_fraction = 0.5;  // heavy churn: every day differs
   mutation.hot_class_fraction = 1.0;
   mutation.seed = 887;
-  endpoint::SimulatedRemoteEndpoint inner(url, "liar", &data, &clock,
+  endpoint::SimulatedRemoteEndpoint inner(url, "liar", &data, loop.clock(),
                                           endpoint::Dialect::Full(), {}, {},
                                           mutation);
   ScriptedLiarEndpoint ep(&inner);
@@ -418,7 +418,7 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   server.RegisterEndpoint(record);
 
   auto process = [&](int64_t day) {
-    if (day > 0) clock.AdvanceDays(1);
+    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     inner.AdvanceDataDay(day);
     auto r = server.ProcessEndpoint(url);
     EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();
@@ -489,7 +489,7 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
 
 TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
   const std::string url = "http://repeat-liar.example.org/sparql";
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions options;
   options.refresh_age_days = 1;
@@ -499,7 +499,7 @@ TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
   options.incremental.min_staleness_budget_days = 1;
   options.incremental.quarantine_strikes = 10;  // stay out of quarantine
   options.incremental.parole_clean_cycles = 1;
-  Server server(&db, &clock, options);
+  Server server(&db, &loop, options);
 
   rdf::TripleStore data;
   workload::SyntheticLdConfig config;
@@ -512,7 +512,8 @@ TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
   mutation.daily_churn_fraction = 0.5;
   mutation.hot_class_fraction = 1.0;
   mutation.seed = 119;
-  endpoint::SimulatedRemoteEndpoint inner(url, "repeat-liar", &data, &clock,
+  endpoint::SimulatedRemoteEndpoint inner(url, "repeat-liar", &data,
+                                          loop.clock(),
                                           endpoint::Dialect::Full(), {}, {},
                                           mutation);
   ScriptedLiarEndpoint ep(&inner);
@@ -522,7 +523,7 @@ TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
   server.RegisterEndpoint(record);
 
   auto process = [&](int64_t day) {
-    if (day > 0) clock.AdvanceDays(1);
+    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     inner.AdvanceDataDay(day);
     auto r = server.ProcessEndpoint(url);
     EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();
@@ -578,7 +579,7 @@ TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
 
 TEST(AdaptiveStalenessTest, CleanStreaksDecayLifetimeStrikes) {
   const std::string url = "http://reformed.example.org/sparql";
-  SimClock clock;
+  sim::EventLoop loop;
   store::Database db;
   ServerOptions options;
   options.refresh_age_days = 1;
@@ -588,7 +589,7 @@ TEST(AdaptiveStalenessTest, CleanStreaksDecayLifetimeStrikes) {
   options.incremental.quarantine_strikes = 10;
   options.incremental.parole_clean_cycles = 8;  // stay suspect throughout
   options.incremental.strike_decay_clean_cycles = 2;
-  Server server(&db, &clock, options);
+  Server server(&db, &loop, options);
 
   rdf::TripleStore data;
   workload::SyntheticLdConfig config;
@@ -601,7 +602,7 @@ TEST(AdaptiveStalenessTest, CleanStreaksDecayLifetimeStrikes) {
   mutation.daily_churn_fraction = 0.5;
   mutation.hot_class_fraction = 1.0;
   mutation.seed = 333;
-  endpoint::SimulatedRemoteEndpoint inner(url, "reformed", &data, &clock,
+  endpoint::SimulatedRemoteEndpoint inner(url, "reformed", &data, loop.clock(),
                                           endpoint::Dialect::Full(), {}, {},
                                           mutation);
   ScriptedLiarEndpoint ep(&inner);
@@ -611,7 +612,7 @@ TEST(AdaptiveStalenessTest, CleanStreaksDecayLifetimeStrikes) {
   server.RegisterEndpoint(record);
 
   auto process = [&](int64_t day) {
-    if (day > 0) clock.AdvanceDays(1);
+    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     inner.AdvanceDataDay(day);
     auto r = server.ProcessEndpoint(url);
     EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();

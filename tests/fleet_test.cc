@@ -93,7 +93,7 @@ class GroupByThrottlingEndpoint : public endpoint::SparqlEndpoint {
 
 /// One seeded simulated world: stores are shared across configurations
 /// (content is immutable), endpoints are rebuilt per run because they
-/// bind to the run's clock.
+/// bind to the run's loop.
 class FleetWorld {
  public:
   /// Builds the shared stores once.
@@ -121,7 +121,7 @@ class FleetWorld {
                       FleetOptions options) {
     options.churn.death_probability = kDeathProbability;
     options.churn.seed = kChurnSeed;
-    fleet_ = std::make_unique<Fleet>(&clock_, options);
+    fleet_ = std::make_unique<Fleet>(&loop_, options);
     for (size_t i = 0; i < kBaseEndpoints + kLatentEndpoints; ++i) {
       Dialect dialect = Dialect::Full();
       if (i % 4 == 1) dialect = Dialect::NoGroupBy();
@@ -131,7 +131,7 @@ class FleetWorld {
       if (i == 8) availability.forced_outage_days = {0};  // flaps on day 0
       if (i == 7) dialect = Dialect::Full();  // throttled via proxy below
       endpoints_.push_back(std::make_unique<SimulatedRemoteEndpoint>(
-          Url(i), "Fleet " + std::to_string(i), stores[i].get(), &clock_,
+          Url(i), "Fleet " + std::to_string(i), stores[i].get(), loop_.clock(),
           dialect, availability));
     }
     throttler_ = std::make_unique<GroupByThrottlingEndpoint>(
@@ -163,10 +163,18 @@ class FleetWorld {
   }
 
   Fleet& fleet() { return *fleet_; }
-  SimClock& clock() { return clock_; }
+  const sim::EventLoop& loop() const { return loop_; }
+
+  /// One simulated day: schedules a single cycle at the current instant,
+  /// drains the loop, and takes that day's report.
+  FleetDayReport NextDay() {
+    fleet_->ScheduleCycles(1);
+    loop_.RunUntilIdle();
+    return fleet_->TakeReport().days.at(0);
+  }
 
  private:
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
   std::unique_ptr<GroupByThrottlingEndpoint> throttler_;
   std::unique_ptr<Fleet> fleet_;
@@ -278,8 +286,8 @@ TEST_F(FleetSimulationTest, RepeatedRunsBitIdenticalIncludingDurations) {
 
 TEST_F(FleetSimulationTest, ClockAdvancesByMakespanThenSnapsToDayBoundary) {
   FleetWorld world(stores_, Config(2, 1, 1));
-  EXPECT_EQ(world.clock().NowDay(), 0);
-  FleetDayReport day0 = world.fleet().RunDay();
+  EXPECT_EQ(world.loop().NowDay(), 0);
+  FleetDayReport day0 = world.NextDay();
   EXPECT_EQ(day0.day, 0);
   EXPECT_GT(day0.fleet_makespan_ms, 0);
   double max_shard = 0;
@@ -290,15 +298,15 @@ TEST_F(FleetSimulationTest, ClockAdvancesByMakespanThenSnapsToDayBoundary) {
   // The makespan is far under a simulated day, so the clock snapped to
   // the next boundary exactly.
   EXPECT_FALSE(day0.overran_day);
-  EXPECT_EQ(world.clock().NowMs(), SimClock::kMillisPerDay);
-  EXPECT_EQ(world.clock().NowDay(), 1);
+  EXPECT_EQ(world.loop().NowMs(), SimClock::kMillisPerDay);
+  EXPECT_EQ(world.loop().NowDay(), 1);
 }
 
 // ---------------------------------------------------------------- churn
 
 TEST_F(FleetSimulationTest, ChurnArrivalsPickedUpNextDayNotSameDay) {
   FleetWorld world(stores_, Config(2, 1, 1));
-  FleetDayReport day0 = world.fleet().RunDay();
+  FleetDayReport day0 = world.NextDay();
   EXPECT_EQ(day0.arrivals, kLatentEndpoints);
   std::set<std::string> day0_urls;
   for (const DueOutcome& o : day0.outcomes) day0_urls.insert(o.url);
@@ -307,7 +315,7 @@ TEST_F(FleetSimulationTest, ChurnArrivalsPickedUpNextDayNotSameDay) {
       << "an endpoint that churned in on day 0 must not be extracted on "
          "day 0";
 
-  FleetDayReport day1 = world.fleet().RunDay();
+  FleetDayReport day1 = world.NextDay();
   std::set<std::string> day1_urls;
   for (const DueOutcome& o : day1.outcomes) day1_urls.insert(o.url);
   EXPECT_EQ(day1_urls.count(latent), 1u)
@@ -385,7 +393,7 @@ TEST_F(FleetSimulationTest, AdaptiveWidthNarrowsThrottledEndpointOnly) {
   Fleet& fleet = world.fleet();
   const std::string throttled = FleetWorld::Url(7);
   const std::string clean = FleetWorld::Url(0);
-  FleetDayReport day0 = fleet.RunDay();
+  FleetDayReport day0 = world.NextDay();
   // The throttler really did report pressure.
   bool saw_throttle = false;
   for (const PipelineReport& r : day0.reports) {
@@ -394,7 +402,7 @@ TEST_F(FleetSimulationTest, AdaptiveWidthNarrowsThrottledEndpointOnly) {
   ASSERT_TRUE(saw_throttle)
       << "work-budget endpoint did not report throttle_events; the "
          "adaptive policy has no signal";
-  fleet.RunDay();  // day 1: push the adapted widths into the shards
+  world.NextDay();  // day 1: push the adapted widths into the shards
   EXPECT_LT(fleet.shard(fleet.ShardOf(throttled))
                 .QueryBatchWidthFor(throttled),
             4);

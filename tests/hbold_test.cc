@@ -30,8 +30,8 @@ class HboldTest : public ::testing::Test {
     config.organisations = 10;
     workload::GenerateScholarly(config, &scholarly_store_);
     scholarly_ep_ = std::make_unique<SimulatedRemoteEndpoint>(
-        kUrl, "ScholarlyData", &scholarly_store_, &clock_);
-    server_ = std::make_unique<Server>(&db_, &clock_);
+        kUrl, "ScholarlyData", &scholarly_store_, loop_.clock());
+    server_ = std::make_unique<Server>(&db_, &loop_, ServerOptions{});
     server_->AttachEndpoint(kUrl, scholarly_ep_.get());
     EndpointRecord record;
     record.url = kUrl;
@@ -42,7 +42,7 @@ class HboldTest : public ::testing::Test {
   static constexpr const char* kUrl = "http://scholarly.example.org/sparql";
 
   rdf::TripleStore scholarly_store_;
-  SimClock clock_;
+  sim::EventLoop loop_;
   store::Database db_;
   std::unique_ptr<SimulatedRemoteEndpoint> scholarly_ep_;
   std::unique_ptr<Server> server_;
@@ -71,7 +71,7 @@ TEST_F(HboldTest, PipelinePersistsBothArtifacts) {
 
 TEST_F(HboldTest, ReprocessingReplacesStoredDocuments) {
   ASSERT_TRUE(server_->ProcessEndpoint(kUrl).ok());
-  clock_.AdvanceDays(8);
+  loop_.RunUntil(loop_.NowMs() + 8 * SimClock::kMillisPerDay);
   ASSERT_TRUE(server_->ProcessEndpoint(kUrl).ok());
   EXPECT_EQ(db_.FindCollection(kSummariesCollection)->size(), 1u);
   EXPECT_EQ(db_.FindCollection(kClustersCollection)->size(), 1u);
@@ -96,11 +96,11 @@ TEST_F(HboldTest, DailyUpdateFollowsScheduler) {
   EXPECT_EQ(day0.due, 1u);
   EXPECT_EQ(day0.succeeded, 1u);
   // Nothing due tomorrow (fresh success).
-  clock_.AdvanceDays(1);
+  loop_.RunUntil(loop_.NowMs() + SimClock::kMillisPerDay);
   DailyReport day1 = server_->RunDailyUpdate();
   EXPECT_EQ(day1.due, 0u);
   // Due again after the 7-day refresh age.
-  clock_.AdvanceDays(6);
+  loop_.RunUntil(loop_.NowMs() + 6 * SimClock::kMillisPerDay);
   DailyReport day7 = server_->RunDailyUpdate();
   EXPECT_EQ(day7.due, 1u);
 }
@@ -108,7 +108,7 @@ TEST_F(HboldTest, DailyUpdateFollowsScheduler) {
 TEST_F(HboldTest, RegistryPersistRoundTrip) {
   ASSERT_TRUE(server_->ProcessEndpoint(kUrl).ok());
   ASSERT_TRUE(server_->PersistRegistry().ok());
-  Server other(&db_, &clock_);
+  Server other(&db_, &loop_, ServerOptions{});
   ASSERT_TRUE(other.LoadRegistry().ok());
   const EndpointRecord* rec = other.registry().Find(kUrl);
   ASSERT_NE(rec, nullptr);
@@ -351,7 +351,7 @@ TEST_F(HboldTest, DrilldownEscapesHostileIris) {
 // ---------------------------------------------------------------- Crawler
 
 TEST(CrawlerTest, DiscoversDedupsAndRegisters) {
-  SimClock clock;
+  sim::EventLoop loop;
   rdf::TripleStore portal_store;
   workload::PortalConfig config;
   config.portal_name = "EDP";
@@ -360,7 +360,7 @@ TEST(CrawlerTest, DiscoversDedupsAndRegisters) {
                         "http://known/sparql"};
   workload::GeneratePortalCatalog(config, &portal_store);
   SimulatedRemoteEndpoint portal("http://edp/sparql", "EDP", &portal_store,
-                                 &clock);
+                                 loop.clock());
 
   endpoint::EndpointRegistry registry;
   EndpointRecord known;
@@ -382,11 +382,11 @@ TEST(CrawlerTest, DiscoversDedupsAndRegisters) {
 }
 
 TEST(CrawlerTest, PortalOutagePropagates) {
-  SimClock clock;
+  sim::EventLoop loop;
   rdf::TripleStore store;
   endpoint::AvailabilityModel avail;
   avail.forced_outage_days = {0};
-  SimulatedRemoteEndpoint portal("http://p/sparql", "P", &store, &clock,
+  SimulatedRemoteEndpoint portal("http://p/sparql", "P", &store, loop.clock(),
                                  Dialect::Full(), avail);
   endpoint::EndpointRegistry registry;
   PortalCrawler crawler(&registry);
@@ -413,7 +413,7 @@ TEST_F(HboldTest, ManualInsertionHappyPath) {
   config.num_classes = 5;
   workload::GenerateSyntheticLd(config, &user_store);
   SimulatedRemoteEndpoint user_ep("http://user.example.org/sparql", "user",
-                                  &user_store, &clock_);
+                                  &user_store, loop_.clock());
   server_->AttachEndpoint(user_ep.url(), &user_ep);
 
   MemoryMailbox mailbox;
@@ -482,7 +482,7 @@ class ParallelCycleTest : public ::testing::Test {
       workload::GenerateSyntheticLd(config, store.get());
       std::string url = config.namespace_iri + "sparql";
       endpoints_.push_back(std::make_unique<SimulatedRemoteEndpoint>(
-          url, "LD " + std::to_string(i), store.get(), &clock_));
+          url, "LD " + std::to_string(i), store.get(), loop_.clock()));
       stores_.push_back(std::move(store));
       urls_.push_back(std::move(url));
     }
@@ -494,7 +494,7 @@ class ParallelCycleTest : public ::testing::Test {
                                      bool attach_all) {
     ServerOptions options;
     options.parallelism = parallelism;
-    auto server = std::make_unique<Server>(db, &clock_, options);
+    auto server = std::make_unique<Server>(db, &loop_, options);
     for (size_t i = 0; i < kEndpoints; ++i) {
       if (attach_all || i + 1 < kEndpoints) {
         server->AttachEndpoint(urls_[i], endpoints_[i].get());
@@ -526,7 +526,7 @@ class ParallelCycleTest : public ::testing::Test {
     }
   }
 
-  SimClock clock_;
+  sim::EventLoop loop_;
   std::vector<std::string> urls_;
   std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
   std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
@@ -582,7 +582,7 @@ TEST_F(ParallelCycleTest, ReuseDetectionSurvivesParallelSecondCycle) {
   EXPECT_EQ(first.reused, 0u);
   // Unchanged data a week later: every endpoint's Schema Summary hash
   // matches, so the whole cycle is §3.2 reuse — detected under concurrency.
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   DailyReport second = server->RunDailyCycle(4);
   EXPECT_EQ(second.due, kEndpoints);
   EXPECT_EQ(second.succeeded, kEndpoints);

@@ -115,13 +115,13 @@ TEST(MutationModelTest, AdvanceIsDeterministic) {
   rdf::TripleStore a, b;
   BuildLd(&a, 99);
   BuildLd(&b, 99);
-  SimClock clock_a, clock_b;
+  sim::EventLoop loop_a, loop_b;
   MutationModel mutation;
   mutation.daily_churn_fraction = 0.05;
   mutation.seed = 7;
-  SimulatedRemoteEndpoint ep_a("http://a/sparql", "a", &a, &clock_a,
+  SimulatedRemoteEndpoint ep_a("http://a/sparql", "a", &a, loop_a.clock(),
                                endpoint::Dialect::Full(), {}, {}, mutation);
-  SimulatedRemoteEndpoint ep_b("http://b/sparql", "b", &b, &clock_b,
+  SimulatedRemoteEndpoint ep_b("http://b/sparql", "b", &b, loop_b.clock(),
                                endpoint::Dialect::Full(), {}, {}, mutation);
   ep_a.AdvanceDataDay(4);
   ep_b.AdvanceDataDay(4);
@@ -133,13 +133,13 @@ TEST(MutationModelTest, StepwiseEqualsJumpAdvance) {
   rdf::TripleStore a, b;
   BuildLd(&a, 42);
   BuildLd(&b, 42);
-  SimClock clock_a, clock_b;
+  sim::EventLoop loop_a, loop_b;
   MutationModel mutation;
   mutation.daily_churn_fraction = 0.04;
   mutation.seed = 3;
-  SimulatedRemoteEndpoint ep_a("http://a/sparql", "a", &a, &clock_a,
+  SimulatedRemoteEndpoint ep_a("http://a/sparql", "a", &a, loop_a.clock(),
                                endpoint::Dialect::Full(), {}, {}, mutation);
-  SimulatedRemoteEndpoint ep_b("http://b/sparql", "b", &b, &clock_b,
+  SimulatedRemoteEndpoint ep_b("http://b/sparql", "b", &b, loop_b.clock(),
                                endpoint::Dialect::Full(), {}, {}, mutation);
   for (int64_t d = 1; d <= 5; ++d) ep_a.AdvanceDataDay(d);
   ep_b.AdvanceDataDay(5);  // catch-up replays days 1..5
@@ -151,11 +151,11 @@ TEST(MutationModelTest, MutationActuallyChangesData) {
   BuildLd(&store, 17);
   const std::string before = DumpStore(store);
   const uint64_t g0 = store.generation();
-  SimClock clock;
+  sim::EventLoop loop;
   MutationModel mutation;
   mutation.daily_churn_fraction = 0.05;
   mutation.seed = 1;
-  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, &clock,
+  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, loop.clock(),
                              endpoint::Dialect::Full(), {}, {}, mutation);
   ep.AdvanceDataDay(1);
   EXPECT_NE(DumpStore(store), before);
@@ -167,8 +167,8 @@ TEST(MutationModelTest, ZeroChurnLeavesStoreAndGenerationAlone) {
   BuildLd(&store, 17);
   const std::string before = DumpStore(store);
   const uint64_t g0 = store.generation();
-  SimClock clock;
-  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, &clock);
+  sim::EventLoop loop;
+  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, loop.clock());
   ep.AdvanceDataDay(10);
   EXPECT_EQ(DumpStore(store), before);
   EXPECT_EQ(store.generation(), g0);
@@ -177,12 +177,12 @@ TEST(MutationModelTest, ZeroChurnLeavesStoreAndGenerationAlone) {
 TEST(MutationModelTest, MostClassesStayQuiet) {
   rdf::TripleStore store;
   BuildLd(&store, 23);
-  SimClock clock;
+  sim::EventLoop loop;
   MutationModel mutation;
   mutation.daily_churn_fraction = 0.05;
   mutation.hot_class_fraction = 0.25;
   mutation.seed = 11;
-  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, &clock,
+  SimulatedRemoteEndpoint ep("http://m/sparql", "m", &store, loop.clock(),
                              endpoint::Dialect::Full(), {}, {}, mutation);
   auto before = ep.ProbeChanges();
   ASSERT_TRUE(before.ok()) << before.status();
@@ -212,25 +212,26 @@ TEST(MutationModelTest, StoresIdenticalAcrossCycleDeployments) {
   auto run = [](int parallelism, int width) {
     auto store = std::make_unique<rdf::TripleStore>();
     BuildLd(store.get(), 5);
-    SimClock clock;
+    sim::EventLoop loop;
     MutationModel mutation;
     mutation.daily_churn_fraction = 0.05;
     mutation.seed = 9;
-    SimulatedRemoteEndpoint ep("http://d/sparql", "d", store.get(), &clock,
-                               endpoint::Dialect::Full(), {}, {}, mutation);
+    SimulatedRemoteEndpoint ep("http://d/sparql", "d", store.get(),
+                               loop.clock(), endpoint::Dialect::Full(), {}, {},
+                               mutation);
     store::Database db;
     ServerOptions options;
     options.refresh_age_days = 1;
     options.parallelism = parallelism;
     options.query_batch_width = width;
-    Server server(&db, &clock, options);
+    Server server(&db, &loop, options);
     server.AttachEndpoint(ep.url(), &ep);
     endpoint::EndpointRecord record;
     record.url = ep.url();
     server.RegisterEndpoint(record);
     for (int day = 0; day < 4; ++day) {
       server.RunDailyUpdate();
-      clock.AdvanceDays(1);
+      loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
     }
     return DumpStore(*store);
   };
@@ -244,8 +245,8 @@ TEST(MutationModelTest, StoresIdenticalAcrossCycleDeployments) {
 TEST(ProbeTest, ProbeReportsSortedClassFingerprints) {
   rdf::TripleStore store;
   BuildLd(&store, 31);
-  SimClock clock;
-  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, &clock);
+  sim::EventLoop loop;
+  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, loop.clock());
   size_t served_before = ep.queries_served();
   auto probe = ep.ProbeChanges();
   ASSERT_TRUE(probe.ok()) << probe.status();
@@ -263,11 +264,11 @@ TEST(ProbeTest, ProbeReportsSortedClassFingerprints) {
 TEST(ProbeTest, ProbeVersionsMoveOnlyForDirtyClasses) {
   rdf::TripleStore store;
   BuildLd(&store, 31);
-  SimClock clock;
+  sim::EventLoop loop;
   MutationModel mutation;
   mutation.daily_churn_fraction = 0.03;
   mutation.seed = 13;
-  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, &clock,
+  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, loop.clock(),
                              endpoint::Dialect::Full(), {}, {}, mutation);
   ep.AdvanceDataDay(1);
   auto probe = ep.ProbeChanges();
@@ -283,10 +284,10 @@ TEST(ProbeTest, ProbeVersionsMoveOnlyForDirtyClasses) {
 TEST(ProbeTest, ProbeRespectsAvailability) {
   rdf::TripleStore store;
   BuildLd(&store, 31);
-  SimClock clock;
+  sim::EventLoop loop;
   endpoint::AvailabilityModel availability;
   availability.forced_outage_days = {0};
-  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, &clock,
+  SimulatedRemoteEndpoint ep("http://p/sparql", "p", &store, loop.clock(),
                              endpoint::Dialect::Full(), availability);
   auto probe = ep.ProbeChanges();
   EXPECT_TRUE(probe.status().IsUnavailable());

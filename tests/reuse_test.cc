@@ -28,15 +28,15 @@ class ReuseTest : public ::testing::Test {
     config.people = 40;
     workload::GenerateScholarly(config, &store_);
     ep_ = std::make_unique<endpoint::SimulatedRemoteEndpoint>(
-        "http://s/sparql", "s", &store_, &clock_);
-    server_ = std::make_unique<Server>(&db_, &clock_);
+        "http://s/sparql", "s", &store_, loop_.clock());
+    server_ = std::make_unique<Server>(&db_, &loop_, ServerOptions{});
     server_->AttachEndpoint(ep_->url(), ep_.get());
     endpoint::EndpointRecord record;
     record.url = ep_->url();
     server_->RegisterEndpoint(record);
   }
   rdf::TripleStore store_;
-  SimClock clock_;
+  sim::EventLoop loop_;
   store::Database db_;
   std::unique_ptr<endpoint::SimulatedRemoteEndpoint> ep_;
   std::unique_ptr<Server> server_;
@@ -48,7 +48,7 @@ TEST_F(ReuseTest, UnchangedSummarySkipsClustering) {
   EXPECT_FALSE(first->reused_cluster_schema);
   EXPECT_GT(first->clusters, 0u);
 
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   auto second = server_->ProcessEndpoint(ep_->url());
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->reused_cluster_schema);
@@ -66,7 +66,7 @@ TEST_F(ReuseTest, ChangedDataRecomputes) {
   store_.Add(rdf::Term::Iri("http://s/new-instance"),
              rdf::Term::Iri(rdf::vocab::kRdfType),
              rdf::Term::Iri("http://s/BrandNewClass"));
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   auto second = server_->ProcessEndpoint(ep_->url());
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_FALSE(second->reused_cluster_schema);
@@ -78,7 +78,7 @@ TEST_F(ReuseTest, ChangedDataRecomputes) {
 
 TEST_F(ReuseTest, DailyReportCountsReuse) {
   server_->RunDailyUpdate();
-  clock_.AdvanceDays(7);
+  loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
   DailyReport report = server_->RunDailyUpdate();
   EXPECT_EQ(report.succeeded, 1u);
   EXPECT_EQ(report.reused, 1u);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "endpoint/local_endpoint.h"
 #include "rdf/graph.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -54,6 +58,11 @@ ex:milan a ex:City ; foaf:name "Milan" ;
 constexpr char kPrefixes[] =
     "PREFIX ex: <http://x/>\n"
     "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n";
+
+/// LIMIT/OFFSET operands the number token admits but that are not row
+/// counts: overflow, decimals, exponents, signs.
+constexpr const char* kHostileModifiers[] = {
+    "OFFSET 99999999999999999999", "LIMIT 2.5", "LIMIT 1e5", "LIMIT -1"};
 
 // ---------------------------------------------------------------- Lexer
 
@@ -189,6 +198,26 @@ TEST(ParserTest, RejectsMalformedQueries) {
       ParseQuery("SELECT (SUM(?x) AS ?s) WHERE { ?a ?b ?x . }").ok());
 }
 
+TEST(ParserTest, LimitAndOffsetAreUnsignedDecimalIntegers) {
+  const std::string base = "SELECT ?s WHERE { ?s ?p ?o . } ";
+  auto zero = ParseQuery(base + "LIMIT 0");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->limit, 0u);
+
+  const size_t max = std::numeric_limits<size_t>::max();
+  auto large = ParseQuery(base + "LIMIT " + std::to_string(max) +
+                          " OFFSET 4294967296");
+  ASSERT_TRUE(large.ok()) << large.status();
+  EXPECT_EQ(large->limit, max);
+  EXPECT_EQ(large->offset, size_t{4294967296});
+
+  for (const char* hostile : kHostileModifiers) {
+    auto q = ParseQuery(base + hostile);
+    ASSERT_FALSE(q.ok()) << hostile;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << hostile;
+  }
+}
+
 TEST(ParserTest, ParsesSemicolonAndCommaLists) {
   auto q = ParseQuery(
       "PREFIX ex: <http://x/> SELECT ?s WHERE { ?s a ex:C ; ex:p ?a, ?b . }");
@@ -203,6 +232,17 @@ TEST_F(SparqlTest, SimpleClassQuery) {
                       "SELECT ?p WHERE { ?p a foaf:Person . }");
   EXPECT_EQ(t.num_rows(), 3u);
   EXPECT_EQ(t.columns(), (std::vector<std::string>{"p"}));
+}
+
+TEST_F(SparqlTest, LocalEndpointRejectsHostileLimitAndOffset) {
+  endpoint::LocalEndpoint ep("http://x/sparql", "x", &store_);
+  for (const char* hostile : kHostileModifiers) {
+    auto outcome =
+        ep.Query(std::string(kPrefixes) +
+                 "SELECT ?p WHERE { ?p a foaf:Person . } " + hostile);
+    ASSERT_FALSE(outcome.ok()) << hostile;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kParseError) << hostile;
+  }
 }
 
 TEST_F(SparqlTest, JoinAcrossPatterns) {
