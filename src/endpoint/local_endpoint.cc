@@ -42,11 +42,29 @@ Result<QueryOutcome> LocalEndpoint::Query(const std::string& query_text) {
 
 Result<QueryOutcome> LocalEndpoint::QueryWithStats(
     const std::string& query_text, sparql::ExecStats* stats) {
+  Stopwatch sw;
+  Result<sparql::ParsedQuery> parsed = Parse(query_text);
+  if (!parsed.ok()) {
+    *stats = sparql::ExecStats{};
+    queries_served_.fetch_add(1, std::memory_order_relaxed);
+    return parsed.status();
+  }
+  HBOLD_ASSIGN_OR_RETURN(
+      QueryOutcome outcome,
+      Execute(query_text, std::move(parsed).value(), stats));
+  outcome.latency_ms = sw.ElapsedMillis();  // the parse included
+  return outcome;
+}
+
+Result<QueryOutcome> LocalEndpoint::Execute(const std::string& query_text,
+                                            sparql::ParsedQuery parsed,
+                                            sparql::ExecStats* stats) {
   *stats = sparql::ExecStats{};  // per-query stats, never accumulated
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   Stopwatch sw;
-  HBOLD_ASSIGN_OR_RETURN(sparql::ResultTable table,
-                         executor_.Execute(query_text, stats));
+  HBOLD_ASSIGN_OR_RETURN(
+      sparql::ResultTable table,
+      executor_.Execute(query_text, std::move(parsed), stats));
   if (stats->hash_join_builds > 0) {
     hash_join_builds_.fetch_add(stats->hash_join_builds,
                                 std::memory_order_relaxed);

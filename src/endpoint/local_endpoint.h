@@ -69,10 +69,23 @@ class LocalEndpoint : public SparqlEndpoint {
 
   /// Like Query(), but writes the execution stats to caller-owned storage
   /// instead of the shared last_stats() slot — the race-free form for
-  /// concurrent callers that need per-query stats (the simulated-endpoint
-  /// latency model uses this).
+  /// concurrent callers that need per-query stats. Exactly Parse() then
+  /// Execute(); a text that fails to parse still counts as served.
   Result<QueryOutcome> QueryWithStats(const std::string& query_text,
                                       sparql::ExecStats* stats);
+
+  /// Step 1 of a query, text -> AST (see sparql::Executor::Parse). Counts,
+  /// plans and caches nothing, so a caller can still refuse the query by
+  /// its AST: the simulated endpoint's dialect gate does.
+  Result<sparql::ParsedQuery> Parse(const std::string& query_text) const {
+    return executor_.Parse(query_text);
+  }
+
+  /// Step 2: executes `parsed`, which Parse() built from `query_text`,
+  /// into caller-owned `stats`, and counts one served query.
+  Result<QueryOutcome> Execute(const std::string& query_text,
+                               sparql::ParsedQuery parsed,
+                               sparql::ExecStats* stats);
 
   const std::string& url() const override { return url_; }
   const std::string& name() const override { return name_; }

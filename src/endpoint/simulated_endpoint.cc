@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "rdf/vocab.h"
-#include "sparql/parser.h"
 
 namespace hbold::endpoint {
 
@@ -409,15 +408,18 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
     return Status::Unavailable("endpoint " + url() + " is down on day " +
                                std::to_string(clock_->NowDay()));
   }
-  // Dialect gate: parse first so feature rejection happens before any work,
-  // as a real server would reject at query planning time.
-  HBOLD_ASSIGN_OR_RETURN(sparql::SelectQuery parsed,
-                         sparql::ParseQuery(query_text));
-  if (!dialect_.supports_aggregates && parsed.UsesAggregates()) {
+  // Dialect gate on the AST the executor runs: feature rejection happens
+  // before anything is planned, cached or executed, as a real server would
+  // reject at query planning time. A text-tier hit has passed this gate
+  // already (the dialect is const, the cache per endpoint), so it is
+  // neither parsed nor planned again.
+  HBOLD_ASSIGN_OR_RETURN(sparql::ParsedQuery parsed, local_.Parse(query_text));
+  const sparql::SelectQuery& q = parsed.query();
+  if (!dialect_.supports_aggregates && q.UsesAggregates()) {
     return Status::Unsupported("endpoint " + url() +
                                " does not implement aggregates");
   }
-  if (!dialect_.supports_group_by && !parsed.group_by.empty()) {
+  if (!dialect_.supports_group_by && !q.group_by.empty()) {
     return Status::Unsupported("endpoint " + url() +
                                " does not implement GROUP BY");
   }
@@ -425,8 +427,9 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
   // Per-query stats live on this stack frame, so concurrent queries never
   // contend on (or corrupt) a shared last-stats slot.
   sparql::ExecStats stats;
-  HBOLD_ASSIGN_OR_RETURN(QueryOutcome outcome,
-                         local_.QueryWithStats(query_text, &stats));
+  HBOLD_ASSIGN_OR_RETURN(
+      QueryOutcome outcome,
+      local_.Execute(query_text, std::move(parsed), &stats));
 
   if (dialect_.work_budget_bindings > 0 &&
       stats.intermediate_bindings > dialect_.work_budget_bindings) {

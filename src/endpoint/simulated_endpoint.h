@@ -161,13 +161,14 @@ struct LatencyModel {
 /// The wall clock is a SimClock owned by the caller, so a whole fleet of
 /// endpoints shares one simulated timeline.
 ///
-/// Thread safety: Query() runs fully concurrently — the dialect gate and
-/// availability check are read-only, per-query execution stats live on the
-/// caller's stack (the inner LocalEndpoint's QueryWithStats form), and the
-/// served counter is atomic. The latency the simulation *charges* is still
-/// computed from the deterministic cost model, not slept, so concurrent
-/// batched queries stay bit-identical to sequential ones while the real
-/// CPU work overlaps.
+/// Thread safety: Query() runs fully concurrently — the availability check
+/// is read-only, the dialect gate reads the AST the inner LocalEndpoint's
+/// Parse() step returns (its own parse, or the cached one on a text-tier
+/// hit) before the Execute() step plans or runs anything, per-query
+/// execution stats live on the caller's stack, and the served counter is
+/// atomic. The latency the simulation *charges* is still computed from the
+/// deterministic cost model, not slept, so concurrent batched queries stay
+/// bit-identical to sequential ones while the real CPU work overlaps.
 class SimulatedRemoteEndpoint : public SparqlEndpoint {
  public:
   /// `store` and `clock` must outlive the endpoint. The store is mutable:

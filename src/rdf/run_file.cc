@@ -52,16 +52,19 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
 }
 
+// Both are total: an out-of-range order (which header decoding rejects)
+// falls back to kSpo, so every key is always initialised.
 inline void Permute(RunOrder order, const Triple& t, uint32_t k[3]) {
   switch (order) {
-    case RunOrder::kSpo:
-      k[0] = t.s; k[1] = t.p; k[2] = t.o;
-      return;
     case RunOrder::kPos:
       k[0] = t.p; k[1] = t.o; k[2] = t.s;
       return;
     case RunOrder::kOsp:
       k[0] = t.o; k[1] = t.s; k[2] = t.p;
+      return;
+    case RunOrder::kSpo:
+    default:
+      k[0] = t.s; k[1] = t.p; k[2] = t.o;
       return;
   }
 }
@@ -69,17 +72,17 @@ inline void Permute(RunOrder order, const Triple& t, uint32_t k[3]) {
 inline Triple Unpermute(RunOrder order, const uint32_t k[3]) {
   Triple t;
   switch (order) {
-    case RunOrder::kSpo:
-      t.s = k[0]; t.p = k[1]; t.o = k[2];
-      return t;
     case RunOrder::kPos:
       t.p = k[0]; t.o = k[1]; t.s = k[2];
       return t;
     case RunOrder::kOsp:
       t.o = k[0]; t.s = k[1]; t.p = k[2];
       return t;
+    case RunOrder::kSpo:
+    default:
+      t.s = k[0]; t.p = k[1]; t.o = k[2];
+      return t;
   }
-  return t;
 }
 
 void AppendVarint(std::vector<uint8_t>* out, uint32_t v) {

@@ -1639,28 +1639,40 @@ Executor::Executor(const rdf::TripleStore* store, ExecOptions options,
   }
 }
 
-Result<ResultTable> Executor::Execute(std::string_view query_text,
-                                      ExecStats* stats) const {
+Result<ParsedQuery> Executor::Parse(const std::string& query_text) const {
+  ParsedQuery parsed;
   if (plan_cache_ != nullptr) {
     // Prepared-statement tier: a repeated text skips parse AND planning.
-    const uint64_t generation = store_->generation();
-    std::string text(query_text);
-    std::shared_ptr<const PreparedQuery> prepared =
-        plan_cache_->LookupPrepared(text, generation);
-    if (prepared != nullptr) {
-      if (stats != nullptr) ++stats->plan_cache_hits;
-      return ExecutePlanned(prepared->query, *prepared->plan, stats);
-    }
-    HBOLD_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(query_text));
-    std::shared_ptr<const QueryPlan> plan = AcquirePlan(q, stats);
-    auto insert = std::make_shared<PreparedQuery>();
-    insert->query = std::move(q);
-    insert->plan = plan;
-    plan_cache_->InsertPrepared(text, generation, insert);
-    return ExecutePlanned(insert->query, *plan, stats);
+    parsed.generation_ = store_->generation();
+    parsed.prepared_ =
+        plan_cache_->LookupPrepared(query_text, parsed.generation_);
+    if (parsed.prepared_ != nullptr) return parsed;
   }
-  HBOLD_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(query_text));
-  return Execute(q, stats);
+  HBOLD_ASSIGN_OR_RETURN(parsed.fresh_, ParseQuery(query_text));
+  return parsed;
+}
+
+Result<ResultTable> Executor::Execute(const std::string& query_text,
+                                      ParsedQuery parsed,
+                                      ExecStats* stats) const {
+  if (parsed.prepared_ != nullptr) {
+    if (stats != nullptr) ++stats->plan_cache_hits;
+    return ExecutePlanned(parsed.prepared_->query, *parsed.prepared_->plan,
+                          stats);
+  }
+  if (plan_cache_ == nullptr) return Execute(parsed.fresh_, stats);
+  std::shared_ptr<const QueryPlan> plan = AcquirePlan(parsed.fresh_, stats);
+  auto insert = std::make_shared<PreparedQuery>();
+  insert->query = std::move(parsed.fresh_);
+  insert->plan = plan;
+  plan_cache_->InsertPrepared(query_text, parsed.generation_, insert);
+  return ExecutePlanned(insert->query, *plan, stats);
+}
+
+Result<ResultTable> Executor::Execute(const std::string& query_text,
+                                      ExecStats* stats) const {
+  HBOLD_ASSIGN_OR_RETURN(ParsedQuery parsed, Parse(query_text));
+  return Execute(query_text, std::move(parsed), stats);
 }
 
 std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,

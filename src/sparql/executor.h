@@ -1,7 +1,9 @@
 #ifndef HBOLD_SPARQL_EXECUTOR_H_
 #define HBOLD_SPARQL_EXECUTOR_H_
 
-#include <string_view>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include "common/result.h"
 #include "rdf/graph.h"
@@ -42,6 +44,24 @@ struct ExecStats {
   size_t hash_join_spills = 0;
 };
 
+/// A query text resolved to its AST: the first of Executor's two query
+/// steps. On a text-tier hit it holds the cached PreparedQuery (AST and
+/// plan); otherwise a fresh parse, not yet planned or cached. Callers may
+/// inspect query() — the endpoints' dialect gate does — before handing it
+/// to Executor::Execute(text, parsed) with the same text.
+class ParsedQuery {
+ public:
+  const SelectQuery& query() const {
+    return prepared_ != nullptr ? prepared_->query : fresh_;
+  }
+
+ private:
+  friend class Executor;
+  std::shared_ptr<const PreparedQuery> prepared_;  // text-tier hit
+  SelectQuery fresh_;        // miss: parsed, awaiting planning
+  uint64_t generation_ = 0;  // store generation the text tier was read at
+};
+
 /// Evaluates SELECT queries against a TripleStore.
 ///
 /// Evaluation strategy: the cost-based planner (sparql/planner.h) fixes a
@@ -65,11 +85,24 @@ class Executor {
   explicit Executor(const rdf::TripleStore* store, ExecOptions options = {},
                     PlanCache* plan_cache = nullptr);
 
-  /// Parses and executes `query_text`. With a plan cache attached, a
-  /// repeated text is served from the prepared-statement tier — no parse,
-  /// no planning; a new spelling of a cached WHERE tree still shares its
-  /// plan through the normalized tier.
-  Result<ResultTable> Execute(std::string_view query_text,
+  /// Step 1, text -> AST: the text tier's PreparedQuery when `query_text`
+  /// already ran against this store generation (no parse), else a fresh
+  /// parse. A fresh parse is not planned, cached or counted, so a caller
+  /// may still refuse the query by its AST; a text-tier hit (counted by
+  /// the cache here) is a text the caller accepted before.
+  Result<ParsedQuery> Parse(const std::string& query_text) const;
+
+  /// Step 2, executes `parsed`, which Parse() built from `query_text`. A
+  /// text-tier hit runs the cached plan. Otherwise the AST is planned —
+  /// sharing a plan through the normalized tier when one exists — and
+  /// moved into the text tier, so repeats of the text skip both steps'
+  /// work.
+  Result<ResultTable> Execute(const std::string& query_text,
+                              ParsedQuery parsed,
+                              ExecStats* stats = nullptr) const;
+
+  /// Parse() then Execute(text, parsed).
+  Result<ResultTable> Execute(const std::string& query_text,
                               ExecStats* stats = nullptr) const;
 
   /// Executes an already-parsed query (normalized plan-cache tier only).

@@ -62,24 +62,47 @@ TEST_F(EndpointTest, FullDialectAllowsAggregates) {
   EXPECT_EQ(r->table.ScalarInt("n"), static_cast<int64_t>(store_.size()));
 }
 
+/// Sends `rejected` twice, then `accepted` twice, through `ep`. The gate
+/// refuses before the plan cache sees the query, so the refusals leave it
+/// untouched; the accepted text misses once, then is a text-tier hit that
+/// answers exactly as the first run did.
+void ExpectGateRunsBeforePlanCache(SimulatedRemoteEndpoint* ep,
+                                   const std::string& rejected,
+                                   const std::string& accepted) {
+  for (int i = 0; i < 2; ++i) {
+    auto r = ep->Query(rejected);
+    ASSERT_FALSE(r.ok()) << i;
+    EXPECT_TRUE(r.status().IsUnsupported()) << i;
+    EXPECT_EQ(ep->engine_stats().plan_cache_hits, 0u) << i;
+    EXPECT_EQ(ep->engine_stats().plan_cache_misses, 0u) << i;
+  }
+  auto first = ep->Query(accepted);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(ep->engine_stats().plan_cache_hits, 0u);
+  EXPECT_EQ(ep->engine_stats().plan_cache_misses, 1u);
+  auto second = ep->Query(accepted);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(ep->engine_stats().plan_cache_hits, 1u);
+  EXPECT_EQ(ep->engine_stats().plan_cache_misses, 1u);
+  EXPECT_EQ(second->table.ToTsv(), first->table.ToTsv());
+  EXPECT_EQ(second->latency_ms, first->latency_ms);
+}
+
 TEST_F(EndpointTest, NoAggregatesDialectRejectsCount) {
   SimulatedRemoteEndpoint ep("u", "n", &store_, &clock_,
                              Dialect::NoAggregates());
-  auto r = ep.Query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o . }");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsUnsupported());
   // Plain selects still work.
-  EXPECT_TRUE(ep.Query("SELECT ?s WHERE { ?s ?p ?o . }").ok());
+  ExpectGateRunsBeforePlanCache(
+      &ep, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o . }",
+      "SELECT ?s WHERE { ?s ?p ?o . }");
 }
 
 TEST_F(EndpointTest, NoGroupByDialectRejectsGrouping) {
   SimulatedRemoteEndpoint ep("u", "n", &store_, &clock_, Dialect::NoGroupBy());
-  auto grouped = ep.Query(
-      "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . } GROUP BY ?c");
-  ASSERT_FALSE(grouped.ok());
-  EXPECT_TRUE(grouped.status().IsUnsupported());
   // Ungrouped COUNT is allowed by this dialect.
-  EXPECT_TRUE(ep.Query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o . }").ok());
+  ExpectGateRunsBeforePlanCache(
+      &ep, "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . } GROUP BY ?c",
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o . }");
 }
 
 TEST_F(EndpointTest, RowCapTruncatesAndFlags) {

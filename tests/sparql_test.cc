@@ -6,8 +6,11 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/clock.h"
 #include "endpoint/local_endpoint.h"
+#include "endpoint/simulated_endpoint.h"
 #include "rdf/graph.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -242,6 +245,26 @@ TEST_F(SparqlTest, LocalEndpointRejectsHostileLimitAndOffset) {
                  "SELECT ?p WHERE { ?p a foaf:Person . } " + hostile);
     ASSERT_FALSE(outcome.ok()) << hostile;
     EXPECT_EQ(outcome.status().code(), StatusCode::kParseError) << hostile;
+  }
+
+  // The simulated endpoint's dialect gate reads the executor's AST, so
+  // parser and lexer errors surface from the same single parse and
+  // nothing reaches the plan cache.
+  SimClock clock;
+  endpoint::SimulatedRemoteEndpoint remote("http://r/sparql", "r", &store_,
+                                           &clock);
+  std::vector<std::string> bad;
+  for (const char* hostile : kHostileModifiers) {
+    bad.push_back(std::string(kPrefixes) +
+                  "SELECT ?p WHERE { ?p a foaf:Person . } " + hostile);
+  }
+  bad.push_back("SELECT ?p WHERE { ?p foaf:name \"unterminated . }");
+  for (const std::string& text : bad) {
+    auto outcome = remote.Query(text);
+    ASSERT_FALSE(outcome.ok()) << text;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kParseError) << text;
+    EXPECT_EQ(remote.engine_stats().plan_cache_hits, 0u) << text;
+    EXPECT_EQ(remote.engine_stats().plan_cache_misses, 0u) << text;
   }
 }
 
