@@ -48,10 +48,10 @@ Status ApplyStoreBackendPolicy(rdf::TripleStore* store,
 class LocalEndpoint : public SparqlEndpoint {
  public:
   /// `store` must outlive the endpoint. Every endpoint owns one
-  /// cross-query plan cache (keyed on the normalized WHERE tree and the
-  /// store's rebuild generation); `enable_plan_cache = false` opts out for
-  /// differential benchmarks. The cache only memoizes planning — results
-  /// and charged accounting are bit-identical either way.
+  /// cross-query plan cache (keyed on query text and the store's rebuild
+  /// generation); `enable_plan_cache = false` opts out for differential
+  /// benchmarks. The cache only memoizes planning — results and charged
+  /// accounting are bit-identical either way.
   LocalEndpoint(std::string url, std::string name,
                 const rdf::TripleStore* store, bool enable_plan_cache = true)
       : url_(std::move(url)), name_(std::move(name)), store_(store),

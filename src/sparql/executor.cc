@@ -1677,48 +1677,38 @@ Result<ResultTable> Executor::Execute(const std::string& query_text,
 
 std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,
                                                        ExecStats* stats) const {
-  // The physical plan: served by the cross-query cache (keyed on the
-  // normalized WHERE tree + the store's rebuild generation) or computed
-  // fresh. Cached and fresh plans are identical — planning is a
-  // deterministic function of (query shape, store content) and a rebuilt
-  // store changes its generation — so caching can never change results or
-  // charged accounting, only planning work.
+  // Planning is a deterministic function of (query shape, store content),
+  // and a rebuilt store changes its generation, so a group plan served by
+  // the cache equals a fresh one: caching never changes results or charged
+  // accounting, only planning work.
   if (plan_cache_ == nullptr) {
     return std::make_shared<QueryPlan>(PlanQuery(q, options_, store_));
   }
-  const std::string key = NormalizeWhereKey(q);
+  // A text-tier miss: the root group is planned fresh; non-root groups
+  // (OPTIONAL/UNION bodies) come from the group tier, so queries that
+  // disagree at the top level but share a sub-group — the extraction
+  // corpus's OPTIONAL label/comment tails — replan only the parts that
+  // actually differ.
   const uint64_t generation = store_->generation();
-  std::shared_ptr<const QueryPlan> plan = plan_cache_->Lookup(key, generation);
-  if (plan != nullptr) {
-    if (stats != nullptr) ++stats->plan_cache_hits;
-  } else {
-    // Whole-query miss: plan group by group, serving non-root groups
-    // (OPTIONAL/UNION bodies) from the cache's group tier. Queries that
-    // disagree at the top level but share a sub-group — the extraction
-    // corpus's OPTIONAL label/comment tails — replan only the parts that
-    // actually differ. The root group is skipped: it is exactly what the
-    // whole-query tiers above already key on.
-    auto fresh = std::make_shared<QueryPlan>();
-    bool root = true;
-    ForEachGroup(q.where, [&](const GroupGraphPattern& g) {
-      if (root) {
-        root = false;
-        fresh->groups.push_back(PlanGroup(g, options_, store_));
-        return;
-      }
-      const std::string gkey = NormalizeGroupKey(g);
-      std::shared_ptr<const GroupPlan> cached =
-          plan_cache_->LookupGroup(gkey, generation);
-      if (cached == nullptr) {
-        cached = std::make_shared<GroupPlan>(PlanGroup(g, options_, store_));
-        plan_cache_->InsertGroup(gkey, generation, cached);
-      }
-      fresh->groups.push_back(*cached);
-    });
-    plan = fresh;
-    plan_cache_->Insert(key, generation, plan);
-    if (stats != nullptr) ++stats->plan_cache_misses;
-  }
+  auto plan = std::make_shared<QueryPlan>();
+  bool root = true;
+  ForEachGroup(q.where, [&](const GroupGraphPattern& g) {
+    if (root) {
+      root = false;
+      plan->groups.push_back(PlanGroup(g, options_, store_));
+      return;
+    }
+    const std::string gkey = NormalizeGroupKey(g);
+    std::shared_ptr<const GroupPlan> cached =
+        plan_cache_->LookupGroup(gkey, generation);
+    if (cached == nullptr) {
+      cached = std::make_shared<GroupPlan>(PlanGroup(g, options_, store_));
+      plan_cache_->InsertGroup(gkey, generation, cached);
+    }
+    plan->groups.push_back(*cached);
+  });
+  plan_cache_->RecordMiss();
+  if (stats != nullptr) ++stats->plan_cache_misses;
   return plan;
 }
 

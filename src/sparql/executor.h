@@ -74,8 +74,9 @@ class ParsedQuery {
 /// concatenates the two sides' solutions. All physical paths produce
 /// bit-identical result tables and ExecStats::intermediate_bindings.
 ///
-/// `plan_cache`, when non-null, memoizes physical plans across queries
-/// keyed on the normalized WHERE tree and the store's rebuild generation.
+/// `plan_cache`, when non-null, memoizes prepared queries by exact text and
+/// OPTIONAL/UNION group plans by their triple lists, both scoped to the
+/// store's rebuild generation.
 /// The cache must be dedicated to (store, options) — LocalEndpoint owns
 /// one per endpoint. Cached and freshly planned executions are
 /// bit-identical by construction (plans are deterministic functions of the
@@ -94,9 +95,9 @@ class Executor {
 
   /// Step 2, executes `parsed`, which Parse() built from `query_text`. A
   /// text-tier hit runs the cached plan. Otherwise the AST is planned —
-  /// sharing a plan through the normalized tier when one exists — and
-  /// moved into the text tier, so repeats of the text skip both steps'
-  /// work.
+  /// its root group fresh, its OPTIONAL/UNION bodies through the group
+  /// tier — and moved into the text tier, so repeats of the text skip both
+  /// steps' work.
   Result<ResultTable> Execute(const std::string& query_text,
                               ParsedQuery parsed,
                               ExecStats* stats = nullptr) const;
@@ -105,7 +106,10 @@ class Executor {
   Result<ResultTable> Execute(const std::string& query_text,
                               ExecStats* stats = nullptr) const;
 
-  /// Executes an already-parsed query (normalized plan-cache tier only).
+  /// Executes an already-parsed query, planned as a text-tier miss is: the
+  /// root group fresh, OPTIONAL/UNION bodies through the group tier when a
+  /// cache is attached (counted as one miss). Nothing enters the text
+  /// tier, which is keyed by query text.
   Result<ResultTable> Execute(const SelectQuery& query,
                               ExecStats* stats = nullptr) const;
 

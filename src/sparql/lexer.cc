@@ -1,33 +1,47 @@
 #include "sparql/lexer.h"
 
-#include <cctype>
-#include <unordered_set>
-
-#include "common/string_util.h"
-
 namespace hbold::sparql {
 
 namespace {
 
-const std::unordered_set<std::string>& Keywords() {
-  static const auto* kKeywords = new std::unordered_set<std::string>{
-      "SELECT", "ASK",      "DISTINCT", "WHERE", "FILTER", "OPTIONAL", "UNION",
-      "PREFIX", "GROUP",    "BY",     "ORDER",  "ASC",      "DESC",
-      "LIMIT",  "OFFSET",   "COUNT",  "AS",     "REGEX",    "STR",
-      "BOUND",  "ISIRI",    "ISLITERAL",        "CONTAINS", "LCASE",
-      "TRUE",   "FALSE"};
-  return *kKeywords;
+constexpr std::string_view kKeywords[] = {
+    "SELECT", "ASK",    "DISTINCT", "WHERE",     "FILTER",   "OPTIONAL",
+    "UNION",  "PREFIX", "GROUP",    "BY",        "ORDER",    "ASC",
+    "DESC",   "LIMIT",  "OFFSET",   "COUNT",     "AS",       "REGEX",
+    "STR",    "BOUND",  "ISIRI",    "ISLITERAL", "CONTAINS", "LCASE",
+    "TRUE",   "FALSE"};
+
+// ASCII character classes: what <cctype> answers in the "C" locale,
+// without its per-call locale lookup.
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool IsAlnum(char c) { return IsDigit(c) || IsAlpha(c); }
+constexpr char ToUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
 }
 
-bool IsPnameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
+bool IsPnameChar(char c) { return IsAlnum(c) || c == '_' || c == '-'; }
+
+/// The static uppercase spelling of the keyword `word` names in any case,
+/// or an empty view when `word` is not a keyword.
+std::string_view MatchKeyword(std::string_view word) {
+  for (std::string_view kw : kKeywords) {
+    if (kw.size() != word.size() || kw[0] != ToUpper(word[0])) continue;
+    size_t i = 1;
+    while (i < kw.size() && ToUpper(word[i]) == kw[i]) ++i;
+    if (i == kw.size()) return kw;
+  }
+  return {};
 }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  size_t pos = 0;
+Status Lexer::Next(Token* out) {
+  const std::string_view text = text_;
+  size_t& pos = pos_;
   auto err = [&](std::string msg) {
     return Status::ParseError("sparql lex: " + std::move(msg) + " at offset " +
                               std::to_string(pos));
@@ -35,7 +49,7 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
 
   while (pos < text.size()) {
     char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++pos;
       continue;
     }
@@ -46,245 +60,242 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
     size_t start = pos;
     switch (c) {
       case '{':
-        out.push_back({TokenKind::kLBrace, "{", start});
+        *out = Token(TokenKind::kLBrace, "{", start);
         ++pos;
-        continue;
+        return Status::OK();
       case '}':
-        out.push_back({TokenKind::kRBrace, "}", start});
+        *out = Token(TokenKind::kRBrace, "}", start);
         ++pos;
-        continue;
+        return Status::OK();
       case '(':
-        out.push_back({TokenKind::kLParen, "(", start});
+        *out = Token(TokenKind::kLParen, "(", start);
         ++pos;
-        continue;
+        return Status::OK();
       case ')':
-        out.push_back({TokenKind::kRParen, ")", start});
+        *out = Token(TokenKind::kRParen, ")", start);
         ++pos;
-        continue;
+        return Status::OK();
       case ';':
-        out.push_back({TokenKind::kSemicolon, ";", start});
+        *out = Token(TokenKind::kSemicolon, ";", start);
         ++pos;
-        continue;
+        return Status::OK();
       case ',':
-        out.push_back({TokenKind::kComma, ",", start});
+        *out = Token(TokenKind::kComma, ",", start);
         ++pos;
-        continue;
+        return Status::OK();
       case '*':
-        out.push_back({TokenKind::kStar, "*", start});
+        *out = Token(TokenKind::kStar, "*", start);
         ++pos;
-        continue;
+        return Status::OK();
       case '=':
-        out.push_back({TokenKind::kEq, "=", start});
+        *out = Token(TokenKind::kEq, "=", start);
         ++pos;
-        continue;
+        return Status::OK();
       default:
         break;
     }
     if (c == '.') {
       // Distinguish DOT from a decimal like ".5" (we don't support leading
       // dot numbers; always DOT).
-      out.push_back({TokenKind::kDot, ".", start});
+      *out = Token(TokenKind::kDot, ".", start);
       ++pos;
-      continue;
+      return Status::OK();
     }
     if (c == '!') {
       if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({TokenKind::kNe, "!=", start});
+        *out = Token(TokenKind::kNe, "!=", start);
         pos += 2;
       } else {
-        out.push_back({TokenKind::kBang, "!", start});
+        *out = Token(TokenKind::kBang, "!", start);
         ++pos;
       }
-      continue;
+      return Status::OK();
     }
     if (c == '&') {
       if (pos + 1 < text.size() && text[pos + 1] == '&') {
-        out.push_back({TokenKind::kAnd, "&&", start});
+        *out = Token(TokenKind::kAnd, "&&", start);
         pos += 2;
-        continue;
+        return Status::OK();
       }
       return err("stray '&'");
     }
     if (c == '|') {
       if (pos + 1 < text.size() && text[pos + 1] == '|') {
-        out.push_back({TokenKind::kOr, "||", start});
+        *out = Token(TokenKind::kOr, "||", start);
         pos += 2;
-        continue;
+        return Status::OK();
       }
       return err("stray '|'");
     }
     if (c == '^') {
       if (pos + 1 < text.size() && text[pos + 1] == '^') {
-        out.push_back({TokenKind::kDtCaret, "^^", start});
+        *out = Token(TokenKind::kDtCaret, "^^", start);
         pos += 2;
-        continue;
+        return Status::OK();
       }
       return err("stray '^'");
     }
     if (c == '<') {
-      // IRIREF if the contents up to '>' contain no whitespace; otherwise a
-      // comparison operator.
-      size_t close = text.find('>', pos + 1);
-      bool iri = close != std::string_view::npos;
-      if (iri) {
-        for (size_t i = pos + 1; i < close; ++i) {
-          if (std::isspace(static_cast<unsigned char>(text[i])) ||
-              text[i] == '<') {
-            iri = false;
-            break;
-          }
-        }
+      // IRIREF if a '>' closes it before any whitespace or '<'; otherwise a
+      // comparison operator. The scan stops at the first of the three, so
+      // no byte is scanned on behalf of two '<' and lexing stays linear.
+      size_t close = pos + 1;
+      while (close < text.size() && text[close] != '>' && text[close] != '<' &&
+             !IsSpace(text[close])) {
+        ++close;
       }
-      if (iri) {
-        out.push_back(
-            {TokenKind::kIri, std::string(text.substr(pos + 1, close - pos - 1)),
-             start});
+      if (close < text.size() && text[close] == '>') {
+        *out = Token(TokenKind::kIri, text.substr(pos + 1, close - pos - 1),
+                     start);
         pos = close + 1;
-        continue;
+        return Status::OK();
       }
       if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({TokenKind::kLe, "<=", start});
+        *out = Token(TokenKind::kLe, "<=", start);
         pos += 2;
       } else {
-        out.push_back({TokenKind::kLt, "<", start});
+        *out = Token(TokenKind::kLt, "<", start);
         ++pos;
       }
-      continue;
+      return Status::OK();
     }
     if (c == '>') {
       if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({TokenKind::kGe, ">=", start});
+        *out = Token(TokenKind::kGe, ">=", start);
         pos += 2;
       } else {
-        out.push_back({TokenKind::kGt, ">", start});
+        *out = Token(TokenKind::kGt, ">", start);
         ++pos;
       }
-      continue;
+      return Status::OK();
     }
     if (c == '?' || c == '$') {
       ++pos;
       size_t vstart = pos;
       while (pos < text.size() && IsPnameChar(text[pos])) ++pos;
       if (pos == vstart) return err("empty variable name");
-      out.push_back(
-          {TokenKind::kVar, std::string(text.substr(vstart, pos - vstart)),
-           start});
-      continue;
+      *out = Token(TokenKind::kVar, text.substr(vstart, pos - vstart), start);
+      return Status::OK();
     }
     if (c == '@') {
       ++pos;
       size_t astart = pos;
-      while (pos < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-              text[pos] == '-')) {
+      while (pos < text.size() && (IsAlnum(text[pos]) || text[pos] == '-')) {
         ++pos;
       }
       if (pos == astart) return err("empty language tag");
-      out.push_back(
-          {TokenKind::kAt, std::string(text.substr(astart, pos - astart)),
-           start});
-      continue;
+      *out = Token(TokenKind::kAt, text.substr(astart, pos - astart), start);
+      return Status::OK();
     }
     if (c == '"' || c == '\'') {
-      char quote = c;
-      ++pos;
-      std::string value;
+      const char quote = c;
+      const size_t body = ++pos;
+      // Unescaped bytes, allocated at the first escape; without one the
+      // token views the literal's body in place.
+      std::unique_ptr<std::string> unescaped;
       while (true) {
         if (pos >= text.size()) return err("unterminated string");
         char ch = text[pos++];
         if (ch == quote) break;
-        if (ch == '\\') {
-          if (pos >= text.size()) return err("bad escape");
-          char e = text[pos++];
-          switch (e) {
-            case 'n':
-              value += '\n';
-              break;
-            case 't':
-              value += '\t';
-              break;
-            case 'r':
-              value += '\r';
-              break;
-            case '\\':
-              value += '\\';
-              break;
-            case '\'':
-              value += '\'';
-              break;
-            case '"':
-              value += '"';
-              break;
-            default:
-              return err("unknown escape");
-          }
-        } else {
-          value += ch;
+        if (ch != '\\') {
+          if (unescaped != nullptr) *unescaped += ch;
+          continue;
+        }
+        if (unescaped == nullptr) {
+          unescaped = std::make_unique<std::string>(
+              text.substr(body, pos - 1 - body));
+        }
+        if (pos >= text.size()) return err("bad escape");
+        switch (text[pos++]) {
+          case 'n':
+            *unescaped += '\n';
+            break;
+          case 't':
+            *unescaped += '\t';
+            break;
+          case 'r':
+            *unescaped += '\r';
+            break;
+          case '\\':
+            *unescaped += '\\';
+            break;
+          case '\'':
+            *unescaped += '\'';
+            break;
+          case '"':
+            *unescaped += '"';
+            break;
+          default:
+            return err("unknown escape");
         }
       }
-      out.push_back({TokenKind::kString, std::move(value), start});
-      continue;
+      Token tok{TokenKind::kString, text.substr(body, pos - 1 - body), start};
+      if (unescaped != nullptr) {
+        tok.text = *unescaped;
+        tok.owned = std::move(unescaped);
+      }
+      *out = std::move(tok);
+      return Status::OK();
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        ((c == '+' || c == '-') && pos + 1 < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
+    if (IsDigit(c) || ((c == '+' || c == '-') && pos + 1 < text.size() &&
+                       IsDigit(text[pos + 1]))) {
       size_t nstart = pos;
       if (c == '+' || c == '-') ++pos;
-      while (pos < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-              text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E')) {
+      while (pos < text.size() && (IsDigit(text[pos]) || text[pos] == '.' ||
+                                   text[pos] == 'e' || text[pos] == 'E')) {
         // Don't eat a terminating DOT: "10." at pattern end.
         if (text[pos] == '.' &&
-            (pos + 1 >= text.size() ||
-             !std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
+            (pos + 1 >= text.size() || !IsDigit(text[pos + 1]))) {
           break;
         }
         ++pos;
       }
-      out.push_back(
-          {TokenKind::kNumber, std::string(text.substr(nstart, pos - nstart)),
-           start});
-      continue;
+      *out =
+          Token(TokenKind::kNumber, text.substr(nstart, pos - nstart), start);
+      return Status::OK();
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (IsAlpha(c) || c == '_') {
       size_t wstart = pos;
       while (pos < text.size() && IsPnameChar(text[pos])) ++pos;
-      std::string word(text.substr(wstart, pos - wstart));
       // prefix:local form?
       if (pos < text.size() && text[pos] == ':') {
         ++pos;
-        size_t lstart = pos;
         while (pos < text.size() && IsPnameChar(text[pos])) ++pos;
-        out.push_back({TokenKind::kPname,
-                       word + ":" + std::string(text.substr(lstart, pos - lstart)),
-                       wstart});
-        continue;
+        *out =
+            Token(TokenKind::kPname, text.substr(wstart, pos - wstart), wstart);
+        return Status::OK();
       }
-      std::string upper = ToLower(word);
-      for (auto& ch : upper) ch = static_cast<char>(std::toupper(
-                                 static_cast<unsigned char>(ch)));
+      std::string_view word = text.substr(wstart, pos - wstart);
       if (word == "a") {
-        out.push_back({TokenKind::kA, "a", wstart});
-      } else if (Keywords().count(upper) > 0) {
-        out.push_back({TokenKind::kKeyword, upper, wstart});
+        *out = Token(TokenKind::kA, word, wstart);
+      } else if (std::string_view kw = MatchKeyword(word); !kw.empty()) {
+        *out = Token(TokenKind::kKeyword, kw, wstart);
       } else {
-        return err("unknown word '" + word + "'");
+        return err("unknown word '" + std::string(word) + "'");
       }
-      continue;
+      return Status::OK();
     }
     if (c == ':') {
       // Default-prefix pname ":local".
       ++pos;
-      size_t lstart = pos;
       while (pos < text.size() && IsPnameChar(text[pos])) ++pos;
-      out.push_back({TokenKind::kPname,
-                     ":" + std::string(text.substr(lstart, pos - lstart)),
-                     start});
-      continue;
+      *out = Token(TokenKind::kPname, text.substr(start, pos - start), start);
+      return Status::OK();
     }
     return err(std::string("unexpected character '") + c + "'");
   }
-  out.push_back({TokenKind::kEnd, "", text.size()});
+  *out = Token(TokenKind::kEnd, {}, text.size());
+  return Status::OK();
+}
+
+Result<std::vector<Token>> Tokenize(std::string_view text) {
+  Lexer lexer(text);
+  std::vector<Token> out;
+  while (out.empty() || out.back().kind != TokenKind::kEnd) {
+    Token tok(TokenKind::kEnd, {}, 0);
+    HBOLD_RETURN_NOT_OK(lexer.Next(&tok));
+    out.push_back(std::move(tok));
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef HBOLD_SPARQL_LEXER_H_
 #define HBOLD_SPARQL_LEXER_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,15 +41,37 @@ enum class TokenKind {
   kEnd,
 };
 
+/// One token. `text` views the query text, except for a keyword (a static
+/// uppercase spelling) and for a string literal with escapes (the unescaped
+/// bytes in `owned`, whose heap address survives moving the token).
 struct Token {
+  Token(TokenKind kind, std::string_view text, size_t offset)
+      : kind(kind), text(text), offset(offset) {}
+
   TokenKind kind;
-  std::string text;
-  size_t offset = 0;  // byte offset in the query string, for error messages
+  std::string_view text;
+  size_t offset;  // byte offset in the query string, for error messages
+  std::unique_ptr<const std::string> owned;
 };
 
-/// Tokenizes SPARQL query text. Keywords are case-insensitive and returned
-/// uppercased; '<' is disambiguated between IRIREF and less-than by the
-/// character that follows.
+/// Splits SPARQL query text into tokens, one at a time. Keywords are
+/// case-insensitive and returned uppercased; '<' is disambiguated between
+/// IRIREF and less-than by the character that follows. Tokens view `text`,
+/// which must outlive them.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view text) : text_(text) {}
+
+  /// The next token; kEnd once the text is consumed. Lexical errors are
+  /// ParseError statuses naming the byte offset.
+  Status Next(Token* out);
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+/// The whole token stream of `text`, ending with kEnd.
 Result<std::vector<Token>> Tokenize(std::string_view text);
 
 }  // namespace hbold::sparql

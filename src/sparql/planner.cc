@@ -193,61 +193,11 @@ void AppendSlot(const TermOrVar& slot, VarCanon* vars, std::string* out) {
   *out += '\x1f';
 }
 
-void AppendExpr(const Expr& e, VarCanon* vars, std::string* out) {
-  *out += 'E';
-  *out += std::to_string(static_cast<int>(e.kind));
-  *out += ':';
-  *out += std::to_string(static_cast<int>(e.op));
-  *out += ':';
-  if (e.kind == Expr::Kind::kVar || e.kind == Expr::Kind::kBound) {
-    *out += '?';
-    *out += std::to_string(vars->Id(e.var));
-  } else if (e.kind == Expr::Kind::kLiteral) {
-    *out += e.literal.ToNTriples();
-  }
-  *out += '(';
-  for (const auto& a : e.args) AppendExpr(*a, vars, out);
-  *out += ')';
-}
-
-void AppendGroup(const GroupGraphPattern& g, VarCanon* vars, std::string* out) {
-  *out += '{';
-  for (const TriplePatternNode& t : g.triples) {
-    *out += 'T';
-    AppendSlot(t.s, vars, out);
-    AppendSlot(t.p, vars, out);
-    AppendSlot(t.o, vars, out);
-  }
-  for (const auto& f : g.filters) {
-    *out += 'F';
-    AppendExpr(*f, vars, out);
-  }
-  for (const auto& u : g.unions) {
-    *out += 'U';
-    AppendGroup(*u.left, vars, out);
-    AppendGroup(*u.right, vars, out);
-  }
-  for (const auto& o : g.optionals) {
-    *out += 'O';
-    AppendGroup(*o, vars, out);
-  }
-  *out += '}';
-}
-
 }  // namespace
 
-std::string NormalizeWhereKey(const SelectQuery& q) {
-  std::string key;
-  key.reserve(128);
-  VarCanon vars;
-  AppendGroup(q.where, &vars, &key);
-  return key;
-}
-
 std::string NormalizeGroupKey(const GroupGraphPattern& g) {
-  // Fresh VarCanon per group: the alias class restarts at ?0, so the same
-  // OPTIONAL body keyed from two different enclosing queries (whose outer
-  // variables occupy different canonical indices) still collides onto one
+  // The alias class restarts at ?0 for every group, so the same OPTIONAL
+  // body reached from two different enclosing queries collides onto one
   // entry. Only the triple list is serialized — PlanGroup never looks at
   // filters or nested groups.
   std::string key;
@@ -286,32 +236,8 @@ void PlanCache::InsertPrepared(const std::string& text, uint64_t generation,
   prepared_[text] = std::move(prepared);
 }
 
-std::shared_ptr<const QueryPlan> PlanCache::Lookup(const std::string& key,
-                                                   uint64_t generation) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (generation_ == generation) {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-  }
+void PlanCache::RecordMiss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-void PlanCache::Insert(const std::string& key, uint64_t generation,
-                       std::shared_ptr<const QueryPlan> plan) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  FlushIfStaleLocked(generation);
-  if (entries_.size() >= max_entries_ &&
-      entries_.find(key) == entries_.end() &&
-      MakeRoomLocked(entries_.size())) {
-    entries_.clear();  // epoch eviction; the steady-state corpus re-warms
-  }
-  entries_[key] = std::move(plan);
 }
 
 std::shared_ptr<const GroupPlan> PlanCache::LookupGroup(
@@ -338,7 +264,7 @@ void PlanCache::InsertGroup(const std::string& key, uint64_t generation,
   if (group_entries_.size() >= max_entries_ &&
       group_entries_.find(key) == group_entries_.end() &&
       MakeRoomLocked(group_entries_.size())) {
-    group_entries_.clear();  // epoch eviction, same as the other tiers
+    group_entries_.clear();  // epoch eviction, same as the text tier
   }
   GroupEntry& entry = group_entries_[key];
   entry.plan = std::move(plan);
@@ -375,8 +301,7 @@ void PlanCache::FlushIfStaleLocked(uint64_t generation) {
   if (generation_ == generation) return;
   // The store was rebuilt since this epoch was planned: every resident
   // plan (and prepared AST) was derived from stale statistics.
-  if (!entries_.empty() || !prepared_.empty() || !group_entries_.empty()) {
-    entries_.clear();
+  if (!prepared_.empty() || !group_entries_.empty()) {
     prepared_.clear();
     group_entries_.clear();
     invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -392,7 +317,7 @@ PlanCacheStats PlanCache::stats() const {
   s.group_hits = group_hits_.load(std::memory_order_relaxed);
   s.group_misses = group_misses_.load(std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lock(mu_);
-  s.entries = entries_.size();
+  s.entries = prepared_.size();
   s.capacity = max_entries_;
   s.group_entries = group_entries_.size();
   return s;
@@ -400,7 +325,7 @@ PlanCacheStats PlanCache::stats() const {
 
 size_t PlanCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return entries_.size();
+  return prepared_.size();
 }
 
 size_t PlanCache::capacity() const {

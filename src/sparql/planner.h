@@ -133,8 +133,8 @@ QueryPlan PlanQuery(const SelectQuery& q, const ExecOptions& options,
 
 /// Visits every group graph pattern of the WHERE tree in the canonical
 /// pre-order: the group itself, then each union's left and right, then
-/// each optional, recursively. Planning, execution, and key normalization
-/// all traverse in this order so cached plans line up with the AST.
+/// each optional, recursively. Planning and execution both traverse in
+/// this order so cached plans line up with the AST.
 template <typename Fn>
 void ForEachGroup(const GroupGraphPattern& g, Fn&& fn) {
   fn(g);
@@ -145,25 +145,14 @@ void ForEachGroup(const GroupGraphPattern& g, Fn&& fn) {
   for (const auto& o : g.optionals) ForEachGroup(*o, fn);
 }
 
-/// Canonical cache key of a query's WHERE tree: variables renamed to
-/// ?0, ?1, ... in order of first occurrence, constants serialized in
-/// N-Triples form, group structure (triples / filters / unions /
-/// optionals) encoded positionally. Two alpha-equivalent WHERE trees —
-/// same shape, same constants, any variable names — produce the same key,
-/// so renamed queries share one plan-cache entry. SELECT-clause
-/// differences (projection, aggregates, modifiers) are deliberately not
-/// part of the key: the plan is a function of the WHERE tree alone.
-std::string NormalizeWhereKey(const SelectQuery& q);
-
 /// Canonical cache key of ONE group graph pattern, taken in isolation: the
 /// group's own triple list with variables renamed to ?0, ?1, ... by first
-/// occurrence *within the group* (a fresh alias class per group, unlike
-/// NormalizeWhereKey's whole-tree numbering). A group's physical plan is a
-/// function of its triple list alone — filters and nested groups never
-/// influence PlanGroup — so the key covers exactly the plan's inputs, and
-/// the same OPTIONAL/UNION body reached from two structurally different
-/// queries (or at two different nesting depths) shares one cached
-/// GroupPlan.
+/// occurrence within the group and constants serialized in N-Triples form.
+/// A group's physical plan is a function of its triple list alone —
+/// filters and nested groups never influence PlanGroup — so the key covers
+/// exactly the plan's inputs, and the same OPTIONAL/UNION body reached
+/// from two structurally different queries (or at two different nesting
+/// depths) shares one cached GroupPlan.
 std::string NormalizeGroupKey(const GroupGraphPattern& g);
 
 /// Cumulative counters of one PlanCache (monotonic except `entries`,
@@ -172,7 +161,7 @@ struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t invalidations = 0;  // generation flushes
-  size_t entries = 0;          // normalized-tier entries currently resident
+  size_t entries = 0;          // text-tier entries currently resident
   size_t capacity = 0;         // current max entries per tier
   /// Group-tier counters. These are deliberately NOT folded into
   /// hits/misses: the per-query contract (hits + misses == queries
@@ -192,24 +181,22 @@ struct PreparedQuery {
   std::shared_ptr<const QueryPlan> plan;
 };
 
-/// Cross-query plan cache, three tiers, all scoped to one TripleStore
+/// Cross-query plan cache, two tiers, both scoped to one TripleStore
 /// rebuild generation:
 ///   1. text tier: exact query text -> PreparedQuery (AST + plan) — the
 ///      steady-state repeated corpus skips parse and planning entirely;
-///   2. normalized tier: canonical WHERE key -> QueryPlan — alpha-renamed
-///      spellings and different SELECT clauses over the same WHERE tree
-///      share one plan (this is the tier the keying contract names);
-///   3. group tier: NormalizeGroupKey -> GroupPlan for non-root groups
-///      (OPTIONAL/UNION bodies). Consulted only on a whole-query miss:
+///   2. group tier: NormalizeGroupKey -> GroupPlan for non-root groups
+///      (OPTIONAL/UNION bodies). Consulted only on a text-tier miss:
 ///      queries that disagree at the top level but share a sub-group —
 ///      the extraction corpus's OPTIONAL label/comment tail is the
 ///      motivating case — replan only the parts that actually differ.
 /// A lookup presenting a newer store generation misses; the next insert
-/// flushes the stale epoch (all tiers — stats changed, plans are stale).
+/// flushes the stale epoch (both tiers — stats changed, plans are stale).
 ///
 /// Hit/miss accounting: each executed query counts exactly once — a text
-/// hit or a normalized hit is one hit, anything else one miss — so
-/// hits + misses always equals queries executed through the cache.
+/// hit is one hit, a query planned on a text-tier miss one miss
+/// (RecordMiss) — so hits + misses always equals queries executed through
+/// the cache.
 ///
 /// Thread safety: lookups take a shared lock (concurrent readers on the
 /// endpoints' lock-free query path never serialize against each other);
@@ -252,27 +239,21 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Text tier: the prepared query for (text, generation), or null.
-  /// Counts a hit when found; counts nothing on miss (the normalized-tier
-  /// lookup that follows decides hit vs miss for the query).
+  /// Counts a hit when found; counts nothing on miss (the caller may still
+  /// refuse the query, and records the miss when it plans it).
   std::shared_ptr<const PreparedQuery> LookupPrepared(
       const std::string& text, uint64_t generation) const;
 
   /// Text tier insert (call after a successful parse + plan acquisition).
+  /// If the cache holds an older generation's epoch it is flushed first
+  /// (counted as one invalidation). A full tier drops the whole epoch
+  /// before inserting (bulk eviction: cheap, deterministic, and the
+  /// steady-state corpus re-warms it).
   void InsertPrepared(const std::string& text, uint64_t generation,
                       std::shared_ptr<const PreparedQuery> prepared);
 
-  /// Normalized tier: the cached plan for (key, generation), or null. A
-  /// generation mismatch counts as a miss (the entry was planned against
-  /// different store content / statistics).
-  std::shared_ptr<const QueryPlan> Lookup(const std::string& key,
-                                          uint64_t generation) const;
-
-  /// Normalized tier insert. If the cache holds an older generation's
-  /// epoch it is flushed first (counted as one invalidation). A full tier
-  /// drops the whole epoch before inserting (bulk eviction: cheap,
-  /// deterministic, and the steady-state corpus re-warms it).
-  void Insert(const std::string& key, uint64_t generation,
-              std::shared_ptr<const QueryPlan> plan);
+  /// Counts one query planned on a text-tier miss.
+  void RecordMiss();
 
   /// Group tier: the cached sub-plan for (group key, generation), or null.
   /// A hit bumps the entry's reuse counter (see GroupReuseStats).
@@ -280,7 +261,7 @@ class PlanCache {
                                                uint64_t generation) const;
 
   /// Group tier insert; same epoch-flush and eviction discipline as the
-  /// normalized tier.
+  /// text tier.
   void InsertGroup(const std::string& key, uint64_t generation,
                    std::shared_ptr<const GroupPlan> plan);
 
@@ -316,7 +297,6 @@ class PlanCache {
   const bool adaptive_;
   mutable std::shared_mutex mu_;
   uint64_t generation_ = 0;  // epoch of resident entries (guarded by mu_)
-  std::unordered_map<std::string, std::shared_ptr<const QueryPlan>> entries_;
   std::unordered_map<std::string, std::shared_ptr<const PreparedQuery>>
       prepared_;
   std::unordered_map<std::string, GroupEntry> group_entries_;

@@ -1,6 +1,6 @@
-// Plan-cache lifecycle suite: normalized-AST keying (alpha-renamed queries
-// share one entry), rebuild-generation invalidation after incremental
-// triple loads, the stale-statistics regression (join orders must follow a
+// Plan-cache lifecycle suite: text-tier hit/miss accounting, the group
+// tier for OPTIONAL/UNION bodies, rebuild-generation invalidation after
+// incremental triple loads, the stale-statistics regression (join orders must follow a
 // skewed appended batch, not a frozen snapshot), capacity eviction, and a
 // TSan-gated concurrent-readers test against one shared cache.
 
@@ -40,69 +40,7 @@ SelectQuery Parse(const std::string& text) {
   return std::move(q).value();
 }
 
-// ------------------------------------------------------- key normalization
-
-TEST(NormalizeKeyTest, AlphaRenamedQueriesShareOneKey) {
-  SelectQuery a = Parse(
-      "SELECT ?a ?b WHERE { ?a <http://x/p> ?b . ?b <http://x/q> ?c . }");
-  SelectQuery b = Parse(
-      "SELECT ?x ?y WHERE { ?x <http://x/p> ?y . ?y <http://x/q> ?z . }");
-  EXPECT_EQ(NormalizeWhereKey(a), NormalizeWhereKey(b));
-}
-
-TEST(NormalizeKeyTest, ConstantsAndStructureAreDistinguished) {
-  SelectQuery base = Parse("SELECT ?a WHERE { ?a <http://x/p> ?b . }");
-  SelectQuery other_const = Parse("SELECT ?a WHERE { ?a <http://x/q> ?b . }");
-  SelectQuery other_shape =
-      Parse("SELECT ?a WHERE { ?a <http://x/p> ?b . ?a <http://x/p> ?c . }");
-  SelectQuery filtered =
-      Parse("SELECT ?a WHERE { ?a <http://x/p> ?b . FILTER (BOUND(?b)) . }");
-  EXPECT_NE(NormalizeWhereKey(base), NormalizeWhereKey(other_const));
-  EXPECT_NE(NormalizeWhereKey(base), NormalizeWhereKey(other_shape));
-  EXPECT_NE(NormalizeWhereKey(base), NormalizeWhereKey(filtered));
-}
-
-TEST(NormalizeKeyTest, VariableIdentityPatternIsKept) {
-  // ?a ?p ?a (shared variable) must not collide with ?a ?p ?b.
-  SelectQuery shared = Parse("SELECT ?a WHERE { ?a <http://x/p> ?a . }");
-  SelectQuery distinct = Parse("SELECT ?a WHERE { ?a <http://x/p> ?b . }");
-  EXPECT_NE(NormalizeWhereKey(shared), NormalizeWhereKey(distinct));
-}
-
 // ----------------------------------------------------------- hit counting
-
-TEST(PlanCacheTest, AliasedQueriesHitTheSameEntry) {
-  rdf::TripleStore store = MakeSmallStore();
-  PlanCache cache;
-  Executor ex(&store, ExecOptions{}, &cache);
-
-  ExecStats s1, s2, s3;
-  ASSERT_TRUE(
-      ex.Execute("SELECT ?a WHERE { ?a <http://x/p> ?b . ?a <http://x/q> ?c . }", &s1)
-          .ok());
-  EXPECT_EQ(s1.plan_cache_misses, 1u);
-  EXPECT_EQ(s1.plan_cache_hits, 0u);
-
-  // Alpha-renamed: same normalized key, so a hit.
-  ASSERT_TRUE(
-      ex.Execute("SELECT ?x WHERE { ?x <http://x/p> ?y . ?x <http://x/q> ?z . }", &s2)
-          .ok());
-  EXPECT_EQ(s2.plan_cache_hits, 1u);
-  EXPECT_EQ(s2.plan_cache_misses, 0u);
-
-  // Different SELECT clause over the same WHERE tree still shares the plan.
-  ASSERT_TRUE(
-      ex.Execute(
-            "SELECT ?y ?z WHERE { ?y <http://x/p> ?w . ?y <http://x/q> ?u . }",
-            &s3)
-          .ok());
-  EXPECT_EQ(s3.plan_cache_hits, 1u);
-
-  PlanCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.hits, 2u);
-  EXPECT_EQ(cs.misses, 1u);
-  EXPECT_EQ(cs.entries, 1u);
-}
 
 TEST(PlanCacheTest, DifferentConstantsMiss) {
   rdf::TripleStore store = MakeSmallStore();
@@ -376,8 +314,8 @@ TEST(PlanCacheConcurrencyTest, SharedCacheUnderConcurrentReaders) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        // Rotate over a few alpha-equivalent spellings plus some distinct
-        // shapes so hits, misses, and inserts interleave.
+        // Rotate over 15 distinct texts (5 variable spellings x 3 shapes)
+        // so hits, misses, and inserts interleave.
         std::string v = "?x" + std::to_string((t + i) % 5);
         std::string q;
         if (i % 3 == 0) {
@@ -400,8 +338,8 @@ TEST(PlanCacheConcurrencyTest, SharedCacheUnderConcurrentReaders) {
   endpoint::QueryEngineStats es = ep.engine_stats();
   EXPECT_EQ(es.plan_cache_hits + es.plan_cache_misses,
             static_cast<uint64_t>(kThreads) * kQueriesPerThread);
-  // Two distinct normalized WHERE shapes (the COUNT form shares the first
-  // form's WHERE tree) -> at least one miss each; the steady state is hits.
+  // 15 distinct texts -> at least one miss each (two threads may race on
+  // the same text); the steady state is text-tier hits.
   EXPECT_GE(es.plan_cache_misses, 2u);
   EXPECT_GT(es.plan_cache_hits, es.plan_cache_misses);
 }

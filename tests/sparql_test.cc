@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <string>
 #include <vector>
@@ -67,6 +68,37 @@ constexpr char kPrefixes[] =
 constexpr const char* kHostileModifiers[] = {
     "OFFSET 99999999999999999999", "LIMIT 2.5", "LIMIT 1e5", "LIMIT -1"};
 
+/// The parser's recursive forms, for nesting-depth tests.
+enum class Nesting { kParens, kBang, kOptional, kUnion };
+constexpr Nesting kNestingForms[] = {Nesting::kParens, Nesting::kBang,
+                                     Nesting::kOptional, Nesting::kUnion};
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// A query nesting `form` `levels` deep.
+std::string NestedQuery(Nesting form, size_t levels) {
+  const std::string head = "SELECT ?s WHERE { ?s ?p ?o . ";
+  switch (form) {
+    case Nesting::kParens:
+      return head + "FILTER " + Repeat("(", levels) + "?o" +
+             Repeat(")", levels) + " }";
+    case Nesting::kBang:
+      return head + "FILTER (" + Repeat("!", levels) + "BOUND(?o)) }";
+    case Nesting::kOptional:
+      return head + Repeat("OPTIONAL { ", levels) + "?s ?p ?o . " +
+             Repeat("} ", levels) + "}";
+    case Nesting::kUnion:
+      return "SELECT ?s WHERE " + Repeat("{ ", levels) + "{ ?s ?p ?o . }" +
+             Repeat(" UNION { ?s ?p ?o . } }", levels);
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------- Lexer
 
 TEST(LexerTest, TokenizesCoreForms) {
@@ -119,6 +151,21 @@ TEST(LexerTest, OperatorsTwoChar) {
 TEST(LexerTest, RejectsStrayCharacters) {
   EXPECT_FALSE(Tokenize("SELECT ?x & ?y").ok());
   EXPECT_FALSE(Tokenize("\"unterminated").ok());
+}
+
+// An IRIREF test that scanned ahead to the next '>' from every '<' made a
+// run of '<' quadratic.
+TEST(LexerTest, RunOfLessThanLexesInLinearTime) {
+  const size_t n = size_t{1} << 20;
+  const std::string text = "FILTER (?a " + std::string(n, '<') + " ?b)";
+  const auto start = std::chrono::steady_clock::now();
+  auto toks = Tokenize(text);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(toks.ok()) << toks.status();
+  size_t lt = 0;
+  for (const Token& t : *toks) lt += t.kind == TokenKind::kLt ? 1 : 0;
+  EXPECT_EQ(lt, n);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
 // ---------------------------------------------------------------- Parser
@@ -221,6 +268,19 @@ TEST(ParserTest, LimitAndOffsetAreUnsignedDecimalIntegers) {
   }
 }
 
+TEST(ParserTest, BoundsNestingDepth) {
+  for (Nesting form : kNestingForms) {
+    auto shallow = ParseQuery(NestedQuery(form, 50));
+    EXPECT_TRUE(shallow.ok()) << static_cast<int>(form) << ": "
+                              << shallow.status();
+    // Deep enough to overflow the stack of an unbounded recursive descent.
+    auto deep = ParseQuery(NestedQuery(form, 100000));
+    ASSERT_FALSE(deep.ok()) << static_cast<int>(form);
+    EXPECT_EQ(deep.status().code(), StatusCode::kParseError)
+        << static_cast<int>(form);
+  }
+}
+
 TEST(ParserTest, ParsesSemicolonAndCommaLists) {
   auto q = ParseQuery(
       "PREFIX ex: <http://x/> SELECT ?s WHERE { ?s a ex:C ; ex:p ?a, ?b . }");
@@ -266,6 +326,20 @@ TEST_F(SparqlTest, LocalEndpointRejectsHostileLimitAndOffset) {
     EXPECT_EQ(remote.engine_stats().plan_cache_hits, 0u) << text;
     EXPECT_EQ(remote.engine_stats().plan_cache_misses, 0u) << text;
   }
+}
+
+TEST_F(SparqlTest, RemoteEndpointRejectsHostileNesting) {
+  SimClock clock;
+  endpoint::SimulatedRemoteEndpoint remote("http://r/sparql", "r", &store_,
+                                           &clock);
+  for (Nesting form : kNestingForms) {
+    auto outcome = remote.Query(NestedQuery(form, 100000));
+    ASSERT_FALSE(outcome.ok()) << static_cast<int>(form);
+    EXPECT_EQ(outcome.status().code(), StatusCode::kParseError)
+        << static_cast<int>(form);
+  }
+  EXPECT_EQ(remote.engine_stats().plan_cache_hits, 0u);
+  EXPECT_EQ(remote.engine_stats().plan_cache_misses, 0u);
 }
 
 TEST_F(SparqlTest, JoinAcrossPatterns) {
