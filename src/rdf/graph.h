@@ -163,7 +163,7 @@ class TripleStore {
   ///   (), (s), (s,p), (s,p,o)  -> SPO order
   ///   (p), (p,o)               -> POS order
   ///   (o), (s,o)               -> OSP order
-  /// The star/range pushdown and the hash-join build side iterate these
+  /// The executor's count pushdown and the hash-join build side iterate these
   /// spans directly instead of materializing binding rows.
   TripleSpan Span(const TriplePattern& pattern) const;
 

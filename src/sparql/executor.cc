@@ -850,10 +850,12 @@ void ApplyOrderBy(const SelectQuery& q, ResultTable* table) {
 
 void ApplySlice(const SelectQuery& q, ResultTable* table) {
   if (!q.offset.has_value() && !q.limit.has_value()) return;
-  size_t off = q.offset.value_or(0);
-  size_t lim = q.limit.value_or(table->num_rows());
+  const size_t off = q.offset.value_or(0);
+  const size_t lim = q.limit.value_or(kNoCap);
   ResultTable sliced(table->columns());
-  for (size_t i = off; i < table->num_rows() && i < off + lim; ++i) {
+  // `i - off < lim`, not `i < off + lim`: the sum overflows for a LIMIT
+  // near SIZE_MAX.
+  for (size_t i = off; i < table->num_rows() && i - off < lim; ++i) {
     sliced.AddRow(table->rows()[i]);
   }
   *table = std::move(sliced);
@@ -877,28 +879,29 @@ void ApplyTermDistinct(ResultTable* table) {
   *table = std::move(deduped);
 }
 
-// -------------------------------------------- aggregate-pushdown fast path
+// --------------------------------------------------- count pushdown
 
-/// How one COUNT aggregate is computed by the fast path.
+/// How one COUNT aggregate is computed from a group's solutions.
 enum class AggMode {
-  kCountRows,       // equals the group's row count (COUNT(*), COUNT of an
-                    // always-bound var, or DISTINCT of the sole non-key var)
-  kOne,             // COUNT(DISTINCT ?v) where ?v is a group key
-  kDistinctSet,     // COUNT(DISTINCT ?v): per-group id set filled in-walk
-  kDistinctGlobal,  // COUNT(DISTINCT ?v), no GROUP BY: CountDistinct()
+  kCount,  // the group's solution count: COUNT(*), COUNT of a pattern var
+           // (always bound), or COUNT(DISTINCT) of the only non-key var
+  kOne,    // COUNT(DISTINCT ?v) where ?v is a group key
+  kSet,    // COUNT(DISTINCT ?v): a per-group id set filled by the walk
 };
 
-/// Per-group accumulator for the walking branches.
+/// Per-group accumulator.
 struct GroupAcc {
   size_t count = 0;
-  std::vector<std::unordered_set<TermId>> sets;  // one per kDistinctSet agg
+  std::vector<std::unordered_set<TermId>> sets;  // one per kSet aggregate
 };
 
-using GroupMap = std::unordered_map<std::vector<TermId>, GroupAcc, IdVecHash>;
-
-TermId IdAt(const rdf::Triple& t, TriplePos pos) {
-  return pos == TriplePos::kS ? t.s : (pos == TriplePos::kP ? t.p : t.o);
-}
+/// One step of the walk: a pattern's constants and, per position (s, p, o),
+/// the variable slot it reads or binds (-1 for a constant).
+struct WalkStep {
+  PatternConsts consts;
+  int slot[3] = {-1, -1, -1};
+  bool binds[3] = {false, false, false};  // slot first bound at this step
+};
 
 void Charge(ExecStats* stats, size_t bindings) {
   if (stats == nullptr) return;
@@ -906,59 +909,62 @@ void Charge(ExecStats* stats, size_t bindings) {
   stats->rows_avoided += bindings;
 }
 
-/// Recognizes the count-query family (COUNT / COUNT(DISTINCT) / grouped
-/// counts over a single pattern or an anchor join `?x <p> <o> . ?x ?p ?o`)
-/// and answers it with the store's index-arithmetic primitives. Returns
-/// nullopt when the query is outside the family — the caller then runs the
-/// materializing path. Result tables and charged intermediate_bindings are
-/// bit-identical with that path by construction.
-std::optional<ResultTable> TryAggregatePushdown(
-    const SelectQuery& q, const rdf::TripleStore* store,
-    const std::vector<size_t>& plan_order, ExecStats* stats) {
+/// Answers a COUNT query over a plain BGP without materializing binding
+/// rows: walks TripleStore::Span cursors in the planned join order, one
+/// cursor per step, binding the variables no earlier step bound, and counts
+/// solutions per GROUP BY key. Each opened span charges its size to
+/// intermediate_bindings — exactly the rows the materializing path's step
+/// produces — so result tables and charged bindings are bit-identical with
+/// that path. When the last step binds no group key and no DISTINCT
+/// variable, its span size is added instead of iterated.
+///
+/// Returns nullopt (the caller materializes) unless: SELECT with COUNT
+/// aggregates, no FILTER / OPTIONAL / UNION, no variable repeated inside
+/// one pattern, every GROUP BY and aggregate variable a pattern variable,
+/// and every projected variable a group key.
+std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
+                                            const rdf::TripleStore* store,
+                                            const std::vector<size_t>& order,
+                                            ExecStats* stats) {
   const GroupGraphPattern& where = q.where;
   if (q.form != QueryForm::kSelect || q.select_all) return std::nullopt;
-  if (q.aggregates.empty()) return std::nullopt;
+  if (q.aggregates.empty() || where.triples.empty()) return std::nullopt;
   if (!where.filters.empty() || !where.optionals.empty() ||
       !where.unions.empty()) {
     return std::nullopt;
   }
-  const std::vector<TriplePatternNode>& triples = where.triples;
-  if (triples.empty() || triples.size() > 2) return std::nullopt;
 
-  // Map variables to (pattern, position). The only legal repeated variable
-  // is the shared subject of the two-pattern anchor join; any other repeat
-  // (e.g. `?x ?p ?x`) has consistency semantics the fast path skips.
-  struct VarPos {
-    size_t pattern;
-    TriplePos pos;
-  };
-  std::unordered_map<std::string, VarPos> var_at;
-  std::string shared_subject;
-  for (size_t pi = 0; pi < triples.size(); ++pi) {
-    const TriplePatternNode& t = triples[pi];
+  const rdf::Dictionary& dict = store->dict();
+  VarRegistry vars;
+  std::vector<WalkStep> steps(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    const TriplePatternNode& t = where.triples[order[k]];
     const TermOrVar* slots[3] = {&t.s, &t.p, &t.o};
-    const TriplePos poses[3] = {TriplePos::kS, TriplePos::kP, TriplePos::kO};
-    for (int k = 0; k < 3; ++k) {
-      if (!slots[k]->is_var) continue;
-      auto [it, fresh] = var_at.emplace(slots[k]->var, VarPos{pi, poses[k]});
-      if (fresh) continue;
-      const bool subject_share = triples.size() == 2 && pi == 1 &&
-                                 poses[k] == TriplePos::kS &&
-                                 it->second.pattern == 0 &&
-                                 it->second.pos == TriplePos::kS;
-      if (!subject_share) return std::nullopt;
-      shared_subject = slots[k]->var;
+    WalkStep& step = steps[k];
+    step.consts = ResolveConsts(t, dict);
+    for (int j = 0; j < 3; ++j) {
+      if (!slots[j]->is_var) continue;
+      for (int i = 0; i < j; ++i) {
+        // `?x ?p ?x` has consistency semantics the walk does not model.
+        if (slots[i]->is_var && slots[i]->var == slots[j]->var) {
+          return std::nullopt;
+        }
+      }
+      const size_t before = vars.size();
+      step.slot[j] = static_cast<int>(vars.Intern(slots[j]->var));
+      step.binds[j] = vars.size() > before;
     }
   }
-  if (triples.size() == 2 && shared_subject.empty()) {
-    return std::nullopt;  // cartesian product of two patterns
-  }
 
-  // Key and projection checks: every GROUP BY var must be a pattern var and
-  // every projected plain var must be a group key (the materializing path
-  // projects the group's first row, which for key vars is the key itself).
+  // Group keys and projection: the materializing path projects a group's
+  // first row, which for a key variable is the key itself.
+  std::vector<size_t> key_slots;
+  std::vector<bool> is_key(vars.size(), false);
   for (const std::string& g : q.group_by) {
-    if (var_at.find(g) == var_at.end()) return std::nullopt;
+    const int slot = vars.Lookup(g);
+    if (slot < 0) return std::nullopt;
+    key_slots.push_back(static_cast<size_t>(slot));
+    is_key[static_cast<size_t>(slot)] = true;
   }
   for (const std::string& v : q.vars) {
     if (std::find(q.group_by.begin(), q.group_by.end(), v) ==
@@ -967,639 +973,187 @@ std::optional<ResultTable> TryAggregatePushdown(
     }
   }
 
-  // Variables not in the group key: group rows are distinct tuples over
-  // these, so a DISTINCT count of the *sole* non-key var equals the row
-  // count (pattern constants are fixed, triples are unique).
-  std::set<std::string> nonkey;
-  for (const auto& [name, at] : var_at) {
-    if (std::find(q.group_by.begin(), q.group_by.end(), name) ==
-        q.group_by.end()) {
-      nonkey.insert(name);
-    }
-  }
-
+  // Solutions are distinct binding tuples (constants are fixed and triples
+  // unique), so DISTINCT changes nothing for COUNT(*) or for the sole
+  // variable outside the key.
+  const size_t nonkey = static_cast<size_t>(
+      std::count(is_key.begin(), is_key.end(), false));
   std::vector<AggMode> modes;
-  std::vector<size_t> set_index(q.aggregates.size(), 0);
-  size_t num_sets = 0;
-  for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-    const Aggregate& a = q.aggregates[ai];
+  std::vector<size_t> set_slots;   // kSet aggregates' variable slots
+  std::vector<size_t> set_of_agg;  // aggregate -> index into set_slots
+  std::vector<bool> is_set(vars.size(), false);
+  for (const Aggregate& a : q.aggregates) {
+    set_of_agg.push_back(set_slots.size());
     if (!a.var.has_value()) {
-      // COUNT(*): group rows are distinct binding tuples, so DISTINCT
-      // changes nothing.
-      modes.push_back(AggMode::kCountRows);
+      modes.push_back(AggMode::kCount);
       continue;
     }
-    if (var_at.find(*a.var) == var_at.end()) return std::nullopt;
-    if (!a.distinct) {
-      // Pattern vars are bound in every row.
-      modes.push_back(AggMode::kCountRows);
-      continue;
-    }
-    const bool is_key = std::find(q.group_by.begin(), q.group_by.end(),
-                                  *a.var) != q.group_by.end();
-    if (is_key) {
+    const int slot = vars.Lookup(*a.var);
+    if (slot < 0) return std::nullopt;
+    if (!a.distinct || (!is_key[static_cast<size_t>(slot)] && nonkey == 1)) {
+      modes.push_back(AggMode::kCount);
+    } else if (is_key[static_cast<size_t>(slot)]) {
       modes.push_back(AggMode::kOne);
-    } else if (nonkey.size() == 1 && *nonkey.begin() == *a.var) {
-      modes.push_back(AggMode::kCountRows);
-    } else if (q.group_by.empty() && triples.size() == 1) {
-      modes.push_back(AggMode::kDistinctGlobal);
     } else {
-      modes.push_back(AggMode::kDistinctSet);
-      set_index[ai] = num_sets++;
+      modes.push_back(AggMode::kSet);
+      set_slots.push_back(static_cast<size_t>(slot));
+      is_set[static_cast<size_t>(slot)] = true;
     }
   }
 
-  // The fast path must charge intermediate_bindings exactly the way the
-  // materializing path would, so it follows the shared planner's join
-  // order: either the anchor (`?x <p> <o>`) drives and the open pattern is
-  // range-scanned per subject, or — when the open pattern is the more
-  // selective side — it drives and the anchor becomes a binary-search 0/1
-  // membership probe per row.
-  const std::vector<size_t>& order = plan_order;
-  const TriplePatternNode* first = &triples[order[0]];
-  const TriplePatternNode* second =
-      triples.size() == 2 ? &triples[order[1]] : nullptr;
-  auto is_anchor = [](const TriplePatternNode* t) {
-    return t->s.is_var && !t->p.is_var && !t->o.is_var;
-  };
-  if (second != nullptr && !is_anchor(first) && !is_anchor(second)) {
-    return std::nullopt;  // no selective anchor on either side
-  }
-
-  const rdf::Dictionary& dict = store->dict();
   std::vector<std::string> columns = q.vars;
   for (const Aggregate& a : q.aggregates) columns.push_back(a.as);
   ResultTable table(columns);
   if (stats != nullptr) ++stats->fast_path_hits;
 
-  // Builds one output row from a group key and its accumulator, matching
-  // the materializing path's projection (key vars from the key, counts as
-  // integer literals).
-  auto emit_row = [&](const std::vector<TermId>& key, const GroupAcc& acc) {
+  auto emit_row = [&](const std::vector<TermId>& key, size_t count,
+                      const std::vector<size_t>& distinct) {
     ResultTable::Row row;
     for (const std::string& v : q.vars) {
-      size_t j = static_cast<size_t>(
+      const size_t j = static_cast<size_t>(
           std::find(q.group_by.begin(), q.group_by.end(), v) -
           q.group_by.begin());
-      if (acc.count == 0 || key[j] == kInvalidTermId) {
-        row.push_back(std::nullopt);
-      } else {
-        row.push_back(dict.Get(key[j]));
-      }
+      row.push_back(dict.Get(key[j]));
     }
     for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-      int64_t n = 0;
-      switch (modes[ai]) {
-        case AggMode::kCountRows:
-          n = static_cast<int64_t>(acc.count);
-          break;
-        case AggMode::kOne:
-          n = acc.count > 0 ? 1 : 0;
-          break;
-        case AggMode::kDistinctSet:
-          n = static_cast<int64_t>(acc.sets[set_index[ai]].size());
-          break;
-        case AggMode::kDistinctGlobal:
-          n = 0;  // filled by the caller branch below
-          break;
-      }
-      row.push_back(Term::IntLiteral(n));
+      size_t n = count;
+      if (modes[ai] == AggMode::kOne) n = 1;  // emitted groups are non-empty
+      if (modes[ai] == AggMode::kSet) n = distinct[set_of_agg[ai]];
+      row.push_back(Term::IntLiteral(static_cast<int64_t>(n)));
     }
     table.AddRow(std::move(row));
   };
 
-  // Emits the no-matches result: with no GROUP BY there is still one global
-  // group (all counts zero), otherwise the table stays empty.
-  auto emit_empty = [&]() {
-    if (!q.group_by.empty()) return;
-    GroupAcc acc;
-    acc.sets.resize(num_sets);
-    emit_row({}, acc);
-  };
-
-  // Emits accumulated groups in ascending key order — the exact order the
-  // materializing path's sorted group emission produces. Every walking
-  // branch funnels through here so the parity contract has one home.
-  auto emit_groups = [&](const GroupMap& groups) {
-    if (groups.empty()) {
-      emit_empty();
-      return;
-    }
-    std::vector<const std::pair<const std::vector<TermId>, GroupAcc>*> sorted;
-    sorted.reserve(groups.size());
-    for (const auto& entry : groups) sorted.push_back(&entry);
-    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
-      return a->first < b->first;
-    });
-    for (const auto* entry : sorted) emit_row(entry->first, entry->second);
-  };
-
-  // ---------------- single pattern ----------------
-  if (triples.size() == 1) {
-    PatternConsts consts = ResolveConsts(*first, dict);
-    rdf::TriplePattern probe;
-    probe.s = first->s.is_var ? kInvalidTermId : consts.s;
-    probe.p = first->p.is_var ? kInvalidTermId : consts.p;
-    probe.o = first->o.is_var ? kInvalidTermId : consts.o;
-    const size_t total = consts.missing ? 0 : store->Count(probe);
+  // Shortcut: a single-pattern global count is index arithmetic alone.
+  const WalkStep& first = steps.front();
+  if (steps.size() == 1 && key_slots.empty()) {
+    constexpr TriplePos kPos[3] = {TriplePos::kS, TriplePos::kP,
+                                   TriplePos::kO};
+    const rdf::TriplePattern probe{first.consts.s, first.consts.p,
+                                   first.consts.o};
+    const size_t total = first.consts.missing ? 0 : store->Count(probe);
     Charge(stats, total);
-
-    if (q.group_by.empty()) {
-      // Pure index arithmetic: no walk at all.
-      ResultTable::Row row;
-      for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-        int64_t n = 0;
-        switch (modes[ai]) {
-          case AggMode::kCountRows:
-            n = static_cast<int64_t>(total);
-            break;
-          case AggMode::kDistinctGlobal: {
-            const std::string& v = *q.aggregates[ai].var;
-            n = consts.missing
-                    ? 0
-                    : static_cast<int64_t>(
-                          store->CountDistinct(probe, var_at[v].pos));
-            break;
-          }
-          case AggMode::kOne:
-          case AggMode::kDistinctSet:
-            n = 0;  // unreachable: no group key, no multi-var distinct here
-            break;
-        }
-        row.push_back(Term::IntLiteral(n));
-      }
-      table.AddRow(std::move(row));
-      return table;
+    std::vector<size_t> distinct;
+    for (size_t slot : set_slots) {
+      const int j = static_cast<int>(
+          std::find(first.slot, first.slot + 3, static_cast<int>(slot)) -
+          first.slot);
+      distinct.push_back(total == 0 ? 0 : store->CountDistinct(probe, kPos[j]));
     }
-
-    if (total == 0) {
-      emit_empty();
-      return table;
-    }
-
-    // Grouped-count primitive: `?s <p> ?o GROUP BY ?o` walks the POS
-    // sub-range boundaries — one (object, count) pair per class, no
-    // per-triple work, already in ascending key order.
-    const bool boundary_shape =
-        first->s.is_var && !first->p.is_var && first->o.is_var &&
-        q.group_by.size() == 1 && q.group_by[0] == first->o.var &&
-        std::all_of(modes.begin(), modes.end(), [](AggMode m) {
-          return m == AggMode::kCountRows || m == AggMode::kOne;
-        });
-    if (boundary_shape) {
-      for (const auto& [o, n] : store->GroupedCountByObject(probe.p)) {
-        GroupAcc acc;
-        acc.count = n;
-        emit_row({o}, acc);
-      }
-      return table;
-    }
-
-    // Generic grouped walk: accumulate counters per TermId key, then sort
-    // keys to match the materializing path's map order. Still no binding
-    // rows — only counters and (when needed) id sets.
-    std::vector<TriplePos> key_pos;
-    for (const std::string& g : q.group_by) key_pos.push_back(var_at[g].pos);
-    GroupMap groups;
-    std::vector<TriplePos> set_pos(num_sets);
-    for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-      if (modes[ai] == AggMode::kDistinctSet) {
-        set_pos[set_index[ai]] = var_at[*q.aggregates[ai].var].pos;
-      }
-    }
-    store->Match(probe, [&](const rdf::Triple& t) {
-      std::vector<TermId> key;
-      key.reserve(key_pos.size());
-      for (TriplePos kp : key_pos) key.push_back(IdAt(t, kp));
-      GroupAcc& acc = groups[std::move(key)];
-      if (acc.sets.size() != num_sets) acc.sets.resize(num_sets);
-      ++acc.count;
-      for (size_t si = 0; si < num_sets; ++si) {
-        acc.sets[si].insert(IdAt(t, set_pos[si]));
-      }
-      return true;
-    });
-    emit_groups(groups);
+    emit_row({}, total, distinct);
     return table;
   }
 
-  // --------------- anchor join: ?x <pa> <oa> . ?x ?p ?o ---------------
-  //
-  // Mirror case first: when the planner evaluates the *open* pattern
-  // before the anchor (the open side is more selective), walk the open
-  // pattern's range and turn the anchor into a binary-search membership
-  // probe per row. All keys and distinct vars live on the open pattern
-  // (the anchor only carries the shared subject), so one walk suffices.
-  if (!is_anchor(first)) {
-    PatternConsts cd = ResolveConsts(*first, dict);   // open driver
-    PatternConsts ca = ResolveConsts(*second, dict);  // anchor probe
-    rdf::TriplePattern driver;
-    driver.p = first->p.is_var ? kInvalidTermId : cd.p;
-    driver.o = first->o.is_var ? kInvalidTermId : cd.o;
-    const size_t count_d = cd.missing ? 0 : store->Count(driver);
-    Charge(stats, count_d);
-    if (count_d == 0 || ca.missing) {
-      emit_empty();
-      return table;
+  // Shortcut: `?s <p> ?o GROUP BY ?o` walks the POS sub-range boundaries,
+  // one (object, count) pair per group, already in ascending key order.
+  if (steps.size() == 1 && first.slot[0] >= 0 && first.slot[1] < 0 &&
+      first.slot[2] >= 0 && key_slots.size() == 1 &&
+      key_slots[0] == static_cast<size_t>(first.slot[2]) &&
+      set_slots.empty()) {
+    if (first.consts.missing) return table;
+    for (const auto& [o, n] : store->GroupedCountByObject(first.consts.p)) {
+      Charge(stats, n);
+      emit_row({o}, n, {});
     }
-    std::vector<TriplePos> key_pos;
-    for (const std::string& g : q.group_by) key_pos.push_back(var_at[g].pos);
-    std::vector<TriplePos> set_pos(num_sets);
-    for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-      if (modes[ai] == AggMode::kDistinctSet) {
-        set_pos[set_index[ai]] = var_at[*q.aggregates[ai].var].pos;
-      }
-    }
-    GroupMap groups;
-    size_t ext = 0;
-    store->Match(driver, [&](const rdf::Triple& td) {
-      rdf::TriplePattern member;
-      member.s = td.s;
-      member.p = ca.p;
-      member.o = ca.o;
-      if (store->Count(member) == 0) return true;  // subject not anchored
-      ++ext;
-      std::vector<TermId> key;
-      key.reserve(key_pos.size());
-      for (TriplePos kp : key_pos) key.push_back(IdAt(td, kp));
-      GroupAcc& acc = groups[std::move(key)];
-      if (acc.sets.size() != num_sets) acc.sets.resize(num_sets);
-      ++acc.count;
-      for (size_t si = 0; si < num_sets; ++si) {
-        acc.sets[si].insert(IdAt(td, set_pos[si]));
-      }
-      return true;
-    });
-    Charge(stats, ext);
-    emit_groups(groups);
     return table;
   }
 
-  const TriplePatternNode* anchor = first;
-  const TriplePatternNode* other = second;
-  PatternConsts ca = ResolveConsts(*anchor, dict);
-  PatternConsts cb = ResolveConsts(*other, dict);
-  rdf::TriplePattern probe_a;
-  probe_a.p = ca.p;
-  probe_a.o = ca.o;
-  const size_t count_a = ca.missing ? 0 : store->Count(probe_a);
-  Charge(stats, count_a);
-  if (count_a == 0 || cb.missing) {
-    emit_empty();
-    return table;
-  }
-
-  const TermId pb = other->p.is_var ? kInvalidTermId : cb.p;
-  const TermId ob = other->o.is_var ? kInvalidTermId : cb.o;
-
-  // Arithmetic shortcut: a global count whose aggregates only need per-
-  // anchor match counts (plus "anchors with >= 1 match" for DISTINCT of
-  // the shared subject) is O(|anchor| log n) — one range count per anchor
-  // subject, no inner walk.
-  bool arithmetic = q.group_by.empty();
-  for (size_t ai = 0; ai < q.aggregates.size() && arithmetic; ++ai) {
-    if (modes[ai] == AggMode::kCountRows) continue;
-    if (modes[ai] == AggMode::kDistinctSet &&
-        *q.aggregates[ai].var == shared_subject) {
-      continue;
+  // The walk. Cursors live in `spans`/`pos`, one per step, so the stack
+  // depth does not grow with the number of patterns.
+  const size_t n = steps.size();
+  bool iterate_last = false;
+  for (int j = 0; j < 3; ++j) {
+    const int slot = steps.back().slot[j];
+    if (steps.back().binds[j] && (is_key[static_cast<size_t>(slot)] ||
+                                  is_set[static_cast<size_t>(slot)])) {
+      iterate_last = true;
     }
-    arithmetic = false;
   }
-  if (arithmetic) {
-    size_t ext = 0;
-    size_t anchors_with_match = 0;
-    store->Match(probe_a, [&](const rdf::Triple& ta) {
-      rdf::TriplePattern pbq;
-      pbq.s = ta.s;
-      pbq.p = pb;
-      pbq.o = ob;
-      size_t n = store->Count(pbq);
-      ext += n;
-      if (n > 0) ++anchors_with_match;
-      return true;
-    });
-    Charge(stats, ext);
-    ResultTable::Row row;
-    for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-      int64_t n = modes[ai] == AggMode::kCountRows
-                      ? static_cast<int64_t>(ext)
-                      : static_cast<int64_t>(anchors_with_match);
-      row.push_back(Term::IntLiteral(n));
-    }
-    table.AddRow(std::move(row));
-    return table;
-  }
-
-  // Grouped walk over the join: for each anchor subject, scan its SPO
-  // range (optionally keyed by a constant predicate) and bump per-group
-  // counters. No binding rows are materialized.
-  std::vector<TriplePos> key_pos;
-  std::vector<bool> key_is_subject;
-  for (const std::string& g : q.group_by) {
-    key_is_subject.push_back(g == shared_subject);
-    key_pos.push_back(var_at[g].pos);
-  }
-  size_t num_set_aggs = num_sets;
-  std::vector<TriplePos> set_pos(num_set_aggs);
-  std::vector<bool> set_is_subject(num_set_aggs, false);
-  for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-    if (modes[ai] != AggMode::kDistinctSet) continue;
-    const std::string& v = *q.aggregates[ai].var;
-    set_is_subject[set_index[ai]] = v == shared_subject;
-    set_pos[set_index[ai]] = var_at[v].pos;
-  }
+  std::vector<TermId> vals(vars.size(), kInvalidTermId);
+  using GroupMap = std::unordered_map<std::vector<TermId>, GroupAcc, IdVecHash>;
   GroupMap groups;
-  size_t ext = 0;
-  store->Match(probe_a, [&](const rdf::Triple& ta) {
-    rdf::TriplePattern pbq;
-    pbq.s = ta.s;
-    pbq.p = pb;
-    pbq.o = ob;
-    store->Match(pbq, [&](const rdf::Triple& tb) {
-      ++ext;
-      std::vector<TermId> key;
-      key.reserve(key_pos.size());
-      for (size_t ki = 0; ki < key_pos.size(); ++ki) {
-        key.push_back(key_is_subject[ki] ? ta.s : IdAt(tb, key_pos[ki]));
+  GroupAcc global;
+  global.sets.resize(set_slots.size());
+  std::vector<TermId> key(key_slots.size());
+  auto add = [&](size_t count) {
+    GroupAcc* acc = &global;
+    if (!key_slots.empty()) {
+      for (size_t ki = 0; ki < key_slots.size(); ++ki) {
+        key[ki] = vals[key_slots[ki]];
       }
-      GroupAcc& acc = groups[std::move(key)];
-      if (acc.sets.size() != num_set_aggs) acc.sets.resize(num_set_aggs);
-      ++acc.count;
-      for (size_t si = 0; si < num_set_aggs; ++si) {
-        acc.sets[si].insert(set_is_subject[si] ? ta.s : IdAt(tb, set_pos[si]));
-      }
-      return true;
-    });
-    return true;
-  });
-  Charge(stats, ext);
-  emit_groups(groups);
-  return table;
-}
-
-// ---------------------------------------------- star/range pushdown
-
-/// Recognizes the 3-pattern star/range shape the extraction profiler
-/// issues — `?s <pa> <oa> . ?s ?p ?o . ?o <pc> ?rc` (the `?p ?rc`
-/// range-class query; the open pattern's predicate may also be constant)
-/// — and answers it by walking TripleStore sub-range spans: the anchor's
-/// POS range, each subject's SPO span, each object's type span. No
-/// binding rows are materialized. Charged intermediate_bindings equal the
-/// materializing path's by construction: the walk follows the shared plan
-/// order (anchor, open, chain) and bails out for any other order.
-std::optional<ResultTable> TryStarPushdown(const SelectQuery& q,
-                                           const rdf::TripleStore* store,
-                                           const std::vector<size_t>& plan_order,
-                                           ExecStats* stats) {
-  const GroupGraphPattern& where = q.where;
-  if (q.form != QueryForm::kSelect || q.select_all) return std::nullopt;
-  if (q.aggregates.empty()) return std::nullopt;
-  if (!where.filters.empty() || !where.optionals.empty() ||
-      !where.unions.empty()) {
-    return std::nullopt;
-  }
-  const std::vector<TriplePatternNode>& triples = where.triples;
-  if (triples.size() != 3) return std::nullopt;
-
-  auto is_anchor = [](const TriplePatternNode& t) {
-    return t.s.is_var && !t.p.is_var && !t.o.is_var;
-  };
-  auto is_open = [](const TriplePatternNode& t) {
-    return t.s.is_var && t.o.is_var;  // predicate var or constant
-  };
-  auto is_chain = [](const TriplePatternNode& t) {
-    return t.s.is_var && !t.p.is_var && t.o.is_var;
-  };
-  int ia = -1, ib = -1, ic = -1;
-  for (int a = 0; a < 3 && ia < 0; ++a) {
-    if (!is_anchor(triples[static_cast<size_t>(a)])) continue;
-    for (int b = 0; b < 3; ++b) {
-      if (b == a || !is_open(triples[static_cast<size_t>(b)])) continue;
-      if (triples[static_cast<size_t>(b)].s.var !=
-          triples[static_cast<size_t>(a)].s.var) {
-        continue;
-      }
-      const int c = 3 - a - b;
-      if (!is_chain(triples[static_cast<size_t>(c)])) continue;
-      if (triples[static_cast<size_t>(c)].s.var !=
-          triples[static_cast<size_t>(b)].o.var) {
-        continue;
-      }
-      ia = a;
-      ib = b;
-      ic = c;
-      break;
+      acc = &groups[key];
+      acc->sets.resize(set_slots.size());
     }
-  }
-  if (ia < 0) return std::nullopt;
-  const TriplePatternNode& A = triples[static_cast<size_t>(ia)];
-  const TriplePatternNode& B = triples[static_cast<size_t>(ib)];
-  const TriplePatternNode& C = triples[static_cast<size_t>(ic)];
-
-  // All variable names distinct: s, (p), o, rc. Repeats have consistency
-  // semantics this walk does not model.
-  const std::string& vs = A.s.var;
-  const std::string& vo = B.o.var;
-  const std::string& vrc = C.o.var;
-  std::set<std::string> names{vs, vo, vrc};
-  if (names.size() != 3) return std::nullopt;
-  std::string vp;
-  if (B.p.is_var) {
-    vp = B.p.var;
-    if (!names.insert(vp).second) return std::nullopt;
-  }
-
-  // The walk charges anchor -> open -> chain; any other planned order
-  // charges differently, so only this one is eligible.
-  if (plan_order.size() != 3 || plan_order[0] != static_cast<size_t>(ia) ||
-      plan_order[1] != static_cast<size_t>(ib) ||
-      plan_order[2] != static_cast<size_t>(ic)) {
-    return std::nullopt;
-  }
-
-  // Where each variable's value lives in one emitted join row.
-  enum class Src { kS, kP, kO, kRC };
-  auto src_of = [&](const std::string& name) -> std::optional<Src> {
-    if (name == vs) return Src::kS;
-    if (!vp.empty() && name == vp) return Src::kP;
-    if (name == vo) return Src::kO;
-    if (name == vrc) return Src::kRC;
-    return std::nullopt;
+    acc->count += count;
+    for (size_t si = 0; si < set_slots.size(); ++si) {
+      acc->sets[si].insert(vals[set_slots[si]]);
+    }
   };
 
-  // Key and projection checks, as in the 2-pattern fast path.
-  for (const std::string& g : q.group_by) {
-    if (!src_of(g).has_value()) return std::nullopt;
-  }
-  for (const std::string& v : q.vars) {
-    if (std::find(q.group_by.begin(), q.group_by.end(), v) ==
-        q.group_by.end()) {
-      return std::nullopt;
+  size_t charged = 0;
+  std::vector<rdf::TripleSpan> spans(n);
+  std::vector<size_t> pos(n, 0);
+  auto open = [&](size_t k) {
+    const WalkStep& st = steps[k];
+    spans[k] = {};
+    pos[k] = 0;
+    if (!st.consts.missing) {
+      TermId ids[3] = {st.consts.s, st.consts.p, st.consts.o};
+      for (int j = 0; j < 3; ++j) {
+        if (st.slot[j] >= 0) {
+          ids[j] = st.binds[j] ? kInvalidTermId
+                               : vals[static_cast<size_t>(st.slot[j])];
+        }
+      }
+      spans[k] = store->Span(rdf::TriplePattern{ids[0], ids[1], ids[2]});
+      charged += spans[k].size;
     }
-  }
-  std::set<std::string> nonkey;
-  for (const std::string& n : names) {
-    if (std::find(q.group_by.begin(), q.group_by.end(), n) ==
-        q.group_by.end()) {
-      nonkey.insert(n);
+    if (k + 1 == n && !iterate_last) {
+      if (spans[k].size > 0) add(spans[k].size);
+      pos[k] = spans[k].size;
     }
-  }
-
-  std::vector<AggMode> modes;
-  std::vector<size_t> set_index(q.aggregates.size(), 0);
-  size_t num_sets = 0;
-  for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-    const Aggregate& a = q.aggregates[ai];
-    if (!a.var.has_value()) {
-      modes.push_back(AggMode::kCountRows);
+  };
+  open(0);
+  size_t k = 0;
+  for (;;) {
+    if (pos[k] == spans[k].size) {
+      if (k == 0) break;
+      ++pos[--k];
       continue;
     }
-    if (!src_of(*a.var).has_value()) return std::nullopt;
-    if (!a.distinct) {
-      modes.push_back(AggMode::kCountRows);
-      continue;
+    const rdf::Triple& t = spans[k].data[pos[k]];
+    const TermId ids[3] = {t.s, t.p, t.o};
+    for (int j = 0; j < 3; ++j) {
+      if (steps[k].binds[j]) {
+        vals[static_cast<size_t>(steps[k].slot[j])] = ids[j];
+      }
     }
-    const bool is_key = std::find(q.group_by.begin(), q.group_by.end(),
-                                  *a.var) != q.group_by.end();
-    if (is_key) {
-      modes.push_back(AggMode::kOne);
-    } else if (nonkey.size() == 1 && *nonkey.begin() == *a.var) {
-      // Join rows are distinct (s, p, o, rc) tuples, so with every other
-      // variable in the key the sole non-key var is distinct per row.
-      modes.push_back(AggMode::kCountRows);
+    if (k + 1 == n) {
+      add(1);
+      ++pos[k];
     } else {
-      modes.push_back(AggMode::kDistinctSet);
-      set_index[ai] = num_sets++;
+      open(++k);
     }
   }
+  Charge(stats, charged);
 
-  const rdf::Dictionary& dict = store->dict();
-  PatternConsts ca = ResolveConsts(A, dict);
-  PatternConsts cb = ResolveConsts(B, dict);
-  PatternConsts cc = ResolveConsts(C, dict);
-
-  std::vector<std::string> columns = q.vars;
-  for (const Aggregate& a : q.aggregates) columns.push_back(a.as);
-  ResultTable table(columns);
-  if (stats != nullptr) ++stats->fast_path_hits;
-
-  std::vector<Src> key_src;
-  for (const std::string& g : q.group_by) key_src.push_back(*src_of(g));
-  std::vector<Src> set_src(num_sets, Src::kS);
-  for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-    if (modes[ai] == AggMode::kDistinctSet) {
-      set_src[set_index[ai]] = *src_of(*q.aggregates[ai].var);
-    }
+  if (key_slots.empty()) {
+    std::vector<size_t> distinct;
+    for (const auto& s : global.sets) distinct.push_back(s.size());
+    emit_row({}, global.count, distinct);
+    return table;
   }
-
-  auto emit_row = [&](const std::vector<TermId>& key, const GroupAcc& acc) {
-    ResultTable::Row row;
-    for (const std::string& v : q.vars) {
-      size_t j = static_cast<size_t>(
-          std::find(q.group_by.begin(), q.group_by.end(), v) -
-          q.group_by.begin());
-      if (acc.count == 0 || key[j] == kInvalidTermId) {
-        row.push_back(std::nullopt);
-      } else {
-        row.push_back(dict.Get(key[j]));
-      }
-    }
-    for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
-      int64_t n = 0;
-      switch (modes[ai]) {
-        case AggMode::kCountRows:
-          n = static_cast<int64_t>(acc.count);
-          break;
-        case AggMode::kOne:
-          n = acc.count > 0 ? 1 : 0;
-          break;
-        case AggMode::kDistinctSet:
-          n = static_cast<int64_t>(acc.sets[set_index[ai]].size());
-          break;
-        case AggMode::kDistinctGlobal:
-          n = 0;  // unreachable: the star walk never derives this mode
-          break;
-      }
-      row.push_back(Term::IntLiteral(n));
-    }
-    table.AddRow(std::move(row));
-  };
-  auto emit_empty = [&]() {
-    if (!q.group_by.empty()) return;
-    GroupAcc acc;
-    acc.sets.resize(num_sets);
-    emit_row({}, acc);
-  };
-  auto emit_groups = [&](const GroupMap& groups) {
-    if (groups.empty()) {
-      emit_empty();
-      return;
-    }
-    std::vector<const std::pair<const std::vector<TermId>, GroupAcc>*> sorted;
-    sorted.reserve(groups.size());
-    for (const auto& entry : groups) sorted.push_back(&entry);
-    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
-      return a->first < b->first;
-    });
-    for (const auto* entry : sorted) emit_row(entry->first, entry->second);
-  };
-
-  // The walk. Charging replays the materializing path's three steps: the
-  // anchor range, then per-subject open spans, then per-row type spans —
-  // with the same early exits (a missing constant or an empty step stops
-  // the charging exactly where the join loop would have emptied out).
-  GroupMap groups;
-  if (!ca.missing) {
-    rdf::TriplePattern pa;
-    pa.p = ca.p;
-    pa.o = ca.o;
-    rdf::TripleSpan span_a = store->Span(pa);
-    Charge(stats, span_a.size);
-    if (span_a.size > 0 && !cb.missing) {
-      size_t rows_b = 0;
-      for (const rdf::Triple& ta : span_a) {
-        rdf::TriplePattern pb;
-        pb.s = ta.s;
-        pb.p = B.p.is_var ? kInvalidTermId : cb.p;
-        rdf::TripleSpan span_b = store->Span(pb);
-        rows_b += span_b.size;
-        if (cc.missing) continue;
-        for (const rdf::Triple& tb : span_b) {
-          rdf::TriplePattern pc;
-          pc.s = tb.o;
-          pc.p = cc.p;
-          rdf::TripleSpan span_c = store->Span(pc);
-          Charge(stats, span_c.size);
-          for (const rdf::Triple& tc : span_c) {
-            auto value_of = [&](Src src) {
-              switch (src) {
-                case Src::kS:
-                  return ta.s;
-                case Src::kP:
-                  return tb.p;
-                case Src::kO:
-                  return tb.o;
-                case Src::kRC:
-                  return tc.o;
-              }
-              return kInvalidTermId;
-            };
-            std::vector<TermId> key;
-            key.reserve(key_src.size());
-            for (Src ks : key_src) key.push_back(value_of(ks));
-            GroupAcc& acc = groups[std::move(key)];
-            if (acc.sets.size() != num_sets) acc.sets.resize(num_sets);
-            ++acc.count;
-            for (size_t si = 0; si < num_sets; ++si) {
-              acc.sets[si].insert(value_of(set_src[si]));
-            }
-          }
-        }
-      }
-      Charge(stats, rows_b);
-    }
+  // Ascending key order, as the materializing path's sorted group emission.
+  std::vector<const GroupMap::value_type*> sorted;
+  sorted.reserve(groups.size());
+  for (const auto& entry : groups) sorted.push_back(&entry);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : sorted) {
+    std::vector<size_t> distinct;
+    for (const auto& s : entry->second.sets) distinct.push_back(s.size());
+    emit_row(entry->first, entry->second.count, distinct);
   }
-  emit_groups(groups);
   return table;
 }
 
@@ -1721,18 +1275,12 @@ Result<ResultTable> Executor::Execute(const SelectQuery& q,
 Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
                                              const QueryPlan& plan,
                                              ExecStats* stats) const {
-  const std::vector<size_t>& top_order = plan.groups.front().order;
-
-  // Pushdown fast paths: the count-query family by index range arithmetic,
-  // then the 3-pattern star/range shape by sub-range span walks; ordinary
-  // solution modifiers run on top. Falls through to the materializing path
-  // for everything outside the recognized families.
+  // Count pushdown: a COUNT over a plain BGP is answered by a span walk in
+  // the planned order; ordinary solution modifiers run on top. Everything
+  // else falls through to the materializing path.
   if (options_.aggregate_pushdown) {
     std::optional<ResultTable> fast =
-        TryAggregatePushdown(q, store_, top_order, stats);
-    if (!fast.has_value() && options_.star_pushdown) {
-      fast = TryStarPushdown(q, store_, top_order, stats);
-    }
+        TryCountPushdown(q, store_, plan.groups.front().order, stats);
     if (fast.has_value()) {
       if (q.distinct) ApplyTermDistinct(&*fast);
       ApplyOrderBy(q, &*fast);

@@ -17,9 +17,9 @@ namespace hbold::sparql {
 /// (cost proportional to scanned/produced bindings) and by the differential
 /// fast-path tests.
 ///
-/// `intermediate_bindings` is a *modeled* cost: the pushdown fast paths
-/// charge exactly the bindings the materializing path would have produced
-/// (computed by index range arithmetic), and the hash join emits exactly
+/// `intermediate_bindings` is a *modeled* cost: the count pushdown charges
+/// exactly the bindings the materializing path would have produced (the
+/// sizes of the index spans it opens), and the hash join emits exactly
 /// the rows the nested index-loop would have, so simulated endpoint
 /// latencies and work-budget decisions are bit-identical whichever
 /// physical plan ran.
@@ -31,7 +31,7 @@ namespace hbold::sparql {
 struct ExecStats {
   size_t intermediate_bindings = 0;  // rows produced across all BGP steps
   size_t result_rows = 0;
-  size_t fast_path_hits = 0;  // queries answered by aggregate/star pushdown
+  size_t fast_path_hits = 0;  // queries answered by the count pushdown
   size_t rows_avoided = 0;    // binding rows never materialized by pushdown
   size_t plan_cache_hits = 0;    // plan served from the cross-query cache
   size_t plan_cache_misses = 0;  // plan computed (and cached) this query
@@ -65,9 +65,10 @@ class ParsedQuery {
 /// Evaluates SELECT queries against a TripleStore.
 ///
 /// Evaluation strategy: the cost-based planner (sparql/planner.h) fixes a
-/// join order and a physical operator per step; a pushdown layer first
-/// tries to answer the count-query family and the 3-pattern star/range
-/// shape with index arithmetic / sub-range span walks. Otherwise triple
+/// join order and a physical operator per step. A COUNT over a plain BGP
+/// is answered by the count pushdown: one walk over TripleStore spans in
+/// the planned order that counts solutions per group instead of
+/// materializing them. Otherwise triple
 /// patterns evaluate in planned order — nested index-loops or
 /// order-preserving hash joins — extending a binding table; FILTERs run as
 /// soon as their variables are bound; OPTIONALs are left joins; UNION

@@ -30,14 +30,11 @@ struct ExecOptions {
   /// statistics + index range counts) before evaluation. Off = evaluate in
   /// the order the query wrote them.
   bool greedy_join_order = true;
-  /// Route COUNT / COUNT(DISTINCT) / grouped-count queries to the store's
-  /// index-arithmetic primitives instead of materializing binding rows.
+  /// Answer COUNT / COUNT(DISTINCT) / grouped-count queries over a plain
+  /// BGP by walking TripleStore spans in the planned order and counting,
+  /// instead of materializing binding rows. Off = the materializing
+  /// reference the differential suites compare against.
   bool aggregate_pushdown = true;
-  /// Push the 3-pattern star/range shape (the `?p ?rc` range-class query:
-  /// anchor + open star + object-type chain) down to TripleStore sub-range
-  /// span walks instead of materializing binding rows. Only consulted when
-  /// aggregate_pushdown is also on.
-  bool star_pushdown = true;
   /// Apply a FILTER as soon as every variable it mentions is bound inside
   /// the BGP join loop, instead of only after the whole group is joined.
   bool filter_pushdown = true;
@@ -112,8 +109,8 @@ double EstimateCardinality(const TriplePatternNode& t, const PatternConsts& c,
 /// variable avoids cartesian products on triangle and chain patterns), then
 /// ascending cardinality estimate, ties broken by written position. The
 /// order depends only on the pattern list — not on row values — so the
-/// pushdown fast paths call the same function to stay accounting-identical
-/// with the materializing path.
+/// count pushdown walks the same plan and stays accounting-identical with
+/// the materializing path.
 std::vector<size_t> PlanOrder(const std::vector<TriplePatternNode>& triples,
                               const ExecOptions& options,
                               const rdf::TripleStore* store);

@@ -498,6 +498,20 @@ SELECT ?n WHERE { ?p foaf:age ?n . } ORDER BY ?n LIMIT 1 OFFSET 1)");
   EXPECT_EQ(t.Cell(0, "n")->lexical(), "30");
 }
 
+TEST_F(SparqlTest, LimitNearSizeMaxWithOffsetKeepsTheRest) {
+  // OFFSET + LIMIT overflows size_t here; the slice is still "skip one,
+  // keep the other four", with and without ORDER BY.
+  const std::string select =
+      std::string(kPrefixes) + "SELECT ?n WHERE { ?s foaf:name ?n . }";
+  const std::string slice =
+      " LIMIT " + std::to_string(std::numeric_limits<size_t>::max()) +
+      " OFFSET 1";
+  EXPECT_EQ(Run(select + slice).num_rows(), 4u);
+  ResultTable ordered = Run(select + " ORDER BY ?n" + slice);
+  ASSERT_EQ(ordered.num_rows(), 4u);
+  EXPECT_EQ(ordered.Cell(0, "n")->lexical(), "Bob");
+}
+
 TEST_F(SparqlTest, SelectStarProjectsAllVars) {
   ResultTable t = Run(std::string(kPrefixes) +
                       "SELECT * WHERE { ?p foaf:knows ?q . }");
