@@ -26,23 +26,19 @@ struct QueryOutcome {
 /// describe which machinery answered queries, never how much simulated
 /// work was charged, so they are reported next to wall-clock numbers and
 /// excluded from every canonical accounting contract (concurrent batches
-/// make the hit/miss split timing-dependent).
+/// make the hit/miss split timing-dependent). Every field is a monotonic
+/// counter, so the difference of two readings is the activity between them.
 struct QueryEngineStats {
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_invalidations = 0;
   uint64_t hash_join_builds = 0;
-  /// Current plan-cache capacity (entries). When capacity adapts to the
-  /// endpoint's corpus size this reports the chosen value; summing across
-  /// endpoints yields the fleet's total cache budget.
-  uint64_t plan_cache_capacity = 0;
 
   QueryEngineStats& operator+=(const QueryEngineStats& o) {
     plan_cache_hits += o.plan_cache_hits;
     plan_cache_misses += o.plan_cache_misses;
     plan_cache_invalidations += o.plan_cache_invalidations;
     hash_join_builds += o.hash_join_builds;
-    plan_cache_capacity += o.plan_cache_capacity;
     return *this;
   }
   QueryEngineStats operator-(const QueryEngineStats& o) const {
@@ -52,7 +48,6 @@ struct QueryEngineStats {
     d.plan_cache_invalidations =
         plan_cache_invalidations - o.plan_cache_invalidations;
     d.hash_join_builds = hash_join_builds - o.hash_join_builds;
-    d.plan_cache_capacity = plan_cache_capacity - o.plan_cache_capacity;
     return d;
   }
 };

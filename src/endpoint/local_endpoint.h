@@ -49,19 +49,12 @@ class LocalEndpoint : public SparqlEndpoint {
  public:
   /// `store` must outlive the endpoint. Every endpoint owns one
   /// cross-query plan cache (keyed on query text and the store's rebuild
-  /// generation); `enable_plan_cache = false` opts out for differential
-  /// benchmarks. The cache only memoizes planning — results and charged
-  /// accounting are bit-identical either way.
+  /// generation). The cache only memoizes parsing and planning — results
+  /// and charged accounting are bit-identical to an uncached executor.
   LocalEndpoint(std::string url, std::string name,
-                const rdf::TripleStore* store, bool enable_plan_cache = true)
+                const rdf::TripleStore* store)
       : url_(std::move(url)), name_(std::move(name)), store_(store),
-        // Capacity adapted to the endpoint's corpus: sized from the store
-        // at construction, growing (bounded) if the observed query corpus
-        // outruns the guess.
-        plan_cache_(sparql::PlanCache::CapacityForStoreSize(store->size()),
-                    /*adaptive=*/true),
-        executor_(store, sparql::ExecOptions{},
-                  enable_plan_cache ? &plan_cache_ : nullptr) {
+        executor_(store, sparql::ExecOptions{}, &plan_cache_) {
     store_->FinalizeIndex();
   }
 
@@ -104,11 +97,8 @@ class LocalEndpoint : public SparqlEndpoint {
     s.plan_cache_misses = cache.misses;
     s.plan_cache_invalidations = cache.invalidations;
     s.hash_join_builds = hash_join_builds_.load(std::memory_order_relaxed);
-    s.plan_cache_capacity = cache.capacity;
     return s;
   }
-
-  const sparql::PlanCache& plan_cache() const { return plan_cache_; }
 
   /// Execution stats of the most recent completed query. Only meaningful
   /// when no other query is in flight; concurrent callers should use

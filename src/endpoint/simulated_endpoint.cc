@@ -410,7 +410,7 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
   }
   // Dialect gate on the AST the executor runs: feature rejection happens
   // before anything is planned, cached or executed, as a real server would
-  // reject at query planning time. A text-tier hit has passed this gate
+  // reject at query planning time. A plan-cache hit has passed this gate
   // already (the dialect is const, the cache per endpoint), so it is
   // neither parsed nor planned again.
   HBOLD_ASSIGN_OR_RETURN(sparql::ParsedQuery parsed, local_.Parse(query_text));

@@ -163,7 +163,7 @@ struct LatencyModel {
 ///
 /// Thread safety: Query() runs fully concurrently — the availability check
 /// is read-only, the dialect gate reads the AST the inner LocalEndpoint's
-/// Parse() step returns (its own parse, or the cached one on a text-tier
+/// Parse() step returns (its own parse, or the cached one on a plan-cache
 /// hit) before the Execute() step plans or runs anything, per-query
 /// execution stats live on the caller's stack, and the served counter is
 /// atomic. The latency the simulation *charges* is still computed from the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
@@ -13,6 +14,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -195,17 +197,29 @@ std::optional<bool> Ebv(const EvalValue& v) {
 
 // ------------------------------------------------------------ slow path
 
-/// Group pattern -> its slot in a QueryPlan, in ForEachGroup order. Built
-/// once per execution so nested groups find their (possibly cached) plans.
+/// Per-group execution artifacts: the group's slot in the QueryPlan
+/// (ForEachGroup order) plus its filters' variable sets (execution-local:
+/// plans carry no variable names). Built once per execution, so OPTIONAL
+/// groups re-evaluated once per outer row reuse them.
+struct ExecGroupPlan {
+  const GroupPlan* plan = nullptr;
+  std::vector<std::set<std::string>> filter_vars;
+};
 using GroupPlanMap =
-    std::unordered_map<const GroupGraphPattern*, const GroupPlan*>;
+    std::unordered_map<const GroupGraphPattern*, ExecGroupPlan>;
 
-GroupPlanMap BuildGroupPlanMap(const SelectQuery& q, const QueryPlan& plan) {
+GroupPlanMap BuildGroupPlanMap(const SelectQuery& q, const QueryPlan& plan,
+                               bool filter_pushdown) {
   GroupPlanMap map;
   size_t idx = 0;
   ForEachGroup(q.where, [&](const GroupGraphPattern& g) {
-    if (idx < plan.groups.size()) map.emplace(&g, &plan.groups[idx]);
-    ++idx;
+    ExecGroupPlan& entry = map[&g];
+    entry.plan = &plan.groups[idx++];
+    if (!filter_pushdown || g.triples.empty()) return;
+    entry.filter_vars.resize(g.filters.size());
+    for (size_t fi = 0; fi < g.filters.size(); ++fi) {
+      CollectExprVarNames(*g.filters[fi], &entry.filter_vars[fi]);
+    }
   });
   return map;
 }
@@ -397,22 +411,18 @@ class GroupEvaluator {
   }
 
  private:
-  /// Evaluates the BGP in PlanOrder's statistics-based order. A FILTER is
-  /// pushed into the loop as soon as every variable it mentions has been
-  /// bound by an evaluated pattern (pushed filters are marked in
-  /// `filter_done`); since later patterns, unions and optionals never
-  /// rebind a bound slot, early evaluation is equivalent to the end-of-
-  /// group evaluation and only prunes rows sooner.
+  /// Evaluates the BGP in the planned order. A FILTER is pushed into the
+  /// loop as soon as every variable it mentions has been bound by an
+  /// evaluated pattern (pushed filters are marked in `filter_done`); since
+  /// later patterns, unions and optionals never rebind a bound slot, early
+  /// evaluation is equivalent to the end-of-group evaluation and only
+  /// prunes rows sooner.
   std::vector<RowIds> EvalTriples(const GroupGraphPattern& group,
                                   std::vector<RowIds> input, size_t row_cap,
                                   std::vector<bool>* filter_done) {
     const std::vector<TriplePatternNode>& triples = group.triples;
     if (triples.empty()) return input;
-    // The plan and the filters' variable sets depend only on the group, not
-    // on row values — cache them so OPTIONAL groups (re-evaluated once per
-    // outer row) pay the planning probes once. Top-level plans typically
-    // arrive precomputed (and possibly plan-cache-served) via plan_map_.
-    const ExecGroupPlan& plan = PlanFor(group);
+    const ExecGroupPlan& plan = plan_map_->at(&group);
     const std::vector<size_t>& order = plan.plan->order;
     const std::vector<std::set<std::string>>& filter_vars = plan.filter_vars;
 
@@ -444,44 +454,6 @@ class GroupEvaluator {
       if (rows.empty()) break;
     }
     return rows;
-  }
-
-  /// Cached per-group planning artifacts: the physical plan (shared from
-  /// plan_map_ when present, else computed and owned here) plus the filter
-  /// variable sets (always execution-local: they are variable *names*, so
-  /// a cross-query cached plan — valid for any alpha-renaming — cannot
-  /// carry them).
-  struct ExecGroupPlan {
-    const GroupPlan* plan = nullptr;
-    GroupPlan owned;
-    std::vector<std::set<std::string>> filter_vars;
-  };
-
-  const ExecGroupPlan& PlanFor(const GroupGraphPattern& group) {
-    auto it = plans_.find(&group);
-    if (it != plans_.end()) return it->second;
-    ExecGroupPlan plan;
-    const GroupPlan* shared = nullptr;
-    if (plan_map_ != nullptr) {
-      auto pit = plan_map_->find(&group);
-      if (pit != plan_map_->end()) shared = pit->second;
-    }
-    const bool use_shared =
-        shared != nullptr && shared->order.size() == group.triples.size();
-    if (use_shared) {
-      plan.plan = shared;
-    } else {
-      plan.owned = PlanGroup(group, options_, store_);
-    }
-    if (options_.filter_pushdown) {
-      plan.filter_vars.resize(group.filters.size());
-      for (size_t fi = 0; fi < group.filters.size(); ++fi) {
-        CollectExprVarNames(*group.filters[fi], &plan.filter_vars[fi]);
-      }
-    }
-    ExecGroupPlan& stored = plans_.emplace(&group, std::move(plan)).first->second;
-    if (!use_shared) stored.plan = &stored.owned;
-    return stored;
   }
 
   std::vector<RowIds> FilterRows(const Expr& f, std::vector<RowIds> rows) {
@@ -781,7 +753,6 @@ class GroupEvaluator {
   ExecStats* stats_;
   ExecOptions options_;
   const GroupPlanMap* plan_map_;
-  std::unordered_map<const GroupGraphPattern*, ExecGroupPlan> plans_;
   /// Hash-join builds cached per (resolved constants, key mask) for this
   /// execution — OPTIONAL re-evaluations and distinct steps probing the
   /// same constant span with the same key shape reuse one build.
@@ -1160,19 +1131,30 @@ std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
 /// CI sanitizer runs export HBOLD_FORCE_HASH_JOIN=1 to drive every
 /// eligible join step through the hash operator across the whole test
 /// suite — results are bit-identical by construction, so only operator
-/// lifetime/memory bugs can surface.
+/// lifetime/memory bugs can surface. Any other value leaves the cost
+/// model in charge.
 bool ForceHashJoinFromEnv() {
-  static const bool forced = std::getenv("HBOLD_FORCE_HASH_JOIN") != nullptr;
-  return forced;
+  const char* env = std::getenv("HBOLD_FORCE_HASH_JOIN");
+  return env != nullptr && std::string_view(env) == "1";
 }
 
 /// HBOLD_HASH_SPILL_BUDGET=<bytes> overrides the hash-join spill threshold
 /// — sanitizer runs set a tiny budget to drive every build through the
-/// spill path (results are bit-identical by construction).
+/// spill path (results are bit-identical by construction). Only a full
+/// unsigned decimal is accepted; anything else is reported and ignored.
 bool HashSpillBudgetFromEnv(size_t* budget) {
   const char* env = std::getenv("HBOLD_HASH_SPILL_BUDGET");
-  if (env == nullptr || *env == '\0') return false;
-  *budget = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+  if (env == nullptr) return false;
+  const std::string_view text(env);
+  const char* end = text.data() + text.size();
+  size_t value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    HBOLD_LOG(kWarn) << "ignoring HBOLD_HASH_SPILL_BUDGET=\"" << text
+                     << "\": expected an unsigned decimal byte count";
+    return false;
+  }
+  *budget = value;
   return true;
 }
 
@@ -1231,38 +1213,14 @@ Result<ResultTable> Executor::Execute(const std::string& query_text,
 
 std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,
                                                        ExecStats* stats) const {
-  // Planning is a deterministic function of (query shape, store content),
-  // and a rebuilt store changes its generation, so a group plan served by
-  // the cache equals a fresh one: caching never changes results or charged
-  // accounting, only planning work.
-  if (plan_cache_ == nullptr) {
-    return std::make_shared<QueryPlan>(PlanQuery(q, options_, store_));
+  // Planning is a deterministic function of (query, store content), and a
+  // rebuilt store changes its generation, so a cached plan equals a fresh
+  // one: caching never changes results or charged accounting.
+  auto plan = std::make_shared<QueryPlan>(PlanQuery(q, options_, store_));
+  if (plan_cache_ != nullptr) {
+    plan_cache_->RecordMiss();
+    if (stats != nullptr) ++stats->plan_cache_misses;
   }
-  // A text-tier miss: the root group is planned fresh; non-root groups
-  // (OPTIONAL/UNION bodies) come from the group tier, so queries that
-  // disagree at the top level but share a sub-group — the extraction
-  // corpus's OPTIONAL label/comment tails — replan only the parts that
-  // actually differ.
-  const uint64_t generation = store_->generation();
-  auto plan = std::make_shared<QueryPlan>();
-  bool root = true;
-  ForEachGroup(q.where, [&](const GroupGraphPattern& g) {
-    if (root) {
-      root = false;
-      plan->groups.push_back(PlanGroup(g, options_, store_));
-      return;
-    }
-    const std::string gkey = NormalizeGroupKey(g);
-    std::shared_ptr<const GroupPlan> cached =
-        plan_cache_->LookupGroup(gkey, generation);
-    if (cached == nullptr) {
-      cached = std::make_shared<GroupPlan>(PlanGroup(g, options_, store_));
-      plan_cache_->InsertGroup(gkey, generation, cached);
-    }
-    plan->groups.push_back(*cached);
-  });
-  plan_cache_->RecordMiss();
-  if (stats != nullptr) ++stats->plan_cache_misses;
   return plan;
 }
 
@@ -1316,7 +1274,8 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
     }
   }
 
-  GroupPlanMap plan_map = BuildGroupPlanMap(q, plan);
+  GroupPlanMap plan_map =
+      BuildGroupPlanMap(q, plan, options_.filter_pushdown);
   GroupEvaluator evaluator(store_, &vars, stats, options_, &plan_map);
   std::vector<RowIds> rows = evaluator.Eval(
       q.where, {RowIds(vars.size(), kInvalidTermId)}, row_cap);

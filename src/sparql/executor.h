@@ -45,7 +45,7 @@ struct ExecStats {
 };
 
 /// A query text resolved to its AST: the first of Executor's two query
-/// steps. On a text-tier hit it holds the cached PreparedQuery (AST and
+/// steps. On a plan-cache hit it holds the cached PreparedQuery (AST and
 /// plan); otherwise a fresh parse, not yet planned or cached. Callers may
 /// inspect query() — the endpoints' dialect gate does — before handing it
 /// to Executor::Execute(text, parsed) with the same text.
@@ -57,9 +57,9 @@ class ParsedQuery {
 
  private:
   friend class Executor;
-  std::shared_ptr<const PreparedQuery> prepared_;  // text-tier hit
+  std::shared_ptr<const PreparedQuery> prepared_;  // plan-cache hit
   SelectQuery fresh_;        // miss: parsed, awaiting planning
-  uint64_t generation_ = 0;  // store generation the text tier was read at
+  uint64_t generation_ = 0;  // store generation the cache was read at
 };
 
 /// Evaluates SELECT queries against a TripleStore.
@@ -75,9 +75,8 @@ class ParsedQuery {
 /// concatenates the two sides' solutions. All physical paths produce
 /// bit-identical result tables and ExecStats::intermediate_bindings.
 ///
-/// `plan_cache`, when non-null, memoizes prepared queries by exact text and
-/// OPTIONAL/UNION group plans by their triple lists, both scoped to the
-/// store's rebuild generation.
+/// `plan_cache`, when non-null, memoizes prepared queries (AST + plan) by
+/// exact text, scoped to the store's rebuild generation.
 /// The cache must be dedicated to (store, options) — LocalEndpoint owns
 /// one per endpoint. Cached and freshly planned executions are
 /// bit-identical by construction (plans are deterministic functions of the
@@ -87,18 +86,17 @@ class Executor {
   explicit Executor(const rdf::TripleStore* store, ExecOptions options = {},
                     PlanCache* plan_cache = nullptr);
 
-  /// Step 1, text -> AST: the text tier's PreparedQuery when `query_text`
+  /// Step 1, text -> AST: the cached PreparedQuery when `query_text`
   /// already ran against this store generation (no parse), else a fresh
   /// parse. A fresh parse is not planned, cached or counted, so a caller
-  /// may still refuse the query by its AST; a text-tier hit (counted by
-  /// the cache here) is a text the caller accepted before.
+  /// may still refuse the query by its AST; a cache hit (counted by the
+  /// cache here) is a text the caller accepted before.
   Result<ParsedQuery> Parse(const std::string& query_text) const;
 
   /// Step 2, executes `parsed`, which Parse() built from `query_text`. A
-  /// text-tier hit runs the cached plan. Otherwise the AST is planned —
-  /// its root group fresh, its OPTIONAL/UNION bodies through the group
-  /// tier — and moved into the text tier, so repeats of the text skip both
-  /// steps' work.
+  /// cache hit runs the cached plan. Otherwise the AST is planned (counted
+  /// as one miss) and moved into the cache, so repeats of the text skip
+  /// both steps' work.
   Result<ResultTable> Execute(const std::string& query_text,
                               ParsedQuery parsed,
                               ExecStats* stats = nullptr) const;
@@ -107,17 +105,16 @@ class Executor {
   Result<ResultTable> Execute(const std::string& query_text,
                               ExecStats* stats = nullptr) const;
 
-  /// Executes an already-parsed query, planned as a text-tier miss is: the
-  /// root group fresh, OPTIONAL/UNION bodies through the group tier when a
-  /// cache is attached (counted as one miss). Nothing enters the text
-  /// tier, which is keyed by query text.
+  /// Executes an already-parsed query, planned as a cache miss is (counted
+  /// as one miss when a cache is attached). Nothing enters the cache, which
+  /// is keyed by query text.
   Result<ResultTable> Execute(const SelectQuery& query,
                               ExecStats* stats = nullptr) const;
 
   const ExecOptions& options() const { return options_; }
 
  private:
-  /// Cache lookup / planning for `q`; counts hit/miss into `stats`.
+  /// Plans `q`; with a cache attached, counts the miss into it and `stats`.
   std::shared_ptr<const QueryPlan> AcquirePlan(const SelectQuery& q,
                                                ExecStats* stats) const;
   /// Runs `q` under a fixed physical plan.

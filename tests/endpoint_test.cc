@@ -64,7 +64,7 @@ TEST_F(EndpointTest, FullDialectAllowsAggregates) {
 
 /// Sends `rejected` twice, then `accepted` twice, through `ep`. The gate
 /// refuses before the plan cache sees the query, so the refusals leave it
-/// untouched; the accepted text misses once, then is a text-tier hit that
+/// untouched; the accepted text misses once, then is a plan-cache hit that
 /// answers exactly as the first run did.
 void ExpectGateRunsBeforePlanCache(SimulatedRemoteEndpoint* ep,
                                    const std::string& rejected,

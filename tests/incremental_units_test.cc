@@ -1,18 +1,15 @@
 // Unit tests for the incremental-extraction support layers: EndpointRecord
-// JSON forward compatibility, the HexU64 codec, sampled bulk-load
-// predicate statistics, and the adaptive plan-cache capacity policy.
+// JSON forward compatibility, the HexU64 codec, and sampled bulk-load
+// predicate statistics.
 
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
 #include "common/string_util.h"
-#include "endpoint/local_endpoint.h"
 #include "endpoint/registry.h"
 #include "rdf/graph.h"
-#include "sparql/planner.h"
 
 namespace hbold {
 namespace {
@@ -139,54 +136,6 @@ TEST(SampledStatsTest, SmallLoadStaysExact) {
   EXPECT_TRUE(stats.exact);
   EXPECT_EQ(stats.distinct_subjects, 32u);
   EXPECT_EQ(stats.distinct_objects, 1u);
-}
-
-// ------------------------------------------------- adaptive plan cache
-
-TEST(AdaptivePlanCacheTest, CapacityForStoreSizeIsClampedPowerOfTwo) {
-  using sparql::PlanCache;
-  EXPECT_EQ(PlanCache::CapacityForStoreSize(0), 64u);
-  EXPECT_EQ(PlanCache::CapacityForStoreSize(1000), 64u);
-  EXPECT_EQ(PlanCache::CapacityForStoreSize(2000), 128u);  // want 125 -> 128
-  EXPECT_EQ(PlanCache::CapacityForStoreSize(size_t{1} << 30),
-            PlanCache::kMaxAdaptiveCapacity);
-}
-
-TEST(AdaptivePlanCacheTest, AdaptiveCacheGrowsInsteadOfEvicting) {
-  sparql::PlanCache adaptive(4, /*adaptive=*/true);
-  sparql::PlanCache fixed(4, /*adaptive=*/false);
-  constexpr int kQueries = 12;
-  for (int i = 0; i < kQueries; ++i) {
-    std::string text = "SELECT ?s WHERE { ?s <http://p/" +
-                       std::to_string(i) + "> ?o }";
-    auto prepared = std::make_shared<sparql::PreparedQuery>();
-    adaptive.InsertPrepared(text, 1, prepared);
-    fixed.InsertPrepared(text, 1, prepared);
-  }
-  size_t adaptive_hits = 0, fixed_hits = 0;
-  for (int i = 0; i < kQueries; ++i) {
-    std::string text = "SELECT ?s WHERE { ?s <http://p/" +
-                       std::to_string(i) + "> ?o }";
-    if (adaptive.LookupPrepared(text, 1) != nullptr) ++adaptive_hits;
-    if (fixed.LookupPrepared(text, 1) != nullptr) ++fixed_hits;
-  }
-  // The adaptive cache grew to hold the whole corpus; the fixed one shed
-  // entries to stay at capacity 4.
-  EXPECT_EQ(adaptive_hits, static_cast<size_t>(kQueries));
-  EXPECT_GE(adaptive.stats().capacity, static_cast<size_t>(kQueries));
-  EXPECT_LE(adaptive.stats().capacity, sparql::PlanCache::kMaxAdaptiveCapacity);
-  EXPECT_LT(fixed_hits, static_cast<size_t>(kQueries));
-  EXPECT_EQ(fixed.stats().capacity, 4u);
-}
-
-TEST(AdaptivePlanCacheTest, LocalEndpointSurfacesAdaptedCapacity) {
-  rdf::TripleStore store;
-  BulkLoad(&store, 2000);
-  endpoint::LocalEndpoint ep("http://l/sparql", "l", &store);
-  endpoint::QueryEngineStats stats = ep.engine_stats();
-  // 2000 triples -> capacity 128 (the CapacityForStoreSize policy above),
-  // surfaced so fleet dashboards can sum the cache budget.
-  EXPECT_EQ(stats.plan_cache_capacity, 128u);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Plan-cache lifecycle suite: text-tier hit/miss accounting, the group
-// tier for OPTIONAL/UNION bodies, rebuild-generation invalidation after
-// incremental triple loads, the stale-statistics regression (join orders must follow a
-// skewed appended batch, not a frozen snapshot), capacity eviction, and a
-// TSan-gated concurrent-readers test against one shared cache.
+// Plan-cache and planner suite: hit/miss accounting, rebuild-generation
+// invalidation after incremental triple loads, the stale-statistics
+// regression (join orders must follow a skewed appended batch, not a
+// frozen snapshot), golden PlanGroup output on a fixed store, capacity
+// eviction, and a TSan-gated concurrent-readers test against one shared
+// cache.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -92,78 +94,6 @@ TEST(PlanCacheTest, IncrementalLoadInvalidatesByGeneration) {
   EXPECT_EQ(s4.plan_cache_hits, 1u);
 }
 
-// ------------------------------------------------------------ group tier
-
-TEST(GroupTierTest, SharedOptionalBodyReplansOnce) {
-  rdf::TripleStore store = MakeSmallStore();
-  PlanCache cache;
-  Executor ex(&store, ExecOptions{}, &cache);
-
-  // Two queries that disagree at the root but share the OPTIONAL body
-  // (alias-renamed in the second — the fresh-VarCanon contract).
-  ASSERT_TRUE(ex.Execute("SELECT ?a WHERE { ?a <http://x/p> ?b . "
-                         "OPTIONAL { ?a <http://x/q> ?x . } }")
-                  .ok());
-  PlanCacheStats after_first = cache.stats();
-  EXPECT_EQ(after_first.group_misses, 1u);
-  EXPECT_EQ(after_first.group_hits, 0u);
-  EXPECT_EQ(after_first.group_entries, 1u);
-
-  ASSERT_TRUE(ex.Execute("SELECT ?s WHERE { ?s <http://x/q> ?t . "
-                         "OPTIONAL { ?s <http://x/q> ?y . } }")
-                  .ok());
-  PlanCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.group_hits, 1u) << "alias-renamed OPTIONAL body must hit";
-  EXPECT_EQ(cs.group_misses, 1u);
-  EXPECT_EQ(cs.group_entries, 1u);
-  // Whole-query accounting is untouched by the group tier: both queries
-  // were top-level misses.
-  EXPECT_EQ(cs.misses, 2u);
-  EXPECT_EQ(cs.hits, 0u);
-
-  auto reuse = cache.GroupReuseStats();
-  ASSERT_EQ(reuse.size(), 1u);
-  EXPECT_EQ(reuse[0].second, 1u);
-}
-
-TEST(GroupTierTest, UnionBranchesShareOneGroupEntry) {
-  rdf::TripleStore store = MakeSmallStore();
-  PlanCache cache;
-  Executor ex(&store, ExecOptions{}, &cache);
-
-  // Both UNION branches have the same canonical triple list, so the right
-  // branch is served from the entry the left branch just inserted.
-  ASSERT_TRUE(ex.Execute("SELECT ?s WHERE { ?s <http://x/p> ?o . "
-                         "{ ?s <http://x/q> ?w . } UNION "
-                         "{ ?s <http://x/q> ?v . } }")
-                  .ok());
-  PlanCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.group_misses, 1u);
-  EXPECT_EQ(cs.group_hits, 1u);
-  EXPECT_EQ(cs.group_entries, 1u);
-}
-
-TEST(GroupTierTest, FlushedWithTheEpoch) {
-  rdf::TripleStore store = MakeSmallStore();
-  PlanCache cache;
-  Executor ex(&store, ExecOptions{}, &cache);
-  const std::string q =
-      "SELECT ?a WHERE { ?a <http://x/p> ?b . "
-      "OPTIONAL { ?a <http://x/q> ?x . } }";
-  ASSERT_TRUE(ex.Execute(q).ok());
-  EXPECT_EQ(cache.stats().group_entries, 1u);
-
-  // Generation bump: the group tier was planned against stale statistics
-  // and must flush with the other tiers.
-  store.Add(Term::Iri("http://x/new"), Term::Iri("http://x/p"),
-            Term::Iri("http://x/o0"));
-  ASSERT_TRUE(ex.Execute(q).ok());
-  PlanCacheStats cs = cache.stats();
-  EXPECT_EQ(cs.group_hits, 0u);
-  EXPECT_EQ(cs.group_misses, 2u);
-  EXPECT_EQ(cs.group_entries, 1u) << "fresh epoch re-inserted the body";
-}
-
 // ------------------------------------------------- hash-join build reuse
 
 TEST(HashBuildReuseTest, RepeatedPredicateStepsShareOneBuild) {
@@ -213,7 +143,7 @@ TEST(StaleStatsTest, JoinOrderFollowsSkewedIncrementalBatch) {
   SelectQuery q = Parse(
       "SELECT ?a WHERE { ?a <http://x/p> ?b . ?a <http://x/q> ?c . }");
   ExecOptions options;
-  std::vector<size_t> before = PlanOrder(q.where.triples, options, &store);
+  std::vector<size_t> before = PlanGroup(q.where, options, &store).order;
   ASSERT_EQ(before.size(), 2u);
   EXPECT_EQ(before[0], 0u) << "p (4 triples) should drive before the batch";
 
@@ -222,7 +152,7 @@ TEST(StaleStatsTest, JoinOrderFollowsSkewedIncrementalBatch) {
     store.Add(iri("z" + std::to_string(i)), iri("p"),
               iri("o" + std::to_string(i)));
   }
-  std::vector<size_t> after = PlanOrder(q.where.triples, options, &store);
+  std::vector<size_t> after = PlanGroup(q.where, options, &store).order;
   EXPECT_EQ(after[0], 1u) << "q (40 triples) should drive after the batch";
 
   // Through the executor + cache: the generation bump re-plans, so the
@@ -284,19 +214,110 @@ TEST(StaleStatsTest, SampledRefreshKeepsCountDistinctExact) {
   EXPECT_EQ(stats.distinct_objects, twin_stats.distinct_objects);
 }
 
+// ------------------------------------------------------ planner golden
+
+// A fixed store for pinning PlanGroup's output: 100 entities typed C and
+// 100 typed D, each with a name and one `knows` edge, three `rare` facts
+// and ten `loop` self-edges (613 triples).
+rdf::TripleStore MakePlannerStore() {
+  rdf::TripleStore store;
+  auto iri = [](const std::string& s) { return Term::Iri("http://x/" + s); };
+  for (int i = 0; i < 200; ++i) {
+    const std::string e = "e" + std::to_string(i);
+    store.Add(iri(e), iri("type"), iri(i < 100 ? "C" : "D"));
+    store.Add(iri(e), iri("name"), Term::Literal("n" + std::to_string(i)));
+    store.Add(iri(e), iri("knows"), iri("e" + std::to_string((i + 1) % 200)));
+    if (i < 3) store.Add(iri(e), iri("rare"), iri("r"));
+    if (i < 10) store.Add(iri(e), iri("loop"), iri(e));
+  }
+  store.FinalizeIndex();
+  return store;
+}
+
+/// "order|ops", e.g. "1,0,2|N,N,H".
+std::string FormatPlan(const GroupPlan& plan) {
+  std::string out;
+  for (size_t i = 0; i < plan.order.size(); ++i) {
+    out += (i > 0 ? "," : "") + std::to_string(plan.order[i]);
+  }
+  out += '|';
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (i > 0) out += ',';
+    out += plan.ops[i] == JoinOp::kHashJoin ? 'H' : 'N';
+  }
+  return out;
+}
+
+TEST(PlannerGoldenTest, PlanGroupOutputIsPinned) {
+  rdf::TripleStore store = MakePlannerStore();
+  ExecOptions cost;
+  ExecOptions off;
+  off.hash_join = HashJoinMode::kOff;
+  ExecOptions force;
+  force.hash_join = HashJoinMode::kForce;
+  ExecOptions written;
+  written.greedy_join_order = false;
+
+  struct Case {
+    const char* name;
+    const char* where;
+    // Expected plans under cost, off, force and written, in that order.
+    const char* expected[4];
+  };
+  const Case cases[] = {
+      {"fully ground first",
+       "?a <http://x/type> <http://x/C> . "
+       "<http://x/e0> <http://x/knows> <http://x/e1> . "
+       "?a <http://x/name> ?n .",
+       {"1,0,2|N,N,H", "1,0,2|N,N,N", "1,0,2|N,N,H", "0,1,2|N,N,H"}},
+      {"constant missing from the dictionary",
+       "?a <http://x/type> <http://x/C> . ?a <http://x/knows> ?b . "
+       "?b <http://x/nosuch> ?c .",
+       {"2,1,0|N,N,N", "2,1,0|N,N,N", "2,1,0|N,H,H", "0,1,2|N,H,N"}},
+      {"repeated variable",
+       "?x <http://x/type> <http://x/C> . ?x <http://x/knows> ?x .",
+       {"0,1|N,N", "0,1|N,N", "0,1|N,N", "0,1|N,N"}},
+      {"hash chosen by cost",
+       "?a <http://x/type> <http://x/C> . ?a <http://x/name> ?n . "
+       "?a <http://x/knows> ?b .",
+       {"0,1,2|N,H,H", "0,1,2|N,N,N", "0,1,2|N,H,H", "0,1,2|N,H,H"}},
+      {"disconnected second step",
+       "?a <http://x/knows> ?b . ?c <http://x/rare> ?d . "
+       "?b <http://x/type> <http://x/D> .",
+       {"1,2,0|N,N,H", "1,2,0|N,N,N", "1,2,0|N,N,H", "0,1,2|N,N,H"}},
+      {"one pattern", "?a <http://x/name> ?n .", {"0|N", "0|N", "0|N", "0|N"}},
+  };
+  const ExecOptions* options[] = {&cost, &off, &force, &written};
+  for (const Case& c : cases) {
+    SelectQuery q = Parse(std::string("SELECT * WHERE { ") + c.where + " }");
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(FormatPlan(PlanGroup(q.where, *options[i], &store)),
+                c.expected[i])
+          << c.name << ", option set " << i;
+    }
+  }
+}
+
 // --------------------------------------------------------------- capacity
 
 TEST(PlanCacheTest, CapacityEvictionDropsTheEpoch) {
-  rdf::TripleStore store = MakeSmallStore();
-  PlanCache cache(4);
-  Executor ex(&store, ExecOptions{}, &cache);
-  for (int i = 0; i < 10; ++i) {
-    // Distinct constants -> distinct keys.
-    std::string q = "SELECT ?a WHERE { ?a <http://x/p" + std::to_string(i) +
-                    "> ?b . }";
-    ASSERT_TRUE(ex.Execute(q).ok());
+  PlanCache cache;
+  auto text = [](size_t i) { return "SELECT ?s WHERE { ?s <http://x/p" +
+                                    std::to_string(i) + "> ?o }"; };
+  auto prepared = std::make_shared<PreparedQuery>();
+  for (size_t i = 0; i < PlanCache::kCapacity; ++i) {
+    cache.InsertPrepared(text(i), 1, prepared);
   }
-  EXPECT_LE(cache.size(), 4u);
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  // Re-inserting a resident text keeps the epoch.
+  cache.InsertPrepared(text(0), 1, prepared);
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  // One text past the cap drops the epoch before inserting.
+  cache.InsertPrepared(text(PlanCache::kCapacity), 1, prepared);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.LookupPrepared(text(0), 1), nullptr);
+  EXPECT_NE(cache.LookupPrepared(text(PlanCache::kCapacity), 1), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 0u) << "eviction is not a flush";
 }
 
 // ------------------------------------------------- concurrent readers
@@ -339,7 +360,7 @@ TEST(PlanCacheConcurrencyTest, SharedCacheUnderConcurrentReaders) {
   EXPECT_EQ(es.plan_cache_hits + es.plan_cache_misses,
             static_cast<uint64_t>(kThreads) * kQueriesPerThread);
   // 15 distinct texts -> at least one miss each (two threads may race on
-  // the same text); the steady state is text-tier hits.
+  // the same text); the steady state is cache hits.
   EXPECT_GE(es.plan_cache_misses, 2u);
   EXPECT_GT(es.plan_cache_hits, es.plan_cache_misses);
 }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -716,6 +718,74 @@ TEST_F(SparqlTest, BuilderQueryExecutes) {
   ResultTable t = Run(b.Build());
   ASSERT_EQ(t.num_rows(), 3u);
   EXPECT_EQ(t.Cell(0, "name")->lexical(), "Alice");
+}
+
+// ---------------------------------------------------- environment knobs
+
+/// Sets (or, for nullptr, unsets) an environment variable for one scope and
+/// restores the previous value: sanitizer CI runs export both executor
+/// knobs for the whole suite.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(ExecutorEnvTest, SpillBudgetAcceptsOnlyAnUnsignedDecimal) {
+  rdf::TripleStore store;
+  const size_t default_budget = ExecOptions{}.hash_join_spill_budget_bytes;
+  for (const char* bad : {"abc", "-1", "64k", ""}) {
+    ScopedEnv env("HBOLD_HASH_SPILL_BUDGET", bad);
+    Executor ex(&store);
+    EXPECT_EQ(ex.options().hash_join_spill_budget_bytes, default_budget)
+        << "HBOLD_HASH_SPILL_BUDGET=\"" << bad << "\"";
+  }
+  {
+    ScopedEnv env("HBOLD_HASH_SPILL_BUDGET", "4096");
+    EXPECT_EQ(Executor(&store).options().hash_join_spill_budget_bytes, 4096u);
+    // An explicitly configured budget still wins over the variable.
+    ExecOptions pinned;
+    pinned.hash_join_spill_budget_bytes = 64;
+    EXPECT_EQ(Executor(&store, pinned).options().hash_join_spill_budget_bytes,
+              64u);
+  }
+  ScopedEnv unset("HBOLD_HASH_SPILL_BUDGET", nullptr);
+  EXPECT_EQ(Executor(&store).options().hash_join_spill_budget_bytes,
+            default_budget);
+}
+
+TEST(ExecutorEnvTest, ForceHashJoinOnlyForOne) {
+  rdf::TripleStore store;
+  for (const char* off : {"0", "", "true", "10"}) {
+    ScopedEnv env("HBOLD_FORCE_HASH_JOIN", off);
+    EXPECT_EQ(Executor(&store).options().hash_join, HashJoinMode::kCost)
+        << "HBOLD_FORCE_HASH_JOIN=\"" << off << "\"";
+  }
+  {
+    ScopedEnv env("HBOLD_FORCE_HASH_JOIN", nullptr);
+    EXPECT_EQ(Executor(&store).options().hash_join, HashJoinMode::kCost);
+  }
+  ScopedEnv env("HBOLD_FORCE_HASH_JOIN", "1");
+  EXPECT_EQ(Executor(&store).options().hash_join, HashJoinMode::kForce);
 }
 
 }  // namespace
