@@ -1,14 +1,18 @@
 #include "viz/color.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace hbold::viz {
 
 std::string Color::ToHex() const {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-  return buf;
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex(7, '#');
+  const uint8_t channels[3] = {r, g, b};
+  for (int i = 0; i < 3; ++i) {
+    hex[1 + 2 * i] = kDigits[channels[i] >> 4];
+    hex[2 + 2 * i] = kDigits[channels[i] & 0xf];
+  }
+  return hex;
 }
 
 Color FromHsl(double h, double s, double l) {

@@ -116,25 +116,20 @@ SvgDocument RenderEdgeBundling(const EdgeBundlingLayout& layout, double radius,
   }
 
   for (const BundledEdge& e : layout.edges) {
-    std::vector<Point> shifted = e.polyline;
-    for (Point& p : shifted) {
-      p.x += center.x;
-      p.y += center.y;
-    }
     bool touches_focus =
         focus_leaf >= 0 && (static_cast<int>(e.src_leaf) == focus_leaf ||
                             static_cast<int>(e.dst_leaf) == focus_leaf);
     Style s = touches_focus
                   ? Style::Stroke(Color{200, 60, 40}, 1.6, 0.85)
                   : Style::Stroke(Color{120, 140, 190}, 0.9, 0.4);
-    doc.AddPolyline(shifted, s);
+    doc.AddPolyline(e.polyline, s, center);
   }
 
   for (size_t i = 0; i < layout.leaves.size(); ++i) {
     const BundleLeaf& leaf = layout.leaves[i];
     Point p{leaf.position.x + center.x, leaf.position.y + center.y};
     Color dot = CategoricalColor(leaf.cluster);
-    std::string text_color = "#333";
+    std::string_view text_color = "#333";
     if (role[i] == 1) {
       dot = Color{20, 20, 20};
       text_color = "#000000";

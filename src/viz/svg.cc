@@ -1,66 +1,83 @@
 #include "viz/svg.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <limits>
 
+#include "common/io_util.h"
 #include "common/string_util.h"
 
 namespace hbold::viz {
 
 namespace {
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
+
+// Widest "%.2f" of a double: a sign, the 309 integer digits of DBL_MAX,
+// the point and two decimals.
+constexpr int kMaxNumChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 2;
+
+// Appends `v` exactly as "%.2f" prints it: std::to_chars rounds the exact
+// binary value half-to-even like glibc, and writes inf/nan the same way.
+void Put(std::string* out, double v) {
+  char buf[kMaxNumChars];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::fixed, 2)
+                       .ptr);
 }
+void Put(std::string* out, std::string_view s) { out->append(s); }
+void Put(std::string* out, char c) { out->push_back(c); }
+
+// Appends each part in turn: doubles as numbers, strings and chars as is.
+template <typename... Parts>
+void Append(std::string* out, const Parts&... parts) {
+  (Put(out, parts), ...);
+}
+
 }  // namespace
 
 SvgDocument::SvgDocument(double width, double height)
     : width_(width), height_(height) {}
 
-std::string SvgDocument::StyleAttrs(const Style& style) const {
-  std::string out = " fill=\"" + style.fill + "\"";
+void SvgDocument::EndElement(const Style& style) {
+  Append(&body_, " fill=\"", style.fill, '"');
   if (style.stroke != "none") {
-    out += " stroke=\"" + style.stroke + "\" stroke-width=\"" +
-           Num(style.stroke_width) + "\"";
+    Append(&body_, " stroke=\"", style.stroke, "\" stroke-width=\"",
+           style.stroke_width, '"');
   }
-  if (style.opacity < 1.0) {
-    out += " opacity=\"" + Num(style.opacity) + "\"";
-  }
-  return out;
+  if (style.opacity < 1.0) Append(&body_, " opacity=\"", style.opacity, '"');
+  body_ += "/>\n";
+  ++element_count_;
 }
 
 void SvgDocument::AddRect(const Rect& r, const Style& style,
                           double corner_radius) {
-  std::string el = "<rect x=\"" + Num(r.x) + "\" y=\"" + Num(r.y) +
-                   "\" width=\"" + Num(r.w) + "\" height=\"" + Num(r.h) + "\"";
-  if (corner_radius > 0) el += " rx=\"" + Num(corner_radius) + "\"";
-  el += StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  Append(&body_, "<rect x=\"", r.x, "\" y=\"", r.y, "\" width=\"", r.w,
+         "\" height=\"", r.h, '"');
+  if (corner_radius > 0) Append(&body_, " rx=\"", corner_radius, '"');
+  EndElement(style);
 }
 
 void SvgDocument::AddCircle(const Circle& c, const Style& style) {
-  elements_.push_back("<circle cx=\"" + Num(c.x) + "\" cy=\"" + Num(c.y) +
-                      "\" r=\"" + Num(c.r) + "\"" + StyleAttrs(style) + "/>");
+  Append(&body_, "<circle cx=\"", c.x, "\" cy=\"", c.y, "\" r=\"", c.r, '"');
+  EndElement(style);
 }
 
 void SvgDocument::AddLine(const Point& a, const Point& b, const Style& style) {
-  elements_.push_back("<line x1=\"" + Num(a.x) + "\" y1=\"" + Num(a.y) +
-                      "\" x2=\"" + Num(b.x) + "\" y2=\"" + Num(b.y) + "\"" +
-                      StyleAttrs(style) + "/>");
+  Append(&body_, "<line x1=\"", a.x, "\" y1=\"", a.y, "\" x2=\"", b.x,
+         "\" y2=\"", b.y, '"');
+  EndElement(style);
 }
 
 void SvgDocument::AddPolyline(const std::vector<Point>& points,
-                              const Style& style) {
+                              const Style& style, Point offset) {
   if (points.size() < 2) return;
-  std::string el = "<polyline points=\"";
+  body_ += "<polyline points=\"";
   for (size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) el += ' ';
-    el += Num(points[i].x) + "," + Num(points[i].y);
+    if (i > 0) body_ += ' ';
+    Append(&body_, points[i].x + offset.x, ',', points[i].y + offset.y);
   }
-  el += "\"" + StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  body_ += '"';
+  EndElement(style);
 }
 
 void SvgDocument::AddAnnularSector(const Point& center, double r0, double r1,
@@ -76,52 +93,44 @@ void SvgDocument::AddAnnularSector(const Point& center, double r0, double r1,
     return Point{center.x + r * std::cos(a), center.y + r * std::sin(a)};
   };
   Point p0 = at(r1, a0), p1 = at(r1, a1), p2 = at(r0, a1), p3 = at(r0, a0);
-  int large = (a1 - a0) > kPi ? 1 : 0;
-  std::string el = "<path d=\"M " + Num(p0.x) + " " + Num(p0.y);
-  el += " A " + Num(r1) + " " + Num(r1) + " 0 " + std::to_string(large) +
-        " 1 " + Num(p1.x) + " " + Num(p1.y);
-  el += " L " + Num(p2.x) + " " + Num(p2.y);
-  el += " A " + Num(r0) + " " + Num(r0) + " 0 " + std::to_string(large) +
-        " 0 " + Num(p3.x) + " " + Num(p3.y);
-  el += " Z\"" + StyleAttrs(style) + "/>";
-  elements_.push_back(std::move(el));
+  bool large = (a1 - a0) > kPi;
+  Append(&body_, "<path d=\"M ", p0.x, ' ', p0.y, " A ", r1, ' ', r1,
+         large ? " 0 1 1 " : " 0 0 1 ", p1.x, ' ', p1.y, " L ", p2.x, ' ',
+         p2.y, " A ", r0, ' ', r0, large ? " 0 1 0 " : " 0 0 0 ", p3.x, ' ',
+         p3.y, " Z\"");
+  EndElement(style);
 }
 
-void SvgDocument::AddText(const Point& p, const std::string& text,
-                          double font_size, const std::string& fill,
-                          const std::string& anchor, double rotate_deg) {
-  std::string el = "<text x=\"" + Num(p.x) + "\" y=\"" + Num(p.y) +
-                   "\" font-size=\"" + Num(font_size) +
-                   "\" font-family=\"sans-serif\" fill=\"" + fill +
-                   "\" text-anchor=\"" + anchor + "\"";
+void SvgDocument::AddText(const Point& p, std::string_view text,
+                          double font_size, std::string_view fill,
+                          std::string_view anchor, double rotate_deg) {
+  Append(&body_, "<text x=\"", p.x, "\" y=\"", p.y, "\" font-size=\"",
+         font_size, "\" font-family=\"sans-serif\" fill=\"", fill,
+         "\" text-anchor=\"", anchor, '"');
   if (rotate_deg != 0) {
-    el += " transform=\"rotate(" + Num(rotate_deg) + " " + Num(p.x) + " " +
-          Num(p.y) + ")\"";
+    Append(&body_, " transform=\"rotate(", rotate_deg, ' ', p.x, ' ', p.y,
+           ")\"");
   }
-  el += ">" + XmlEscape(text) + "</text>";
-  elements_.push_back(std::move(el));
+  Append(&body_, '>', XmlEscape(text), "</text>\n");
+  ++element_count_;
 }
 
 std::string SvgDocument::ToString() const {
-  std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" + Num(width_) +
-         "\" height=\"" + Num(height_) + "\" viewBox=\"0 0 " + Num(width_) +
-         " " + Num(height_) + "\">\n";
-  out += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
-  for (const std::string& el : elements_) {
-    out += el;
-    out += '\n';
-  }
-  out += "</svg>\n";
+  std::string out;
+  out.reserve(body_.size() + 256);
+  Append(&out,
+         "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"",
+         width_, "\" height=\"", height_, "\" viewBox=\"0 0 ", width_, ' ',
+         height_,
+         "\">\n"
+         "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n",
+         body_, "</svg>\n");
   return out;
 }
 
 Status SvgDocument::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  out << ToString();
-  if (!out) return Status::IOError("write failed for '" + path + "'");
-  return Status::OK();
+  return io::WriteFileDurable(path, ToString());
 }
 
 }  // namespace hbold::viz

@@ -2,12 +2,12 @@
 #define HBOLD_VIZ_SVG_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "viz/color.h"
 #include "viz/geometry.h"
-
-#include <vector>
 
 namespace hbold::viz {
 
@@ -35,7 +35,9 @@ struct Style {
 };
 
 /// Minimal SVG document builder. Coordinates are in user units; the
-/// document carries width/height and an equal viewBox.
+/// document carries width/height and an equal viewBox. Every `Add*` call
+/// appends its element straight into one buffer, with numbers printed as
+/// "%.2f" would print them.
 class SvgDocument {
  public:
   SvgDocument(double width, double height);
@@ -46,31 +48,35 @@ class SvgDocument {
   void AddRect(const Rect& r, const Style& style, double corner_radius = 0);
   void AddCircle(const Circle& c, const Style& style);
   void AddLine(const Point& a, const Point& b, const Style& style);
-  void AddPolyline(const std::vector<Point>& points, const Style& style);
+  /// Each point is drawn at `points[i] + offset`.
+  void AddPolyline(const std::vector<Point>& points, const Style& style,
+                   Point offset = {0, 0});
   /// Annular sector between radii r0..r1 and angles a0..a1 (radians),
   /// centered at `center` — the sunburst building block.
   void AddAnnularSector(const Point& center, double r0, double r1, double a0,
                         double a1, const Style& style);
   /// Text anchored at `p`. `anchor` is "start", "middle" or "end".
-  void AddText(const Point& p, const std::string& text, double font_size,
-               const std::string& fill = "#222",
-               const std::string& anchor = "start", double rotate_deg = 0);
+  void AddText(const Point& p, std::string_view text, double font_size,
+               std::string_view fill = "#222",
+               std::string_view anchor = "start", double rotate_deg = 0);
 
   /// Number of elements added so far.
-  size_t ElementCount() const { return elements_.size(); }
+  size_t ElementCount() const { return element_count_; }
 
   /// Serializes the document.
   std::string ToString() const;
 
-  /// Writes the document to `path`.
+  /// Durably replaces `path` with the document (see io::WriteFileDurable).
   Status WriteFile(const std::string& path) const;
 
  private:
-  std::string StyleAttrs(const Style& style) const;
+  /// Appends `style`'s attributes and closes the element.
+  void EndElement(const Style& style);
 
   double width_;
   double height_;
-  std::vector<std::string> elements_;
+  std::string body_;  // every element so far, one per line
+  size_t element_count_ = 0;
 };
 
 }  // namespace hbold::viz

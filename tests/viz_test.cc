@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numeric>
+#include <sstream>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "viz/circle_pack.h"
 #include "viz/color.h"
@@ -588,6 +592,47 @@ TEST(SvgTest, WriteFile) {
   std::string path = ::testing::TempDir() + "/hbold_svg_test.svg";
   ASSERT_TRUE(doc.WriteFile(path).ok());
   EXPECT_FALSE(doc.WriteFile("/nonexistent-dir/x.svg").ok());
+
+  // Writing over an existing, longer file replaces it whole.
+  {
+    std::ofstream old(path);
+    old << std::string(4 * doc.ToString().size(), 'x');
+  }
+  ASSERT_TRUE(doc.WriteFile(path).ok());
+  std::ifstream in(path);
+  std::stringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), doc.ToString());
+}
+
+/// `%.2f` as glibc prints it, into a buffer wide enough for any double.
+std::string PrintfFixed2(double v) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.2f", v);
+  return buf;
+}
+
+TEST(SvgTest, NumbersMatchPrintfFixed2InFull) {
+  double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values{0.0,   -0.0,  -0.004, 0.005,        0.125,
+                             2.675, 1e15,  1e300,  -1e300,       inf,
+                             -inf,  std::nan(""),  -std::nan("")};
+  Rng rng(17);
+  for (int i = 0; i < 4000; ++i) {
+    // Magnitudes 1e-3 .. 1e20, both signs.
+    double v = std::pow(10.0, -3 + 23 * rng.NextDouble());
+    values.push_back(rng.Chance(0.5) ? -v : v);
+    // Exact binary ties at the third decimal (.125, .375, .625, .875).
+    values.push_back(static_cast<double>(rng.Uniform(1 << 20)) +
+                     0.125 * static_cast<double>(1 + 2 * rng.Uniform(4)));
+  }
+  for (double v : values) {
+    SvgDocument doc(10, 10);
+    doc.AddCircle(Circle{v, 0, 1}, Style{});
+    std::string expected = "<circle cx=\"" + PrintfFixed2(v) + "\" cy=";
+    EXPECT_NE(doc.ToString().find(expected), std::string::npos)
+        << "expected " << PrintfFixed2(v);
+  }
 }
 
 // ---------------------------------------------------------------- Renderers
@@ -614,6 +659,46 @@ TEST(RenderTest, AllRenderersProduceElements) {
   auto graph =
       RenderGraph(nodes, edges, ForceLayout(2, edges, {}), 800, 600);
   EXPECT_GT(graph.ElementCount(), 3u);
+}
+
+TEST(RenderTest, SvgBytesArePinned) {
+  Hierarchy h = FixedHierarchy();
+  BundleFixture f = MakeBundleFixture();
+  EdgeBundlingLayout bundling = BundleSchemaSummary(f.summary, f.clusters, {});
+  std::vector<GraphNode> nodes{{"A", 8, 0}, {"B", 8, 1}, {"C <&>", 6, 2}};
+  std::vector<ForceEdge> edges{{0, 1}, {1, 2}};
+  struct Case {
+    const char* name;
+    std::string svg;
+    uint64_t fnv;
+  };
+  // FNV-64 of every renderer's output, recorded from the snprintf-based
+  // writer; any changed byte fails.
+  std::vector<Case> cases{
+      {"treemap",
+       RenderTreemap(TreemapLayout(h, Rect{0, 0, 400, 300}, {}), 400, 300)
+           .ToString(),
+       0xee714844377e8f19ULL},
+      {"sunburst", RenderSunburst(SunburstLayout(h, {}), 300).ToString(),
+       0xbb723045aa0e6765ULL},
+      {"circle_pack", RenderCirclePack(CirclePackLayout(h, {}), 300).ToString(),
+       0x288cadfef46926b6ULL},
+      {"edge_bundling", RenderEdgeBundling(bundling, 300).ToString(),
+       0xbc1d819b5dcbf343ULL},
+      {"edge_bundling_focus",
+       RenderEdgeBundling(bundling, 300, /*focus_leaf=*/0).ToString(),
+       0x453a8a551b368c04ULL},
+      {"graph",
+       RenderGraph(nodes, edges, ForceLayout(3, edges, {}), 800, 600)
+           .ToString(),
+       0xbf78c93c56446e92ULL},
+  };
+  for (const Case& c : cases) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(Fnv64(c.svg)));
+    EXPECT_EQ(Fnv64(c.svg), c.fnv) << c.name << " hashes to 0x" << hex;
+  }
 }
 
 // ------------------------------------------ degenerate-input properties
