@@ -142,7 +142,8 @@ std::unique_ptr<AdversarialWorld> BuildWorld(size_t num_endpoints,
   return world;
 }
 
-struct ArmResult {
+/// The arm's counters summed over its days, plus its run figures.
+struct ArmResult : hbold::CycleCounters {
   FleetReport report;
   /// Final persisted artifacts, endpoint_url -> normalized doc dump
   /// (provenance fields zeroed so kTrack's daily re-extraction stamps
@@ -151,12 +152,6 @@ struct ArmResult {
   double wall_ms = 0;
   double total_makespan_ms = 0;
   size_t queries = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
-  size_t probe_mismatches = 0;
-  size_t forced_refreshes = 0;
-  size_t quarantines_entered = 0;
-  size_t quarantines_exited = 0;
 };
 
 ArmResult RunArm(size_t num_endpoints, int64_t days, int64_t freeze_day,
@@ -169,12 +164,7 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, int64_t freeze_day,
   result.wall_ms = wall.ElapsedMillis();
   for (const hbold::FleetDayReport& day : result.report.days) {
     result.total_makespan_ms += day.fleet_makespan_ms;
-    result.probe_skips += day.probe_skips;
-    result.delta_extractions += day.delta_extractions;
-    result.probe_mismatches += day.probe_mismatches;
-    result.forced_refreshes += day.forced_refreshes;
-    result.quarantines_entered += day.quarantines_entered;
-    result.quarantines_exited += day.quarantines_exited;
+    result.Add(day);
   }
   for (const auto& ep : world->endpoints) {
     result.queries += ep->queries_served();

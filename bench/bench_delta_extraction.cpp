@@ -55,13 +55,11 @@ hbold::bench::FleetOptions WorldOptions(size_t num_endpoints) {
   return options;
 }
 
-struct ArmResult {
+/// The arm's counters summed over its days, plus its run figures.
+struct ArmResult : hbold::CycleCounters {
   FleetReport report;
   double wall_ms = 0;
   double total_makespan_ms = 0;
-  size_t probes = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
   size_t queries = 0;
 };
 
@@ -96,9 +94,7 @@ ArmResult RunArm(size_t num_endpoints, int64_t days, IncrementalMode mode,
   result.wall_ms = wall.ElapsedMillis();
   for (const hbold::FleetDayReport& day : result.report.days) {
     result.total_makespan_ms += day.fleet_makespan_ms;
-    result.probes += day.probes;
-    result.probe_skips += day.probe_skips;
-    result.delta_extractions += day.delta_extractions;
+    result.Add(day);
   }
   for (const hbold::bench::FleetMember& member : members) {
     result.queries += member.endpoint->queries_served();

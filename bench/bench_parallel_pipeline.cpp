@@ -10,7 +10,7 @@
 //
 // The bench additionally asserts the parallel DailyReport merges back in
 // registry order with the same counts and reused flags as the sequential
-// cycle — the determinism contract of Server::RunDailyCycle.
+// cycle — the determinism contract of Server::RunDailyUpdate.
 //
 //   ./build/bench_parallel_pipeline [fleet_size]
 
@@ -35,7 +35,7 @@ DailyReport RunCycle(std::vector<hbold::bench::FleetMember>* fleet,
   options.parallelism = workers;
   Server server(&db, &loop, options);
   hbold::bench::AttachFleet(fleet, &server);
-  return server.RunDailyCycle(workers);
+  return server.RunDailyUpdate();
 }
 
 bool SameOutcome(const DailyReport& a, const DailyReport& b) {

@@ -56,9 +56,10 @@ class ThreadPool {
   /// Nesting-safe: iterations are claimed from a shared cursor by helper
   /// tasks AND by the calling thread, so a pool worker that calls
   /// ParallelFor on its own pool drives its iterations itself even when
-  /// every other worker is blocked the same way. This is what lets the
-  /// fleet layer run per-shard daily cycles as tasks on one shared pool
-  /// while each cycle fans its endpoint pipelines out over that same pool.
+  /// every other worker is blocked the same way. The fleet runs every
+  /// shard's pipelines from one ParallelFor, and each pipeline submits
+  /// its query batches (QueryBatch, the same claim-loop design) back into
+  /// that pool, so the nesting that remains is batches inside pipelines.
   static void ParallelFor(ThreadPool* pool, size_t n,
                           const std::function<void(size_t)>& fn);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -80,9 +79,14 @@ std::vector<ChurnArrival> ChurnModel::TakeArrivalsThrough(int64_t day) {
 
 AdaptiveWidthController::AdaptiveWidthController(
     const AdaptiveWidthOptions& options, int initial_width)
-    : options_(options),
-      initial_width_(std::clamp(initial_width, std::max(1, options.min_width),
-                                std::max(1, options.max_width))) {}
+    : options_(options) {
+  // Normalise the range once: widths are >= 1 and max_width is at least
+  // min_width, so the clamp below (and every later step) sees lo <= hi.
+  options_.min_width = std::max(1, options_.min_width);
+  options_.max_width = std::max(options_.min_width, options_.max_width);
+  initial_width_ =
+      std::clamp(initial_width, options_.min_width, options_.max_width);
+}
 
 int AdaptiveWidthController::WidthFor(const std::string& url) const {
   auto it = state_.find(url);
@@ -97,7 +101,7 @@ int AdaptiveWidthController::Observe(const std::string& url,
     // Back off multiplicatively: the endpoint pushed back (Timeout
     // fallback) or the whole attempt failed — halve the concurrent
     // pressure we put on it tomorrow.
-    s.width = std::max(std::max(1, options_.min_width), s.width / 2);
+    s.width = std::max(options_.min_width, s.width / 2);
     s.clean_streak = 0;
   } else {
     ++s.clean_streak;
@@ -216,88 +220,6 @@ void Fleet::PushAdaptiveWidths() {
   }
 }
 
-void Fleet::ObserveOutcomes(const FleetDayReport& day_report) {
-  std::unordered_map<std::string, size_t> throttle_by_url;
-  for (const PipelineReport& r : day_report.reports) {
-    throttle_by_url[r.url] = r.extraction.throttle_events;
-  }
-  for (const DueOutcome& o : day_report.outcomes) {
-    auto it = throttle_by_url.find(o.url);
-    widths_.Observe(o.url, !o.succeeded,
-                    it != throttle_by_url.end() ? it->second : 0);
-  }
-}
-
-void Fleet::MergeShardReports(std::vector<DailyReport> shard_reports,
-                              FleetDayReport* day_report) const {
-  // Per-shard lookup tables: due-entry index and pipeline-report index by
-  // URL. Each URL lives in exactly one shard, so the merged walk over the
-  // global registration order visits every due entry exactly once — in
-  // the order a 1-shard registry would have produced.
-  std::vector<std::unordered_map<std::string, size_t>> outcome_idx(
-      shard_reports.size());
-  std::vector<std::unordered_map<std::string, size_t>> report_idx(
-      shard_reports.size());
-  for (size_t s = 0; s < shard_reports.size(); ++s) {
-    for (size_t i = 0; i < shard_reports[s].outcomes.size(); ++i) {
-      outcome_idx[s].emplace(shard_reports[s].outcomes[i].url, i);
-    }
-    for (size_t i = 0; i < shard_reports[s].reports.size(); ++i) {
-      report_idx[s].emplace(shard_reports[s].reports[i].url, i);
-    }
-  }
-
-  for (const std::string& url : registration_order_) {
-    const size_t s = ShardOf(url);
-    auto oit = outcome_idx[s].find(url);
-    if (oit == outcome_idx[s].end()) continue;  // not due today
-    const DueOutcome& outcome = shard_reports[s].outcomes[oit->second];
-    ++day_report->due;
-    // Canonical cost fold: strictly in global registration order, never
-    // via the per-shard ledger sums (whose float addition order depends
-    // on the deployment).
-    day_report->sum_latency_ms += outcome.charged_latency_ms;
-    if (outcome.succeeded) {
-      ++day_report->succeeded;
-    } else {
-      ++day_report->failed;
-    }
-    day_report->outcomes.push_back(outcome);
-    auto rit = report_idx[s].find(url);
-    if (rit != report_idx[s].end()) {
-      PipelineReport& report = shard_reports[s].reports[rit->second];
-      if (report.reused_cluster_schema) ++day_report->reused;
-      if (report.probed) ++day_report->probes;
-      if (report.probe_skipped) ++day_report->probe_skips;
-      if (report.delta_extracted) ++day_report->delta_extractions;
-      if (report.probe_mismatch) ++day_report->probe_mismatches;
-      if (report.forced_refresh) ++day_report->forced_refreshes;
-      if (report.quarantine_entered) ++day_report->quarantines_entered;
-      if (report.quarantine_exited) ++day_report->quarantines_exited;
-      day_report->reports.push_back(std::move(report));
-    }
-  }
-
-  for (DailyReport& shard : shard_reports) {
-    day_report->fleet_makespan_ms =
-        std::max(day_report->fleet_makespan_ms, shard.batched_makespan_ms);
-    // Per-shard plan-cache / hash-join deployment counters, summed for
-    // the fleet view (never part of the canonical dump).
-    day_report->plan_cache_hits += shard.plan_cache_hits;
-    day_report->plan_cache_misses += shard.plan_cache_misses;
-    day_report->hash_join_builds += shard.hash_join_builds;
-    // Keyed sum, so the merged histogram is independent of shard count.
-    for (const auto& [days_stale, n] : shard.staleness_histogram) {
-      day_report->staleness_histogram[days_stale] += n;
-    }
-    // The pipeline reports were moved into the merged list above; drop
-    // the gutted shells rather than publish moved-from objects. The
-    // per-shard view keeps its counters, outcomes, and makespans.
-    shard.reports.clear();
-  }
-  day_report->shard_reports = std::move(shard_reports);
-}
-
 // ------------------------------------------------- the event-loop chain
 
 void Fleet::ScheduleCycles(int64_t count) {
@@ -339,42 +261,82 @@ void Fleet::RunCycleBody() {
   FleetDayReport& day_report = pending_day_;  // primed by the kChurn event
 
   Stopwatch wall;
-  std::vector<DailyReport> shard_reports(shards_.size());
   ThreadPool* pool = pool_ ? &*pool_ : nullptr;
-  // Shard cycles are tasks on the same pool their pipelines (and their
-  // pipelines' query batches) fan out over; every layer's claim loop
-  // participates, so one pool serves the whole depth without deadlock
-  // and total threads stay at fleet_workers. The loop itself never leaves
-  // this thread — workers compute, only the dispatcher schedules.
+  // Shards begin side by side: each advances its own endpoints' data day.
+  std::vector<Server::Cycle> cycles(shards_.size());
   ThreadPool::ParallelFor(pool, shards_.size(), [&](size_t s) {
-    shard_reports[s] =
-        shards_[s]->RunDailyCycleOn(pool, options_.server.parallelism);
+    cycles[s] = shards_[s]->BeginCycle(options_.server.parallelism);
   });
+  // One claim list over every shard's due entries, in global registration
+  // order: a shard's due list is the registration order restricted to
+  // that shard, so one walk with a per-shard cursor interleaves them.
+  std::vector<std::pair<size_t, size_t>> claims;
+  std::vector<size_t> cursor(shards_.size(), 0);
+  for (const std::string& url : registration_order_) {
+    const size_t s = ShardOf(url);
+    const std::vector<std::string>& due = cycles[s].due;
+    if (cursor[s] < due.size() && due[cursor[s]] == url) {
+      claims.emplace_back(s, cursor[s]++);
+    }
+  }
+  // One claim loop runs them all, so a lane whose shard has run dry keeps
+  // claiming the other shards' pipelines; each pipeline's query batches
+  // nest on the same pool. The loop itself never leaves this thread —
+  // workers compute, only the dispatcher schedules.
+  ThreadPool::ParallelFor(pool, claims.size(), [&](size_t k) {
+    const auto [s, i] = claims[k];
+    shards_[s]->RunDue(&cycles[s], i, pool);
+  });
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    day_report.shard_reports.push_back(
+        shards_[s]->FinishCycle(std::move(cycles[s])));
+    const DailyReport& shard = day_report.shard_reports.back();
+    day_report.Add(shard);
+    day_report.fleet_makespan_ms =
+        std::max(day_report.fleet_makespan_ms, shard.batched_makespan_ms);
+  }
   day_report.wall_ms = wall.ElapsedMillis();
 
-  MergeShardReports(std::move(shard_reports), &day_report);
-  if (options_.adaptive_width.enabled) ObserveOutcomes(day_report);
+  // Merge by walking the claims: every due entry once, in the order a
+  // 1-shard registry would have produced. A shard's reports hold its
+  // successful entries in due order, so a per-shard cursor finds each
+  // one. The cost fold is canonical because it runs in this order, never
+  // via the per-shard ledger sums (whose float addition order depends on
+  // the deployment).
+  std::vector<size_t> next_report(shards_.size(), 0);
+  for (const auto& [s, i] : claims) {
+    DailyReport& shard = day_report.shard_reports[s];
+    const DueOutcome& outcome = shard.outcomes[i];
+    day_report.sum_latency_ms += outcome.charged_latency_ms;
+    day_report.outcomes.push_back(outcome);
+    if (outcome.succeeded) {
+      day_report.reports.push_back(std::move(shard.reports[next_report[s]++]));
+    }
+  }
+  // The merged list owns the pipeline reports; drop the moved-from shells.
+  // The per-shard view keeps its counters, outcomes, and makespans.
+  for (DailyReport& shard : day_report.shard_reports) shard.reports.clear();
 
   // Price the simulated timeline with the canonical ledger: merged
   // charged latencies, global registration order, virtual_workers wide.
   // Every figure feeding it is deployment-invariant, so the resulting
-  // event times (and overrun decisions) are too.
-  std::unordered_map<std::string, size_t> throttle_by_url;
-  for (const PipelineReport& r : day_report.reports) {
-    throttle_by_url[r.url] = r.extraction.throttle_events;
-  }
+  // event times (and overrun decisions) are too. The adaptive-width
+  // policy observes the same outcomes.
   WorkerLatencyLedger ledger(
       static_cast<size_t>(std::max(1, options_.virtual_workers)));
   for (const DueOutcome& o : day_report.outcomes) {
+    if (options_.adaptive_width.enabled) {
+      widths_.Observe(o.url, !o.succeeded, o.throttle_events);
+    }
     const size_t worker = ledger.Assign(o.charged_latency_ms);
     const int64_t finish_ms =
         start_ms + static_cast<int64_t>(std::ceil(ledger.WorkerMs(worker)));
     loop_->ScheduleAt(finish_ms, sim::EventKind::kPipelineComplete,
                       o.url + (o.succeeded ? "" : "|failed"), nullptr);
-    auto it = throttle_by_url.find(o.url);
-    if (it != throttle_by_url.end() && it->second > 0) {
+    if (o.throttle_events > 0) {
       loop_->ScheduleAt(finish_ms, sim::EventKind::kThrottle,
-                        o.url + "|x" + std::to_string(it->second), nullptr);
+                        o.url + "|x" + std::to_string(o.throttle_events),
+                        nullptr);
     }
   }
   day_report.sim_makespan_ms = ledger.MakespanMs();

@@ -129,14 +129,16 @@ struct FleetOptions {
   /// stable URL hash, so the assignment survives restarts and re-runs.
   int num_shards = 1;
   /// Per-shard server options (refresh age, per-cycle parallelism,
-  /// intra-pipeline batch width).
+  /// intra-pipeline batch width). Inside a fleet, server.parallelism only
+  /// sizes the per-shard ledgers and gates batch fan-out; fleet_workers
+  /// decides how many pipelines run at once.
   ServerOptions server;
-  /// Workers in the one pool shared by every layer: shard cycles fan out
-  /// over it, each cycle's pipelines fan out over it, and each pipeline's
-  /// query batches fan out over it (claim loops keep the nesting
-  /// deadlock-free). 0 sizes it to num_shards * server.parallelism;
-  /// 1 runs the whole simulation inline on the caller's thread — the
-  /// sequential baseline the determinism contract is anchored to.
+  /// Workers in the one pool shared by every layer: one claim loop runs
+  /// every shard's due pipelines over it, and each pipeline's query
+  /// batches fan out over it (the nested claim loops stay deadlock-free).
+  /// 0 sizes it to num_shards * server.parallelism; 1 runs the whole
+  /// simulation inline on the caller's thread — the sequential baseline
+  /// the determinism contract is anchored to.
   size_t fleet_workers = 0;
   ChurnOptions churn;
   AdaptiveWidthOptions adaptive_width;
@@ -152,28 +154,10 @@ struct FleetOptions {
   int virtual_workers = 4;
 };
 
-/// One simulated day of the whole fleet, merged across shards.
-struct FleetDayReport {
+/// One simulated day of the whole fleet, merged across shards. Its
+/// counters are the sum of its shards' counters.
+struct FleetDayReport : CycleCounters {
   int64_t day = 0;
-  size_t due = 0;
-  size_t succeeded = 0;
-  size_t failed = 0;
-  size_t reused = 0;
-  /// Incremental-extraction counters folded in global registration order
-  /// (zero under IncrementalMode::kOff).
-  size_t probes = 0;
-  size_t probe_skips = 0;
-  size_t delta_extractions = 0;
-  /// Adversarial-endpoint defense counters folded in global registration
-  /// order (all zero on honest fleets).
-  size_t probe_mismatches = 0;
-  size_t forced_refreshes = 0;
-  size_t quarantines_entered = 0;
-  size_t quarantines_exited = 0;
-  /// Staleness histogram merged across shards: days since the last
-  /// verified full refresh -> successful endpoint count. Populated only
-  /// under the delta modes.
-  std::map<int64_t, size_t> staleness_histogram;
   /// Endpoints churned in / gone dark at the start of this day.
   size_t arrivals = 0;
   size_t deaths = 0;
@@ -195,12 +179,6 @@ struct FleetDayReport {
   double sim_makespan_ms = 0;
   /// Real wall-clock of the day's cycles.
   double wall_ms = 0;
-  /// Query-engine deployment counters summed over shards (each shard's
-  /// per-endpoint plan caches): like wall_ms these describe how the day
-  /// was computed, not what it computed, and stay out of CanonicalDump().
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t hash_join_builds = 0;
   /// True when sim_makespan_ms pushed the cycle's completion to (or past)
   /// the next day boundary — the fleet cannot keep up with daily cycles.
   /// The next cycle then starts immediately as a catch-up cycle instead
@@ -286,6 +264,8 @@ class Fleet {
   /// Stable shard assignment: Fnv64(url) % num_shards.
   size_t ShardOf(const std::string& url) const;
 
+  /// Register through the fleet, never on a shard: the claim order needs
+  /// each shard's registry to be the registration order restricted to it.
   Server& shard(size_t i) { return *shards_[i]; }
   const Server& shard(size_t i) const { return *shards_[i]; }
   store::Database& shard_db(size_t i) { return *dbs_[i]; }
@@ -343,9 +323,10 @@ class Fleet {
   /// Schedules the next cycle's kChurn + kCycleStart pair at `start_ms`
   /// (plus the kDayBoundary event when `start_ms` sits on one).
   void ScheduleCycleAt(int64_t start_ms);
-  /// The kCycleStart handler: runs every shard's cycle on the shared
-  /// pool, merges, prices the canonical timeline, and schedules the
-  /// pipeline-completion / throttle / cycle-complete events.
+  /// The kCycleStart handler: begins every shard's cycle, runs all their
+  /// due entries from one claim loop in global registration order,
+  /// finishes and merges the shards, prices the canonical timeline, and
+  /// schedules the pipeline-completion / throttle / cycle-complete events.
   void RunCycleBody();
   /// The kCycleComplete handler: finalizes the day report, detects
   /// overruns, and chains the next cycle.
@@ -353,9 +334,6 @@ class Fleet {
 
   void ApplyChurn(int64_t day, FleetDayReport* day_report);
   void PushAdaptiveWidths();
-  void ObserveOutcomes(const FleetDayReport& day_report);
-  void MergeShardReports(std::vector<DailyReport> shard_reports,
-                         FleetDayReport* day_report) const;
 
   sim::EventLoop* loop_;
   FleetOptions options_;

@@ -62,13 +62,9 @@ bool Server::RegisterEndpoint(endpoint::EndpointRecord record) {
   return registry_.Add(std::move(record));
 }
 
-Result<PipelineReport> Server::ProcessEndpoint(const std::string& url) {
-  return ProcessEndpointImpl(url, nullptr, nullptr);
-}
-
-Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
-                                                   ThreadPool* pool,
-                                                   PipelineCost* cost) {
+Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
+                                               ThreadPool* pool,
+                                               DueOutcome* charged) {
   PipelineReport report;
   report.url = url;
   const int64_t today = loop_->NowDay();
@@ -81,9 +77,9 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
     });
   };
   auto charge = [&] {
-    if (cost != nullptr) {
-      cost->latency_ms = report.extraction.total_latency_ms;
-      cost->intra_ms = report.extraction.intra_makespan_ms;
+    if (charged != nullptr) {
+      charged->charged_latency_ms = report.extraction.total_latency_ms;
+      charged->charged_intra_ms = report.extraction.intra_makespan_ms;
     }
   };
   auto fail = [&](Status status) -> Result<PipelineReport> {
@@ -91,7 +87,6 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
     record_attempt(false);
     return status;
   };
-  if (cost != nullptr) *cost = PipelineCost{};
 
   auto net = network_.find(url);
   if (net == network_.end()) {
@@ -609,32 +604,68 @@ Result<PipelineReport> Server::ProcessEndpointImpl(const std::string& url,
   return report;
 }
 
-DailyReport Server::RunDailyUpdate() {
-  return RunDailyCycle(options_.parallelism);
+void CycleCounters::Count(const Result<PipelineReport>& result,
+                          bool staleness) {
+  ++due;
+  if (!result.ok()) {
+    ++failed;
+    return;
+  }
+  ++succeeded;
+  if (result->reused_cluster_schema) ++reused;
+  if (result->probed) ++probes;
+  if (result->probe_skipped) ++probe_skips;
+  if (result->delta_extracted) ++delta_extractions;
+  if (result->probe_mismatch) ++probe_mismatches;
+  if (result->forced_refresh) ++forced_refreshes;
+  if (result->quarantine_entered) ++quarantines_entered;
+  if (result->quarantine_exited) ++quarantines_exited;
+  if (staleness) ++staleness_histogram[result->staleness_days];
 }
 
-DailyReport Server::RunDailyCycle(int parallelism) {
-  // One pool serves both layers: pipelines fan out over it AND each
-  // pipeline's query batches are submitted back into it (the
-  // caller-participates claim loops of ParallelFor and QueryBatch make
-  // that nesting deadlock-free). The pool is sized to `parallelism` and
-  // never grown for batching, so total threads honor the ServerOptions
-  // contract; at parallelism 1 batch jobs simply run inline on the
-  // cycle's own thread — the simulated overlap figures are computed from
-  // the batch width either way, so reports do not depend on the pool's
-  // existence.
-  if (parallelism <= 1) return RunDailyCycleOn(nullptr, 1);
-  // No pool when there is at most one pipeline to run — spawning and
-  // joining workers for zero overlap would be pure overhead on the quiet
-  // days of a multi-day simulation. (The due list is recomputed inside
-  // RunDailyCycleOn from the same registry state; DueToday is read-only,
-  // so the two computations agree.)
-  if (scheduler_.DueToday(registry_.Snapshot(), loop_->NowDay()).size() <=
-      1) {
-    return RunDailyCycleOn(nullptr, parallelism);
+void CycleCounters::Add(const CycleCounters& other) {
+  due += other.due;
+  succeeded += other.succeeded;
+  failed += other.failed;
+  reused += other.reused;
+  probes += other.probes;
+  probe_skips += other.probe_skips;
+  delta_extractions += other.delta_extractions;
+  probe_mismatches += other.probe_mismatches;
+  forced_refreshes += other.forced_refreshes;
+  quarantines_entered += other.quarantines_entered;
+  quarantines_exited += other.quarantines_exited;
+  for (const auto& [days_stale, n] : other.staleness_histogram) {
+    staleness_histogram[days_stale] += n;
   }
-  ThreadPool pool(static_cast<size_t>(parallelism));
-  return RunDailyCycleOn(&pool, parallelism);
+  plan_cache_hits += other.plan_cache_hits;
+  plan_cache_misses += other.plan_cache_misses;
+  hash_join_builds += other.hash_join_builds;
+}
+
+DailyReport Server::RunDailyUpdate() {
+  // One pool of `parallelism` workers serves pipelines and their query
+  // batches alike, so total threads honor the ServerOptions contract. With
+  // at most one pipeline due no pool is built: spawning workers for zero
+  // overlap is pure overhead on quiet days, and the simulated figures
+  // come from the batch width either way.
+  Cycle cycle = BeginCycle(options_.parallelism);
+  std::optional<ThreadPool> pool;
+  if (cycle.report.parallelism > 1 && cycle.due.size() > 1) {
+    pool.emplace(static_cast<size_t>(cycle.report.parallelism));
+  }
+  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  ThreadPool::ParallelFor(pool_ptr, cycle.due.size(),
+                          [&](size_t i) { RunDue(&cycle, i, pool_ptr); });
+  return FinishCycle(std::move(cycle));
+}
+
+DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
+  Cycle cycle = BeginCycle(parallelism);
+  ThreadPool::ParallelFor(cycle.report.parallelism > 1 ? pool : nullptr,
+                          cycle.due.size(),
+                          [&](size_t i) { RunDue(&cycle, i, pool); });
+  return FinishCycle(std::move(cycle));
 }
 
 endpoint::QueryEngineStats Server::SumEngineStats() const {
@@ -645,35 +676,47 @@ endpoint::QueryEngineStats Server::SumEngineStats() const {
   return total;
 }
 
-DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
-  DailyReport daily;
-  daily.day = loop_->NowDay();
-  daily.parallelism = std::max(1, parallelism);
+Server::Cycle Server::BeginCycle(int parallelism) {
+  Cycle cycle;
+  cycle.report.day = loop_->NowDay();
+  cycle.report.parallelism = std::max(1, parallelism);
 
   // Data evolves first: every attached endpoint applies its seeded
   // mutation days up to today — sequentially, in URL order, before the
   // due snapshot — so the whole cycle observes one fixed world state.
   // Endpoints without a mutation model no-op.
   for (auto& [ep_url, ep] : network_) {
-    if (ep != nullptr) ep->AdvanceDataDay(daily.day);
+    if (ep != nullptr) ep->AdvanceDataDay(cycle.report.day);
   }
 
-  const endpoint::QueryEngineStats engine_before = SumEngineStats();
+  cycle.engine_before = SumEngineStats();
 
   // Fix the due list from an immutable snapshot before any worker starts
   // mutating bookkeeping; `due` is in registry (insertion) order.
-  std::vector<std::string> due =
-      scheduler_.DueToday(registry_.Snapshot(), daily.day);
-  daily.due = due.size();
+  cycle.due = scheduler_.DueToday(registry_.Snapshot(), cycle.report.day);
+  cycle.results.assign(cycle.due.size(),
+                       Status::Internal("due entry never ran"));
+  cycle.report.outcomes.resize(cycle.due.size());
+  cycle.wall.Reset();
+  return cycle;
+}
 
-  Stopwatch wall;
-  std::vector<std::optional<Result<PipelineReport>>> slots(due.size());
-  std::vector<PipelineCost> costs(due.size());
-  ThreadPool* pool_ptr = daily.parallelism > 1 ? pool : nullptr;
-  ThreadPool::ParallelFor(pool_ptr, due.size(), [&](size_t i) {
-    slots[i] = ProcessEndpointImpl(due[i], pool_ptr, &costs[i]);
-  });
-  daily.wall_ms = wall.ElapsedMillis();
+void Server::RunDue(Cycle* cycle, size_t i, ThreadPool* pool) {
+  DueOutcome& outcome = cycle->report.outcomes[i];
+  Result<PipelineReport>& result = cycle->results[i];
+  outcome.url = cycle->due[i];
+  result = ProcessEndpoint(outcome.url,
+                           cycle->report.parallelism > 1 ? pool : nullptr,
+                           &outcome);
+  outcome.succeeded = result.ok();
+  if (result.ok()) {
+    outcome.throttle_events = result->extraction.throttle_events;
+  }
+}
+
+DailyReport Server::FinishCycle(Cycle cycle) {
+  DailyReport daily = std::move(cycle.report);
+  daily.wall_ms = cycle.wall.ElapsedMillis();
 
   // Merge in due-list order — the report is independent of worker
   // completion order. The latency ledger replays deterministic list
@@ -683,35 +726,20 @@ DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
   // (sum). A second ledger replays the same schedule with each pipeline
   // shortened to its intra-pipeline makespan — the duration when batched
   // queries overlap inside pipelines too.
+  const IncrementalMode mode = options_.incremental.mode;
+  const bool staleness =
+      mode == IncrementalMode::kDelta || mode == IncrementalMode::kBounded;
   WorkerLatencyLedger ledger(static_cast<size_t>(daily.parallelism));
   WorkerLatencyLedger batched_ledger(static_cast<size_t>(daily.parallelism));
-  daily.outcomes.reserve(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    Result<PipelineReport>& result = *slots[i];
-    ledger.Assign(costs[i].latency_ms);
-    batched_ledger.Assign(costs[i].intra_ms);
-    daily.outcomes.push_back(DueOutcome{due[i], result.ok(),
-                                        costs[i].latency_ms,
-                                        costs[i].intra_ms});
+  for (size_t i = 0; i < cycle.due.size(); ++i) {
+    Result<PipelineReport>& result = cycle.results[i];
+    ledger.Assign(daily.outcomes[i].charged_latency_ms);
+    batched_ledger.Assign(daily.outcomes[i].charged_intra_ms);
+    daily.Count(result, staleness);
     if (result.ok()) {
-      ++daily.succeeded;
-      if (result->reused_cluster_schema) ++daily.reused;
-      if (result->probed) ++daily.probes;
-      if (result->probe_skipped) ++daily.probe_skips;
-      if (result->delta_extracted) ++daily.delta_extractions;
-      if (result->probe_mismatch) ++daily.probe_mismatches;
-      if (result->forced_refresh) ++daily.forced_refreshes;
-      if (result->quarantine_entered) ++daily.quarantines_entered;
-      if (result->quarantine_exited) ++daily.quarantines_exited;
-      const IncrementalMode mode = options_.incremental.mode;
-      if (mode == IncrementalMode::kDelta ||
-          mode == IncrementalMode::kBounded) {
-        ++daily.staleness_histogram[result->staleness_days];
-      }
       daily.reports.push_back(std::move(*result));
     } else {
-      ++daily.failed;
-      HBOLD_LOG(kDebug) << "daily update failed for " << due[i] << ": "
+      HBOLD_LOG(kDebug) << "daily update failed for " << cycle.due[i] << ": "
                         << result.status().ToString();
     }
   }
@@ -719,9 +747,9 @@ DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
   daily.makespan_ms = ledger.MakespanMs();
   daily.batched_makespan_ms = batched_ledger.MakespanMs();
   // Engine counters are cumulative per endpoint; the cycle's share is the
-  // delta. No queries are in flight here (all workers joined above).
+  // delta. No queries are in flight here (every due entry has run).
   const endpoint::QueryEngineStats engine_delta =
-      SumEngineStats() - engine_before;
+      SumEngineStats() - cycle.engine_before;
   daily.plan_cache_hits = engine_delta.plan_cache_hits;
   daily.plan_cache_misses = engine_delta.plan_cache_misses;
   daily.hash_join_builds = engine_delta.hash_join_builds;

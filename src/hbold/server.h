@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "endpoint/endpoint.h"
 #include "endpoint/registry.h"
@@ -160,11 +161,15 @@ struct DueOutcome {
   double charged_latency_ms = 0;
   /// The same attempt's intra-pipeline (batched) duration.
   double charged_intra_ms = 0;
+  /// The successful attempt's extraction throttle events (0 on failure) —
+  /// the adaptive-width policy's signal.
+  size_t throttle_events = 0;
 };
 
-/// Outcome of one daily update cycle (§3.1).
-struct DailyReport {
-  int64_t day = 0;
+/// The counters of one daily cycle: a DailyReport folds them from its due
+/// entries, a FleetDayReport sums its shards' (order-independent sums, so
+/// identical for any shard count).
+struct CycleCounters {
   size_t due = 0;
   size_t succeeded = 0;
   size_t failed = 0;
@@ -187,6 +192,25 @@ struct DailyReport {
   /// days-since-last-full-refresh -> endpoint count. Empty outside the
   /// delta modes (kDelta/kBounded), keeping earlier reports byte-stable.
   std::map<int64_t, size_t> staleness_histogram;
+  /// Query-engine deployment counters: the cycle's delta of the attached
+  /// endpoints' plan-cache and hash-join activity (summed in URL order).
+  /// Deployment figures like wall_ms — a concurrent batch can turn one
+  /// would-be hit into a second miss, so these are reported next to the
+  /// wall clock and excluded from the canonical (bit-identical) content.
+  uint64_t plan_cache_hits = 0;
+  uint64_t plan_cache_misses = 0;
+  uint64_t hash_join_builds = 0;
+
+  /// Folds one due entry's result. `staleness` adds a successful run to
+  /// staleness_histogram (set under the delta modes only).
+  void Count(const Result<PipelineReport>& result, bool staleness);
+  /// Adds another cycle's counters.
+  void Add(const CycleCounters& other);
+};
+
+/// Outcome of one daily update cycle (§3.1).
+struct DailyReport : CycleCounters {
+  int64_t day = 0;
   /// Worker count the cycle ran with (1 = sequential).
   int parallelism = 1;
   /// Real wall-clock of the whole cycle.
@@ -209,14 +233,6 @@ struct DailyReport {
   /// batching is off; the gap between the two is what intra-pipeline
   /// fan-out buys.
   double batched_makespan_ms = 0;
-  /// Query-engine deployment counters: the cycle's delta of the attached
-  /// endpoints' plan-cache and hash-join activity (summed in URL order).
-  /// Deployment figures like wall_ms — a concurrent batch can turn one
-  /// would-be hit into a second miss, so these are reported next to the
-  /// wall clock and excluded from the canonical (bit-identical) content.
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t hash_join_builds = 0;
   /// Reports in registry (due-list) order, independent of the order in
   /// which workers actually finished.
   std::vector<PipelineReport> reports;
@@ -302,27 +318,51 @@ class Server {
   /// bookkeeping, and the pipeline itself holds no server-level mutable
   /// state. (Two concurrent calls for the same URL would race on that
   /// endpoint's stored documents.)
-  Result<PipelineReport> ProcessEndpoint(const std::string& url);
+  ///
+  /// Query batches fan out over `pool` (null runs them inline). `charged`
+  /// (may be null) receives the cost the ledgers charge, on failure too:
+  /// a timed-out extraction still spent its queries' latency.
+  Result<PipelineReport> ProcessEndpoint(const std::string& url,
+                                         ThreadPool* pool = nullptr,
+                                         DueOutcome* charged = nullptr);
 
   /// One §3.1 daily cycle: extract everything the scheduler says is due,
-  /// using ServerOptions::parallelism workers.
+  /// using ServerOptions::parallelism workers. Reports merge back in
+  /// registry order, so the DailyReport (endpoint order, counts, reused
+  /// flags) is identical to the sequential run on the same portal state.
   DailyReport RunDailyUpdate();
 
-  /// The same cycle with an explicit worker count. The due list is a
-  /// registry snapshot taken up front; endpoint pipelines fan out over a
-  /// thread pool and their reports are merged back in registry order, so
-  /// the DailyReport (endpoint order, counts, reused flags) is identical
-  /// to the sequential run on the same portal state.
-  DailyReport RunDailyCycle(int parallelism);
-
-  /// The same cycle on a caller-owned pool — the form the fleet layer
-  /// uses so every shard's cycle shares ONE pool (ParallelFor's claim
-  /// loop keeps the nesting deadlock-free). `pool` may be larger or
-  /// smaller than `parallelism`; all deterministic figures (makespans,
-  /// merge order) are computed from `parallelism` alone, so the report is
+  /// The same cycle on a caller-owned pool: BeginCycle, one ParallelFor
+  /// over the due entries, FinishCycle. `pool` may be larger or smaller
+  /// than `parallelism`; all deterministic figures (makespans, merge
+  /// order) are computed from `parallelism` alone, so the report is
   /// bit-identical whatever pool actually ran it. `pool == nullptr` runs
   /// inline.
   DailyReport RunDailyCycleOn(ThreadPool* pool, int parallelism);
+
+  /// One daily cycle in flight, split into three steps so a fleet can run
+  /// every shard's due entries from one claim loop.
+  struct Cycle {
+    std::vector<std::string> due;  // registry (insertion) order
+    std::vector<Result<PipelineReport>> results;  // per due entry
+    /// Under construction: day, parallelism, one outcome per due entry.
+    DailyReport report;
+    endpoint::QueryEngineStats engine_before;
+    Stopwatch wall;
+  };
+
+  /// Advances every attached endpoint's data to today, fixes the due list
+  /// from a registry snapshot, and takes the engine-stats baseline.
+  Cycle BeginCycle(int parallelism);
+
+  /// Runs due entry `i`; safe concurrently for distinct `i`. Query batches
+  /// use `pool` only when the cycle's parallelism is > 1.
+  void RunDue(Cycle* cycle, size_t i, ThreadPool* pool);
+
+  /// Charges the ledgers in due order and folds the DailyReport. Every due
+  /// entry must have run (one that did not counts as failed), and no
+  /// query may be in flight.
+  DailyReport FinishCycle(Cycle cycle);
 
   /// Persists the registry into the store (collection kRegistryCollection).
   Status PersistRegistry();
@@ -330,21 +370,6 @@ class Server {
   Status LoadRegistry();
 
  private:
-  /// Simulated cost one pipeline attempt accrued, on success *and* on
-  /// failure (a timed-out extraction still spent its queries' latency) —
-  /// what the daily cycle's ledgers charge.
-  struct PipelineCost {
-    double latency_ms = 0;   // sequential sum of query latencies
-    double intra_ms = 0;     // duration with intra-pipeline batching
-  };
-
-  /// ProcessEndpoint with cost feedback (`cost` may be null) and the
-  /// shared pool intra-pipeline batches fan out over (null runs batch
-  /// jobs inline on this thread).
-  Result<PipelineReport> ProcessEndpointImpl(const std::string& url,
-                                             ThreadPool* pool,
-                                             PipelineCost* cost);
-
   /// Sum of the attached endpoints' cumulative engine counters, in URL
   /// (map) order. Taken before/after a cycle for the DailyReport delta.
   endpoint::QueryEngineStats SumEngineStats() const;
@@ -355,8 +380,8 @@ class Server {
   extraction::RefreshScheduler scheduler_;
   extraction::IndexExtractor extractor_;
   endpoint::EndpointRegistry registry_;
-  /// Read-only during a cycle: AttachEndpoint must happen before
-  /// RunDailyCycle, never concurrently with it.
+  /// Read-only during a cycle: AttachEndpoint must happen between
+  /// cycles, never concurrently with one.
   std::map<std::string, endpoint::SparqlEndpoint*> network_;
   /// Per-endpoint batch-width overrides (adaptive policy). Read-only
   /// during a cycle, mutated only between cycles — same discipline as

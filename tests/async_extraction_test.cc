@@ -323,7 +323,7 @@ class AsyncCycleTest : public ::testing::Test {
 
 TEST_F(AsyncCycleTest, ReportsBitIdenticalAcrossParallelismAndBatching) {
   store::Database baseline_db;
-  DailyReport baseline = MakeServer(&baseline_db, 1, 1)->RunDailyCycle(1);
+  DailyReport baseline = MakeServer(&baseline_db, 1, 1)->RunDailyUpdate();
   EXPECT_EQ(baseline.due, kEndpoints);
   EXPECT_EQ(baseline.failed, 1u);
   EXPECT_EQ(baseline.batched_makespan_ms, baseline.makespan_ms);
@@ -341,7 +341,7 @@ TEST_F(AsyncCycleTest, ReportsBitIdenticalAcrossParallelismAndBatching) {
                    " width=" + std::to_string(width));
       store::Database db;
       auto server = MakeServer(&db, parallelism, width);
-      DailyReport report = server->RunDailyCycle(parallelism);
+      DailyReport report = server->RunDailyUpdate();
       // Work, cost, and artifacts identical across every setting...
       ExpectSameWork(baseline, report);
       EXPECT_EQ(CanonicalCollection(db, kSummariesCollection),
@@ -370,9 +370,9 @@ TEST_F(AsyncCycleTest, ReportsBitIdenticalAcrossParallelismAndBatching) {
 
 TEST_F(AsyncCycleTest, BatchedCycleDeterministicAcrossRuns) {
   store::Database db_a;
-  DailyReport a = MakeServer(&db_a, 8, 4)->RunDailyCycle(8);
+  DailyReport a = MakeServer(&db_a, 8, 4)->RunDailyUpdate();
   store::Database db_b;
-  DailyReport b = MakeServer(&db_b, 8, 4)->RunDailyCycle(8);
+  DailyReport b = MakeServer(&db_b, 8, 4)->RunDailyUpdate();
   ExpectBitIdentical(a, b);
   EXPECT_EQ(a.batched_makespan_ms, b.batched_makespan_ms);
 }
@@ -380,10 +380,10 @@ TEST_F(AsyncCycleTest, BatchedCycleDeterministicAcrossRuns) {
 TEST_F(AsyncCycleTest, ReuseDetectionSurvivesBatchedSecondCycle) {
   store::Database db;
   auto server = MakeServer(&db, 4, 4);
-  DailyReport first = server->RunDailyCycle(4);
+  DailyReport first = server->RunDailyUpdate();
   EXPECT_EQ(first.reused, 0u);
   loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
-  DailyReport second = server->RunDailyCycle(4);
+  DailyReport second = server->RunDailyUpdate();
   EXPECT_EQ(second.succeeded, kEndpoints - 1);
   EXPECT_EQ(second.reused, kEndpoints - 1);
 }

@@ -421,8 +421,8 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForOnSharedPoolDoesNotDeadlock) {
-  // The fleet pattern: outer loop = shard cycles, inner loop = endpoint
-  // pipelines, both on ONE pool that is smaller than the outer fan-out.
+  // Outer loop = pipelines, inner loop = their fan-out, both on ONE pool
+  // that is smaller than the outer fan-out.
   // The caller-participates claim loop must drive this to completion even
   // though every pool worker can be blocked inside an outer iteration.
   ThreadPool pool(2);

@@ -2,9 +2,11 @@
 // (canonical history and persisted artifacts are byte-identical across
 // shard counts, parallelism, and batching), seeded churn semantics
 // (arrivals schedulable the NEXT day, deaths retried daily), adaptive
-// batch-width policy, the clock-advance contract, and the
-// RefreshScheduler mid-cycle pickup regression.
+// batch-width policy, the clock-advance contract, the inline claim order,
+// the fleet counters as shard sums, and the RefreshScheduler mid-cycle
+// pickup regression.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -89,6 +91,30 @@ class GroupByThrottlingEndpoint : public endpoint::SparqlEndpoint {
 
  private:
   endpoint::SparqlEndpoint* inner_;
+};
+
+/// Forwards queries to `inner` and logs its URL each time a different
+/// endpoint starts answering — on an inline fleet, the order the
+/// pipelines ran in.
+class RecordingEndpoint : public endpoint::SparqlEndpoint {
+ public:
+  RecordingEndpoint(endpoint::SparqlEndpoint* inner,
+                    std::vector<std::string>* log)
+      : inner_(inner), log_(log) {}
+
+  Result<endpoint::QueryOutcome> Query(const std::string& q) override {
+    if (log_->empty() || log_->back() != inner_->url()) {
+      log_->push_back(inner_->url());
+    }
+    return inner_->Query(q);
+  }
+  const std::string& url() const override { return inner_->url(); }
+  const std::string& name() const override { return inner_->name(); }
+  size_t queries_served() const override { return inner_->queries_served(); }
+
+ private:
+  endpoint::SparqlEndpoint* inner_;
+  std::vector<std::string>* log_;
 };
 
 /// One seeded simulated world: stores are shared across configurations
@@ -282,6 +308,96 @@ TEST_F(FleetSimulationTest, RepeatedRunsBitIdenticalIncludingDurations) {
   }
 }
 
+// ------------------------------------------------- claim order, counters
+
+TEST_F(FleetSimulationTest, InlineFleetRunsPipelinesInRegistrationOrder) {
+  sim::EventLoop loop;
+  FleetOptions options;
+  options.num_shards = 2;
+  options.fleet_workers = 1;
+  Fleet fleet(&loop, options);
+  std::vector<std::string> ran;
+  std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints;
+  std::vector<std::unique_ptr<RecordingEndpoint>> recorders;
+  for (size_t i = 0; i < kBaseEndpoints; ++i) {
+    const std::string url = FleetWorld::Url(i);
+    endpoints.push_back(std::make_unique<SimulatedRemoteEndpoint>(
+        url, "Fleet " + std::to_string(i), stores_[i].get(), loop.clock()));
+    recorders.push_back(
+        std::make_unique<RecordingEndpoint>(endpoints.back().get(), &ran));
+    EndpointRecord record;
+    record.url = url;
+    ASSERT_TRUE(fleet.RegisterEndpoint(record));
+    fleet.AttachEndpoint(url, recorders.back().get());
+  }
+  FleetReport report = fleet.RunSimulation(1);
+  ASSERT_EQ(report.days.at(0).succeeded, kBaseEndpoints);
+  EXPECT_EQ(ran, fleet.registration_order());
+  // The registration order interleaves the shards, so running shard by
+  // shard could not match it.
+  std::vector<std::string> shard_major = fleet.registration_order();
+  std::stable_sort(shard_major.begin(), shard_major.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return fleet.ShardOf(a) < fleet.ShardOf(b);
+                   });
+  EXPECT_NE(shard_major, fleet.registration_order());
+}
+
+TEST_F(FleetSimulationTest, DayCountersAreTheSumOfShardCounters) {
+  FleetOptions options = Config(4, 2, 2);
+  options.server.incremental.mode = IncrementalMode::kBounded;
+  FleetWorld world(stores_, options);
+  FleetReport report = world.fleet().RunSimulation(9);
+  constexpr size_t CycleCounters::*kSizes[] = {
+      &CycleCounters::due,
+      &CycleCounters::succeeded,
+      &CycleCounters::failed,
+      &CycleCounters::reused,
+      &CycleCounters::probes,
+      &CycleCounters::probe_skips,
+      &CycleCounters::delta_extractions,
+      &CycleCounters::probe_mismatches,
+      &CycleCounters::forced_refreshes,
+      &CycleCounters::quarantines_entered,
+      &CycleCounters::quarantines_exited,
+  };
+  constexpr uint64_t CycleCounters::*kEngine[] = {
+      &CycleCounters::plan_cache_hits,
+      &CycleCounters::plan_cache_misses,
+      &CycleCounters::hash_join_builds,
+  };
+  size_t probes = 0;
+  size_t histogram_days = 0;
+  for (const FleetDayReport& day : report.days) {
+    SCOPED_TRACE("day " + std::to_string(day.day));
+    ASSERT_EQ(day.shard_reports.size(), 4u);
+    for (size_t CycleCounters::*field : kSizes) {
+      size_t sum = 0;
+      for (const DailyReport& s : day.shard_reports) sum += s.*field;
+      EXPECT_EQ(day.*field, sum);
+    }
+    for (uint64_t CycleCounters::*field : kEngine) {
+      uint64_t sum = 0;
+      for (const DailyReport& s : day.shard_reports) sum += s.*field;
+      EXPECT_EQ(day.*field, sum);
+    }
+    std::map<int64_t, size_t> histogram;
+    for (const DailyReport& s : day.shard_reports) {
+      for (const auto& [days_stale, n] : s.staleness_histogram) {
+        histogram[days_stale] += n;
+      }
+    }
+    EXPECT_EQ(day.staleness_histogram, histogram);
+    // The counters describe the merged lists.
+    EXPECT_EQ(day.due, day.outcomes.size());
+    EXPECT_EQ(day.succeeded, day.reports.size());
+    probes += day.probes;
+    histogram_days += day.staleness_histogram.empty() ? 0 : 1;
+  }
+  EXPECT_GT(probes, 0u);
+  EXPECT_GT(histogram_days, 0u);
+}
+
 // ------------------------------------------------------- clock contract
 
 TEST_F(FleetSimulationTest, ClockAdvancesByMakespanThenSnapsToDayBoundary) {
@@ -385,6 +501,19 @@ TEST(AdaptiveWidthControllerTest, InitialWidthClampedIntoPolicyRange) {
   EXPECT_EQ(controller.WidthFor("a"), 4);
   AdaptiveWidthController low(options, /*initial_width=*/1);
   EXPECT_EQ(low.WidthFor("a"), 2);
+}
+
+TEST(AdaptiveWidthControllerTest, InvertedRangeTreatsMaxAsMin) {
+  AdaptiveWidthOptions options;
+  options.min_width = 4;
+  options.max_width = 2;
+  AdaptiveWidthController high(options, /*initial_width=*/16);
+  EXPECT_EQ(high.WidthFor("a"), 4);
+  AdaptiveWidthController low(options, /*initial_width=*/1);
+  EXPECT_EQ(low.WidthFor("a"), 4);
+  EXPECT_EQ(low.Observe("a", false, /*throttle_events=*/1), 4);
+  EXPECT_EQ(low.Observe("a", false, 0), 4);
+  EXPECT_EQ(low.Observe("a", false, 0), 4);
 }
 
 TEST_F(FleetSimulationTest, AdaptiveWidthNarrowsThrottledEndpointOnly) {

@@ -535,7 +535,7 @@ class ParallelCycleTest : public ::testing::Test {
 TEST_F(ParallelCycleTest, ParallelReportMatchesSequential) {
   store::Database seq_db;
   auto seq_server = MakeServer(&seq_db, 1, /*attach_all=*/false);
-  DailyReport sequential = seq_server->RunDailyCycle(1);
+  DailyReport sequential = seq_server->RunDailyUpdate();
   EXPECT_EQ(sequential.due, kEndpoints);
   EXPECT_EQ(sequential.succeeded, kEndpoints - 1);
   EXPECT_EQ(sequential.failed, 1u);
@@ -545,7 +545,7 @@ TEST_F(ParallelCycleTest, ParallelReportMatchesSequential) {
   for (int workers : {2, 4}) {
     store::Database par_db;
     auto par_server = MakeServer(&par_db, workers, /*attach_all=*/false);
-    DailyReport parallel = par_server->RunDailyCycle(workers);
+    DailyReport parallel = par_server->RunDailyUpdate();
     EXPECT_EQ(parallel.parallelism, workers);
     ExpectSameOutcome(sequential, parallel);
     // Cost is conserved; duration shrinks (or stays, never grows).
@@ -567,9 +567,9 @@ TEST_F(ParallelCycleTest, ParallelReportMatchesSequential) {
 
 TEST_F(ParallelCycleTest, ParallelCycleIsDeterministicAcrossRuns) {
   store::Database db_a;
-  DailyReport a = MakeServer(&db_a, 4, /*attach_all=*/true)->RunDailyCycle(4);
+  DailyReport a = MakeServer(&db_a, 4, /*attach_all=*/true)->RunDailyUpdate();
   store::Database db_b;
-  DailyReport b = MakeServer(&db_b, 4, /*attach_all=*/true)->RunDailyCycle(4);
+  DailyReport b = MakeServer(&db_b, 4, /*attach_all=*/true)->RunDailyUpdate();
   ExpectSameOutcome(a, b);
   EXPECT_DOUBLE_EQ(a.makespan_ms, b.makespan_ms);
   EXPECT_DOUBLE_EQ(a.sum_latency_ms, b.sum_latency_ms);
@@ -578,12 +578,12 @@ TEST_F(ParallelCycleTest, ParallelCycleIsDeterministicAcrossRuns) {
 TEST_F(ParallelCycleTest, ReuseDetectionSurvivesParallelSecondCycle) {
   store::Database db;
   auto server = MakeServer(&db, 4, /*attach_all=*/true);
-  DailyReport first = server->RunDailyCycle(4);
+  DailyReport first = server->RunDailyUpdate();
   EXPECT_EQ(first.reused, 0u);
   // Unchanged data a week later: every endpoint's Schema Summary hash
   // matches, so the whole cycle is §3.2 reuse — detected under concurrency.
   loop_.RunUntil(loop_.NowMs() + 7 * SimClock::kMillisPerDay);
-  DailyReport second = server->RunDailyCycle(4);
+  DailyReport second = server->RunDailyUpdate();
   EXPECT_EQ(second.due, kEndpoints);
   EXPECT_EQ(second.succeeded, kEndpoints);
   EXPECT_EQ(second.reused, kEndpoints);
