@@ -163,36 +163,4 @@ std::vector<Result<QueryOutcome>> QueryBatch::RunOnOne(
   return Run(jobs, options);
 }
 
-std::vector<Result<bool>> ProbeBatch(
-    const std::vector<SparqlEndpoint*>& endpoints,
-    const QueryBatchOptions& options) {
-  std::vector<QueryJob> jobs;
-  jobs.reserve(endpoints.size());
-  for (SparqlEndpoint* ep : endpoints) {
-    jobs.push_back(QueryJob{ep, "ASK { ?s ?p ?o . }"});
-  }
-  // A down endpoint is a per-endpoint answer, not a reason to stop
-  // probing the rest.
-  QueryBatchOptions probe_options = options;
-  probe_options.abort_on_failure = false;
-  std::vector<Result<QueryOutcome>> outcomes =
-      QueryBatch::Run(jobs, probe_options);
-  std::vector<Result<bool>> probes;
-  probes.reserve(outcomes.size());
-  for (Result<QueryOutcome>& outcome : outcomes) {
-    if (!outcome.ok()) {
-      probes.push_back(outcome.status());
-      continue;
-    }
-    std::optional<bool> answer = outcome->table.AskResult();
-    if (!answer.has_value()) {
-      probes.push_back(
-          Status::Internal("endpoint returned a non-boolean ASK result"));
-      continue;
-    }
-    probes.push_back(*answer);
-  }
-  return probes;
-}
-
 }  // namespace hbold::endpoint

@@ -81,14 +81,6 @@ class QueryBatch {
       const QueryBatchOptions& options);
 };
 
-/// Batched liveness probes: runs endpoint::Probe against every endpoint
-/// through the same fan-out machinery (one ASK per endpoint, politeness
-/// cap honored). Results are in input order; a null endpoint yields
-/// Unavailable.
-std::vector<Result<bool>> ProbeBatch(
-    const std::vector<SparqlEndpoint*>& endpoints,
-    const QueryBatchOptions& options);
-
 }  // namespace hbold::endpoint
 
 #endif  // HBOLD_ENDPOINT_QUERY_BATCH_H_

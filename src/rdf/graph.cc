@@ -534,16 +534,11 @@ size_t TripleStore::size() const {
 }
 
 bool TripleStore::Contains(const Term& s, const Term& p, const Term& o) const {
-  TermId si = dict_.Lookup(s);
-  TermId pi = dict_.Lookup(p);
-  TermId oi = dict_.Lookup(o);
-  if (si == kInvalidTermId || pi == kInvalidTermId || oi == kInvalidTermId) {
+  TriplePattern t{dict_.Lookup(s), dict_.Lookup(p), dict_.Lookup(o)};
+  if (t.s == kInvalidTermId || t.p == kInvalidTermId || t.o == kInvalidTermId) {
     return false;
   }
-  EnsureIndexed();
-  Triple t{si, pi, oi};
-  const TripleSpan spo = SpoView();
-  return std::binary_search(spo.begin(), spo.end(), t);
+  return !Span(t).empty();
 }
 
 std::pair<size_t, size_t> TripleStore::EqualRange(TripleSpan index,
@@ -590,73 +585,14 @@ std::pair<size_t, size_t> TripleStore::EqualRange(TripleSpan index,
           static_cast<size_t>(end - index.begin())};
 }
 
-bool TripleStore::PlanRange(const TriplePattern& pattern, TripleSpan* index,
-                            Order* order, TermId* k1, TermId* k2,
-                            bool* residual) const {
-  const bool bs = pattern.s != kInvalidTermId;
-  const bool bp = pattern.p != kInvalidTermId;
-  const bool bo = pattern.o != kInvalidTermId;
-  if (bs) {
-    *index = SpoView();
-    *order = Order::kSpo;
-    *k1 = pattern.s;
-    *k2 = bp ? pattern.p : kInvalidTermId;
-    // (s, ?, o) needs a residual filter on o; (s, p, o) on o as well.
-    *residual = bo;
-    return true;
-  }
-  if (bp) {
-    *index = PosView();
-    *order = Order::kPos;
-    *k1 = pattern.p;
-    *k2 = bo ? pattern.o : kInvalidTermId;
-    *residual = false;
-    return true;
-  }
-  if (bo) {
-    *index = OspView();
-    *order = Order::kOsp;
-    *k1 = pattern.o;
-    *k2 = kInvalidTermId;
-    *residual = false;
-    return true;
-  }
-  return false;  // full scan
-}
-
-void TripleStore::Match(const TriplePattern& pattern,
-                        const std::function<bool(const Triple&)>& fn) const {
-  EnsureIndexed();
-  TripleSpan index;
-  Order order = Order::kSpo;
-  TermId k1 = kInvalidTermId;
-  TermId k2 = kInvalidTermId;
-  bool residual = false;
-
-  if (!PlanRange(pattern, &index, &order, &k1, &k2, &residual)) {
-    for (const Triple& t : SpoView()) {
-      if (!fn(t)) return;
-    }
-    return;
-  }
-
-  auto [begin, end] = EqualRange(index, order, k1, k2);
-  for (size_t i = begin; i < end; ++i) {
-    const Triple& t = index.data[i];
-    // Residual position filter — only the (s, o)/(s, p, o) shapes need it;
-    // every other bound combination is exactly the prefix range.
-    if (residual && !pattern.Matches(t)) continue;
-    if (!fn(t)) return;
-  }
-}
-
 TripleSpan TripleStore::Span(const TriplePattern& pattern) const {
   EnsureIndexed();
   const bool bs = pattern.s != kInvalidTermId;
   const bool bp = pattern.p != kInvalidTermId;
   const bool bo = pattern.o != kInvalidTermId;
-  // Unlike Match/PlanRange, every bound combination routes to the index
-  // whose prefix range is exactly the match set — no residual shapes.
+  // Every bound combination routes to the index whose prefix range is
+  // exactly the match set: (s, o) through OSP, (s, p, o) through a binary
+  // search, so no shape needs a residual filter.
   if (bs && bp && bo) {
     Triple t{pattern.s, pattern.p, pattern.o};
     const TripleSpan spo = SpoView();
@@ -694,46 +630,8 @@ TripleSpan TripleStore::Span(const TriplePattern& pattern) const {
   return TripleSpan{index.data + b, e - b};
 }
 
-std::vector<Triple> TripleStore::MatchAll(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  Match(pattern, [&](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
 size_t TripleStore::Count(const TriplePattern& pattern) const {
-  EnsureIndexed();
-  const bool bs = pattern.s != kInvalidTermId;
-  const bool bp = pattern.p != kInvalidTermId;
-  const bool bo = pattern.o != kInvalidTermId;
-  // Every bound combination is a contiguous prefix range of one index:
-  // unlike Match (which keeps its historical iteration orders), counting
-  // routes (s, o) through OSP and (s, p, o) through a binary search, so no
-  // combination ever needs a residual walk.
-  if (bs && bp && bo) {
-    Triple t{pattern.s, pattern.p, pattern.o};
-    const TripleSpan spo = SpoView();
-    return std::binary_search(spo.begin(), spo.end(), t) ? 1 : 0;
-  }
-  std::pair<size_t, size_t> r;
-  if (bs && bp) {
-    r = EqualRange(SpoView(), Order::kSpo, pattern.s, pattern.p);
-  } else if (bs && bo) {
-    r = EqualRange(OspView(), Order::kOsp, pattern.o, pattern.s);
-  } else if (bs) {
-    r = EqualRange(SpoView(), Order::kSpo, pattern.s, kInvalidTermId);
-  } else if (bp && bo) {
-    r = EqualRange(PosView(), Order::kPos, pattern.p, pattern.o);
-  } else if (bp) {
-    r = EqualRange(PosView(), Order::kPos, pattern.p, kInvalidTermId);
-  } else if (bo) {
-    r = EqualRange(OspView(), Order::kOsp, pattern.o, kInvalidTermId);
-  } else {
-    return SpoView().size;
-  }
-  return r.second - r.first;
+  return Span(pattern).size;
 }
 
 size_t TripleStore::CountDistinct(const TriplePattern& pattern,
@@ -818,11 +716,10 @@ size_t TripleStore::CountDistinct(const TriplePattern& pattern,
   // Fallback: collect the position's ids over the matched range. Still no
   // binding-row materialization, just a flat id vector.
   std::vector<TermId> ids;
-  Match(pattern, [&](const Triple& t) {
+  for (const Triple& t : Span(pattern)) {
     ids.push_back(pos == TriplePos::kS ? t.s
                                        : (pos == TriplePos::kP ? t.p : t.o));
-    return true;
-  });
+  }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids.size();
@@ -851,37 +748,6 @@ PredicateStats TripleStore::StatsForPredicate(TermId p) const {
   EnsureIndexed();
   auto it = pred_stats_.find(p);
   return it == pred_stats_.end() ? PredicateStats{} : it->second;
-}
-
-std::vector<TermId> TripleStore::DistinctObjects(TermId p) const {
-  EnsureIndexed();
-  std::vector<TermId> out;
-  TriplePattern pat;
-  pat.p = p;
-  TermId last = kInvalidTermId;
-  // POS index yields objects in sorted order for fixed p.
-  Match(pat, [&](const Triple& t) {
-    if (t.o != last) {
-      out.push_back(t.o);
-      last = t.o;
-    }
-    return true;
-  });
-  return out;
-}
-
-std::vector<TermId> TripleStore::DistinctSubjects(TermId p) const {
-  EnsureIndexed();
-  std::vector<TermId> out;
-  TriplePattern pat;
-  pat.p = p;
-  Match(pat, [&](const Triple& t) {
-    out.push_back(t.s);
-    return true;
-  });
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace hbold::rdf

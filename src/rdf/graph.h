@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,12 +35,12 @@ struct PredicateStats {
 /// Position selector for CountDistinct.
 enum class TriplePos { kS, kP, kO };
 
-/// A contiguous slice of one internal sorted index — the zero-overhead
-/// sub-range scan primitive. Unlike Match there is no per-triple callback
-/// and no residual filtering: every triple in [begin, end) matches the
-/// pattern the span was built for. Iteration order is the owning index's
-/// sort order (see TripleStore::Span). Invalidated by the next write +
-/// rebuild, like any other read.
+/// A contiguous slice of one internal sorted index — the store's only
+/// triple-range read. Every triple in [begin, end) matches the pattern the
+/// span was built for; there is no callback and no residual filter.
+/// Iteration order is the owning index's sort order (see
+/// TripleStore::Span). Invalidated by the next write + rebuild, like any
+/// other read.
 struct TripleSpan {
   const Triple* data = nullptr;
   size_t size = 0;
@@ -66,8 +65,10 @@ struct DiskBackendOptions {
 };
 
 /// An RDF graph: a term dictionary plus three sorted triple indexes
-/// (SPO, POS, OSP) so that any triple pattern with at least one bound
-/// position is answered with a binary search + contiguous range scan.
+/// (SPO, POS, OSP). Every triple pattern, whatever its bound positions, is
+/// answered by Span as one binary-searched contiguous slice of one index;
+/// Count, Contains, CountDistinct and the Turtle/N-Triples writers all
+/// read through it.
 ///
 /// Writes append to a staging buffer; indexes are (re)built lazily on first
 /// read after a write (sort + dedup), which makes bulk loading linearithmic
@@ -149,31 +150,20 @@ class TripleStore {
   /// True if the exact triple is present.
   bool Contains(const Term& s, const Term& p, const Term& o) const;
 
-  /// Enumerates all triples matching `pattern` (wildcard = kInvalidTermId).
-  /// The callback returns false to stop early.
-  void Match(const TriplePattern& pattern,
-             const std::function<bool(const Triple&)>& fn) const;
-
-  /// Sub-range scan primitive: the contiguous sorted index slice holding
-  /// exactly the triples matching `pattern`, in O(log n), with no callback
-  /// and no residual filtering. Every bound-position combination maps to a
-  /// prefix range of one index (the (s, o) shape routes through OSP, the
-  /// fully bound shape through a binary search), so this never fails.
-  /// Iteration order by bound combination:
+  /// The contiguous sorted index slice holding exactly the triples matching
+  /// `pattern` (wildcard = kInvalidTermId), found in O(log n). Every
+  /// bound-position combination maps to a prefix range of one index (the
+  /// (s, o) shape routes through OSP, the fully bound shape through a
+  /// binary search), so this never fails. Iteration order by bound
+  /// combination:
   ///   (), (s), (s,p), (s,p,o)  -> SPO order
   ///   (p), (p,o)               -> POS order
   ///   (o), (s,o)               -> OSP order
-  /// The executor's count pushdown and the hash-join build side iterate these
-  /// spans directly instead of materializing binding rows.
+  /// Every BGP step of the executor (nested index loop and hash-join build)
+  /// and the count pushdown iterate these spans directly.
   TripleSpan Span(const TriplePattern& pattern) const;
 
-  /// Collects matches into a vector (convenience over Match).
-  std::vector<Triple> MatchAll(const TriplePattern& pattern) const;
-
-  /// Number of triples matching `pattern`. Every bound-position combination
-  /// maps onto a contiguous prefix range of one of the three indexes (or a
-  /// binary search for a fully bound triple), so this is O(log n) index
-  /// range arithmetic — no callback walk, ever.
+  /// Number of triples matching `pattern`: Span(pattern).size, O(log n).
   size_t Count(const TriplePattern& pattern) const;
 
   /// Number of distinct ids occupying `pos` among the triples matching
@@ -211,12 +201,6 @@ class TripleStore {
 
   static constexpr size_t kDefaultStatsSamplingThreshold = size_t{1} << 18;
 
-  /// All distinct objects of (s=*, p, o=?) — e.g. the class list via
-  /// p = rdf:type.
-  std::vector<TermId> DistinctObjects(TermId p) const;
-  /// All distinct subjects with predicate p.
-  std::vector<TermId> DistinctSubjects(TermId p) const;
-
  private:
   enum class Order { kSpo, kPos, kOsp };
   struct DiskIndexes;  // defined in graph.cc (owns the mmapped runs)
@@ -247,11 +231,6 @@ class TripleStore {
   // components equal those of `key` under `order`.
   static std::pair<size_t, size_t> EqualRange(TripleSpan index, Order order,
                                               TermId k1, TermId k2);
-  // Picks the index/order/keys for `pattern` the way Match does. Returns
-  // false for the full-scan case. `residual` is set when the range still
-  // needs a per-triple pattern check.
-  bool PlanRange(const TriplePattern& pattern, TripleSpan* index,
-                 Order* order, TermId* k1, TermId* k2, bool* residual) const;
 
   Dictionary dict_;
   mutable std::vector<Triple> spo_;

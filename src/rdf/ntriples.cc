@@ -172,16 +172,14 @@ Result<size_t> ParseNTriples(std::string_view text, TripleStore* store) {
 
 std::string WriteNTriples(const TripleStore& store) {
   std::string out;
-  TriplePattern all;
-  store.Match(all, [&](const Triple& t) {
+  for (const Triple& t : store.Span(TriplePattern{})) {
     out += store.dict().Get(t.s).ToNTriples();
     out += ' ';
     out += store.dict().Get(t.p).ToNTriples();
     out += ' ';
     out += store.dict().Get(t.o).ToNTriples();
     out += " .\n";
-    return true;
-  });
+  }
   return out;
 }
 

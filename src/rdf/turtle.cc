@@ -338,15 +338,15 @@ std::string WriteTurtle(const TripleStore& store) {
 
   // Collect namespace frequencies across all IRI positions.
   std::map<std::string, size_t> ns_count;
-  store.Match(TriplePattern{}, [&](const Triple& t) {
+  const TripleSpan all = store.Span(TriplePattern{});
+  for (const Triple& t : all) {
     for (TermId id : {t.s, t.p, t.o}) {
       const Term& term = dict.Get(id);
       if (!term.is_iri()) continue;
       std::string ns, local;
       if (SplitIri(term.lexical(), &ns, &local)) ++ns_count[ns];
     }
-    return true;
-  });
+  }
 
   // Assign prefixes: well-known ones by name, the rest ns1, ns2, ... in
   // descending frequency (only namespaces used at least twice earn one).
@@ -386,12 +386,11 @@ std::string WriteTurtle(const TripleStore& store) {
 
   // Dry pass to discover which prefixes the body will actually use.
   std::string out;
-  store.Match(TriplePattern{}, [&](const Triple& t) {
+  for (const Triple& t : all) {
     render(t.s);
     render(t.p);
     render(t.o);
-    return true;
-  });
+  }
   for (const std::string& ns : used_ns) {
     out += "@prefix " + prefix_of[ns] + ": <" + ns + "> .\n";
   }
@@ -401,7 +400,7 @@ std::string WriteTurtle(const TripleStore& store) {
   TermId cur_s = kInvalidTermId;
   TermId cur_p = kInvalidTermId;
   bool open = false;
-  store.Match(TriplePattern{}, [&](const Triple& t) {
+  for (const Triple& t : all) {
     if (t.s != cur_s) {
       if (open) out += " .\n";
       out += render(t.s) + " " + render(t.p) + " " + render(t.o);
@@ -414,8 +413,7 @@ std::string WriteTurtle(const TripleStore& store) {
     } else {
       out += ", " + render(t.o);
     }
-    return true;
-  });
+  }
   if (open) out += " .\n";
   return out;
 }

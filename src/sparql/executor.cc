@@ -468,69 +468,65 @@ class GroupEvaluator {
 
   std::vector<RowIds> ExtendRows(const TriplePatternNode& pat,
                                  std::vector<RowIds> rows, size_t cap) {
+    // A constant not present in the dictionary can never match.
+    const PatternConsts consts = ResolveConsts(pat, store_->dict());
+    if (consts.missing) return {};
+    const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
+    const int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
+    const int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
+    return ProbeRows(
+        rows, cap, consts, slot_s, slot_p, slot_o,
+        [&](const rdf::TriplePattern& probe) { return store_->Span(probe); });
+  }
+
+  /// The probe-and-emit loop shared by both join operators. For each input
+  /// row in order, the probe pattern holds the row's values in the
+  /// variable slots (unbound = wildcard) and the constants elsewhere;
+  /// `range(probe)` yields the triples joining the row. Each triple extends
+  /// a copy of the row, binding the pattern's variable slots. A slot the
+  /// row (or an earlier slot of the same triple, e.g. `?x ?p ?x`) already
+  /// binds must agree with the triple, or the triple is skipped. Stops
+  /// once `cap` rows are out.
+  template <typename RangeFn>
+  std::vector<RowIds> ProbeRows(const std::vector<RowIds>& rows, size_t cap,
+                                const PatternConsts& consts, int slot_s,
+                                int slot_p, int slot_o, RangeFn range) {
     std::vector<RowIds> out;
-    const rdf::Dictionary& dict = store_->dict();
-
-    // Pre-resolve constant term ids; a constant not present in the
-    // dictionary can never match.
-    TermId const_s = kInvalidTermId, const_p = kInvalidTermId,
-           const_o = kInvalidTermId;
-    if (!pat.s.is_var) {
-      const_s = dict.Lookup(pat.s.term);
-      if (const_s == kInvalidTermId) return out;
-    }
-    if (!pat.p.is_var) {
-      const_p = dict.Lookup(pat.p.term);
-      if (const_p == kInvalidTermId) return out;
-    }
-    if (!pat.o.is_var) {
-      const_o = dict.Lookup(pat.o.term);
-      if (const_o == kInvalidTermId) return out;
-    }
-    int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
-    int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
-    int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
-
+    auto value = [](const RowIds& row, int slot, TermId constant) {
+      return slot >= 0 ? row[static_cast<size_t>(slot)] : constant;
+    };
+    auto bind = [](int slot, TermId value, RowIds* next) {
+      if (slot < 0) return true;
+      TermId& cell = (*next)[static_cast<size_t>(slot)];
+      if (cell == kInvalidTermId) cell = value;
+      return cell == value;
+    };
     for (const RowIds& row : rows) {
       if (out.size() >= cap) break;
-      rdf::TriplePattern q;
-      q.s = pat.s.is_var ? row[static_cast<size_t>(slot_s)] : const_s;
-      q.p = pat.p.is_var ? row[static_cast<size_t>(slot_p)] : const_p;
-      q.o = pat.o.is_var ? row[static_cast<size_t>(slot_o)] : const_o;
-      store_->Match(q, [&](const rdf::Triple& t) {
+      const rdf::TriplePattern probe{value(row, slot_s, consts.s),
+                                     value(row, slot_p, consts.p),
+                                     value(row, slot_o, consts.o)};
+      for (const rdf::Triple& t : range(probe)) {
         RowIds next = row;
-        // Shared-variable consistency within a single pattern, e.g.
-        // ?x ?p ?x — enforce equal bindings.
-        bool consistent = true;
-        auto bind = [&](int slot, TermId value) {
-          if (slot < 0) return;
-          TermId& cell = next[static_cast<size_t>(slot)];
-          if (cell == kInvalidTermId) {
-            cell = value;
-          } else if (cell != value) {
-            consistent = false;
-          }
-        };
-        bind(slot_s, t.s);
-        bind(slot_p, t.p);
-        bind(slot_o, t.o);
-        if (consistent) {
-          if (stats_ != nullptr) ++stats_->intermediate_bindings;
-          out.push_back(std::move(next));
+        if (!bind(slot_s, t.s, &next) || !bind(slot_p, t.p, &next) ||
+            !bind(slot_o, t.o, &next)) {
+          continue;
         }
-        return out.size() < cap;
-      });
+        if (stats_ != nullptr) ++stats_->intermediate_bindings;
+        out.push_back(std::move(next));
+        if (out.size() >= cap) break;
+      }
     }
     return out;
   }
 
-  /// Order-preserving hash join: builds a hash table over the contiguous
-  /// index slice matching the pattern's constants, grouped by the join key
-  /// (the pattern's row-bound variable slots) with each bucket sorted to
-  /// the exact iteration order the nested index-loop's Match would have
-  /// used, then probes with the input rows in order. Output rows, their
-  /// order, and the charged intermediate_bindings are therefore
-  /// bit-identical to ExtendRows — the operator choice is purely physical.
+  /// Order-preserving hash join: builds the contiguous index slice matching
+  /// the pattern's constants, sorted by (join key, the iteration order the
+  /// nested index loop's Span would have used), then probes it with the
+  /// input rows in order, finding each row's key range by binary search.
+  /// Output rows, their order, and the charged intermediate_bindings are
+  /// therefore bit-identical to ExtendRows — the operator choice is purely
+  /// physical.
   ///
   /// Falls back to ExtendRows when the step is not actually hash-shaped at
   /// runtime: repeated variables in the pattern, no bound join variable,
@@ -540,7 +536,6 @@ class GroupEvaluator {
   std::vector<RowIds> HashExtendRows(const TriplePatternNode& pat,
                                      std::vector<RowIds> rows, size_t cap) {
     if (rows.empty()) return rows;
-    const rdf::Dictionary& dict = store_->dict();
     const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
     const int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
     const int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
@@ -564,7 +559,7 @@ class GroupEvaluator {
       }
     }
 
-    PatternConsts consts = ResolveConsts(pat, dict);
+    PatternConsts consts = ResolveConsts(pat, store_->dict());
     if (consts.missing) return {};
 
     // The build depends only on the pattern's resolved constants and the
@@ -578,131 +573,73 @@ class GroupEvaluator {
     // re-evaluate once per outer row without re-sorting the span).
     const int mask = (key_s ? 1 : 0) | (key_p ? 2 : 0) | (key_o ? 4 : 0);
     auto build_key = std::make_tuple(consts.s, consts.p, consts.o, mask);
-    // Probe-side boundness (constants + key variables) decides which
-    // index the nested loop would have walked; bucket order must
+    // Generic: keys both build triples and probe patterns.
+    auto key_of = [&](const auto& t) {
+      return std::make_tuple(key_s ? t.s : kInvalidTermId,
+                             key_p ? t.p : kInvalidTermId,
+                             key_o ? t.o : kInvalidTermId);
+    };
+    auto bit = hash_builds_.find(build_key);
+    if (bit != hash_builds_.end()) {
+      if (stats_ != nullptr) ++stats_->hash_join_build_reuses;
+    } else {
+      bit = hash_builds_
+                .emplace(build_key, BuildSide(consts, key_s, key_p, key_of))
+                .first;
+    }
+
+    const rdf::TripleSpan build = bit->second.view();
+    auto key_less = [&](const auto& a, const auto& b) {
+      return key_of(a) < key_of(b);
+    };
+    return ProbeRows(rows, cap, consts, slot_s, slot_p, slot_o,
+                     [&](const rdf::TriplePattern& probe) {
+                       auto [lo, hi] = std::equal_range(
+                           build.begin(), build.end(), probe, key_less);
+                       return rdf::TripleSpan{lo,
+                                              static_cast<size_t>(hi - lo)};
+                     });
+  }
+
+  /// Builds one hash-join build side: the slice matching the constants
+  /// alone, sorted by (join key, probe iteration order). The comparator is
+  /// shared by the in-RAM and spilled representations, which is what makes
+  /// the spill bit-identical.
+  template <typename KeyFn>
+  HashBuild BuildSide(const PatternConsts& consts, bool key_s, bool key_p,
+                      KeyFn key_of) {
+    // Probe-side boundness (constants + key variables) decides which index
+    // the nested loop's Span would have walked; each key range must
     // replicate its iteration order.
-    const bool bs = !pat.s.is_var || key_s;
-    const bool bp = !pat.p.is_var || key_p;
+    const bool bs = consts.s != kInvalidTermId || key_s;
+    const bool bp = consts.p != kInvalidTermId || key_p;
     auto probe_tuple = [&](const rdf::Triple& t) {
       if (bs) return std::tuple<TermId, TermId, TermId>(t.s, t.p, t.o);
       if (bp) return std::tuple<TermId, TermId, TermId>(t.p, t.o, t.s);
       return std::tuple<TermId, TermId, TermId>(t.o, t.s, t.p);
     };
-    auto key_of = [&](const rdf::Triple& t) {
-      return std::tuple<TermId, TermId, TermId>(key_s ? t.s : kInvalidTermId,
-                                                key_p ? t.p : kInvalidTermId,
-                                                key_o ? t.o : kInvalidTermId);
+    auto build_less = [&](const rdf::Triple& a, const rdf::Triple& b) {
+      auto ka = key_of(a);
+      auto kb = key_of(b);
+      if (ka != kb) return ka < kb;
+      return probe_tuple(a) < probe_tuple(b);
     };
-    auto bit = hash_builds_.find(build_key);
-    if (bit != hash_builds_.end() && stats_ != nullptr) {
-      ++stats_->hash_join_build_reuses;
-    }
-    if (bit == hash_builds_.end()) {
-      // Build side: the contiguous slice matching the constants alone,
-      // sorted by (join key, probe iteration order) — the comparator is
-      // shared by the in-RAM and spilled representations, which is what
-      // makes the spill bit-identical.
-      rdf::TriplePattern build_pat;
-      build_pat.s = consts.s;
-      build_pat.p = consts.p;
-      build_pat.o = consts.o;
-      rdf::TripleSpan span = store_->Span(build_pat);
-      auto build_less = [&](const rdf::Triple& a, const rdf::Triple& b) {
-        auto ka = key_of(a);
-        auto kb = key_of(b);
-        if (ka != kb) return ka < kb;
-        return probe_tuple(a) < probe_tuple(b);
-      };
-      const size_t budget = options_.hash_join_spill_budget_bytes;
-      if (budget > 0 && span.size * sizeof(rdf::Triple) > budget) {
-        HashBuild fresh;
-        Status st = SpillBuildToRun(span, build_less, budget, &fresh);
-        if (st.ok()) {
-          fresh.on_disk = true;
-          if (stats_ != nullptr) {
-            ++stats_->hash_join_builds;
-            ++stats_->hash_join_spills;
-          }
-          bit = hash_builds_.emplace(build_key, std::move(fresh)).first;
-        } else {
-          HBOLD_LOG(kWarn) << "hash-join spill failed, building in RAM: "
-                           << st.message();
-        }
+    const rdf::TripleSpan span = store_->Span({consts.s, consts.p, consts.o});
+    HashBuild fresh;
+    if (stats_ != nullptr) ++stats_->hash_join_builds;
+    const size_t budget = options_.hash_join_spill_budget_bytes;
+    if (budget > 0 && span.size * sizeof(rdf::Triple) > budget) {
+      Status st = SpillBuildToRun(span, build_less, budget, &fresh);
+      if (st.ok()) {
+        if (stats_ != nullptr) ++stats_->hash_join_spills;
+        return fresh;
       }
-      if (bit == hash_builds_.end()) {
-        HashBuild fresh;
-        fresh.triples.assign(span.begin(), span.end());
-        std::sort(fresh.triples.begin(), fresh.triples.end(), build_less);
-        fresh.buckets.reserve(fresh.triples.size());
-        size_t i = 0;
-        while (i < fresh.triples.size()) {
-          auto k = key_of(fresh.triples[i]);
-          size_t j = i + 1;
-          while (j < fresh.triples.size() && key_of(fresh.triples[j]) == k) {
-            ++j;
-          }
-          fresh.buckets.emplace(
-              std::vector<TermId>{std::get<0>(k), std::get<1>(k),
-                                  std::get<2>(k)},
-              std::make_pair(i, j));
-          i = j;
-        }
-        if (stats_ != nullptr) ++stats_->hash_join_builds;
-        bit = hash_builds_.emplace(build_key, std::move(fresh)).first;
-      }
+      HBOLD_LOG(kWarn) << "hash-join spill failed, building in RAM: "
+                       << st.message();
     }
-
-    auto emit = [&](const RowIds& row, const rdf::Triple& t,
-                    std::vector<RowIds>* out) {
-      RowIds next = row;
-      if (slot_s >= 0 && !key_s) next[static_cast<size_t>(slot_s)] = t.s;
-      if (slot_p >= 0 && !key_p) next[static_cast<size_t>(slot_p)] = t.p;
-      if (slot_o >= 0 && !key_o) next[static_cast<size_t>(slot_o)] = t.o;
-      if (stats_ != nullptr) ++stats_->intermediate_bindings;
-      out->push_back(std::move(next));
-    };
-
-    std::vector<RowIds> out;
-    if (bit->second.on_disk) {
-      // Spilled build: the run holds the same triples in the same
-      // (key, probe order) sort; each bucket is found by binary search
-      // over the mapping instead of a hash lookup.
-      const rdf::TripleSpan build = bit->second.spilled.view();
-      using Key = std::tuple<TermId, TermId, TermId>;
-      for (const RowIds& row : rows) {
-        if (out.size() >= cap) break;
-        const Key k(key_s ? row[static_cast<size_t>(slot_s)] : kInvalidTermId,
-                    key_p ? row[static_cast<size_t>(slot_p)] : kInvalidTermId,
-                    key_o ? row[static_cast<size_t>(slot_o)] : kInvalidTermId);
-        const rdf::Triple* lo = std::lower_bound(
-            build.begin(), build.end(), k,
-            [&](const rdf::Triple& t, const Key& v) { return key_of(t) < v; });
-        const rdf::Triple* hi = std::upper_bound(
-            lo, build.end(), k,
-            [&](const Key& v, const rdf::Triple& t) { return v < key_of(t); });
-        for (const rdf::Triple* t = lo; t != hi && out.size() < cap; ++t) {
-          emit(row, *t, &out);
-        }
-      }
-      return out;
-    }
-
-    const std::vector<rdf::Triple>& build = bit->second.triples;
-    const auto& buckets = bit->second.buckets;
-    std::vector<TermId> probe_key(3);
-    for (const RowIds& row : rows) {
-      if (out.size() >= cap) break;
-      probe_key[0] = key_s ? row[static_cast<size_t>(slot_s)] : kInvalidTermId;
-      probe_key[1] = key_p ? row[static_cast<size_t>(slot_p)] : kInvalidTermId;
-      probe_key[2] = key_o ? row[static_cast<size_t>(slot_o)] : kInvalidTermId;
-      auto it = buckets.find(probe_key);
-      if (it == buckets.end()) continue;
-      for (size_t b = it->second.first;
-           b < it->second.second && out.size() < cap; ++b) {
-        emit(row, build[b], &out);
-      }
-    }
-    return out;
+    fresh.triples.assign(span.begin(), span.end());
+    std::sort(fresh.triples.begin(), fresh.triples.end(), build_less);
+    return fresh;
   }
 
   /// Externally sorts a too-large build span into a temporary run file
@@ -734,18 +671,18 @@ class GroupEvaluator {
     return st;
   }
 
-  /// One hash-join build: the constant-matched span, key-grouped and
-  /// bucket-sorted to the probe order. In RAM it is a triple vector plus
-  /// key -> [begin, end) buckets; past the spill budget it is the same
-  /// sorted sequence as a memory-mapped temporary run (`on_disk`), probed
-  /// by binary search.
+  /// One hash-join build: the constant-matched span sorted by (join key,
+  /// probe order). In RAM it is a triple vector; past the spill budget the
+  /// same sorted sequence is a memory-mapped temporary run. Either way it
+  /// is probed by binary search for each row's key range.
   struct HashBuild {
     std::vector<rdf::Triple> triples;
-    std::unordered_map<std::vector<TermId>, std::pair<size_t, size_t>,
-                       IdVecHash>
-        buckets;
-    rdf::MappedTripleRun spilled;
-    bool on_disk = false;
+    rdf::MappedTripleRun spilled;  // unmapped (empty view) unless spilled
+
+    rdf::TripleSpan view() const {
+      return triples.empty() ? spilled.view()
+                             : rdf::TripleSpan{triples.data(), triples.size()};
+    }
   };
 
   const rdf::TripleStore* store_;

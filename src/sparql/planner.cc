@@ -117,7 +117,7 @@ GroupPlan PlanGroup(const GroupGraphPattern& group, const ExecOptions& options,
   // pick — and prices it against the running intermediate row estimate:
   //   nested index-loop ~ rows * (log2 n + 1) probe cost
   //   hash join         ~ build-side range size + one probe pass
-  // (the 2x on the hash side covers bucket sort + hashing constants).
+  // (the 2x on the hash side covers the build sort + probe constants).
   // kForce skips the pricing — every eligible step hash-joins, which the
   // sanitizer CI leg uses to flush operator-lifetime bugs.
   const double log_n =

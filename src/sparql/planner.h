@@ -41,18 +41,19 @@ struct ExecOptions {
   /// ASK queries stop at the first solution under the same flag.
   bool limit_pushdown = true;
   /// Physical join operator policy. The hash join builds on the pattern
-  /// side (grouped by join key, bucket-sorted to the probe index's
-  /// iteration order) and probes with the binding rows, so its output is
-  /// bit-identical — rows, order, and charged intermediate_bindings — to
-  /// the nested index-loop it replaces. HBOLD_FORCE_HASH_JOIN=1 in the
+  /// side (the constant span sorted by join key, then by the probe
+  /// index's iteration order) and probes it with the binding rows by
+  /// binary search, so its output is bit-identical — rows, order, and
+  /// charged intermediate_bindings — to the nested index-loop it replaces. HBOLD_FORCE_HASH_JOIN=1 in the
   /// environment makes every Executor use kForce (other values: no
   /// effect).
   HashJoinMode hash_join = HashJoinMode::kCost;
   /// When a hash-join build side exceeds this many bytes of triples, the
   /// build is externally sorted into a temporary on-disk run (by the same
   /// (join key, probe order) comparator the in-memory build sorts by) and
-  /// probed via memory-mapped binary search instead of an in-RAM hash
-  /// table. Output stays bit-identical; only the memory footprint changes.
+  /// probed by the same binary search over the memory mapping instead of
+  /// an in-RAM vector. Output stays bit-identical; only the memory
+  /// footprint changes.
   /// 0 disables spilling. The HBOLD_HASH_SPILL_BUDGET environment
   /// variable (an unsigned decimal byte count; any other value is logged
   /// and ignored) replaces the *default* only — an explicitly configured

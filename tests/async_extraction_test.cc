@@ -23,7 +23,6 @@
 namespace hbold {
 namespace {
 
-using endpoint::ProbeBatch;
 using endpoint::QueryBatch;
 using endpoint::QueryBatchOptions;
 using endpoint::QueryJob;
@@ -200,27 +199,6 @@ TEST_F(QueryBatchTest, AbortOnFailureKeepsPreFailurePrefixReal) {
   for (size_t i = kFail + 1; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok() || outcomes[i].status().IsCancelled()) << i;
   }
-}
-
-TEST_F(QueryBatchTest, ProbeBatchMixesAnswersAndErrors) {
-  endpoint::AvailabilityModel down;
-  down.forced_outage_days = {0};
-  SimulatedRemoteEndpoint dead("http://dead/sparql", "dead", &data_,
-                               loop_.clock(), endpoint::Dialect::Full(), down);
-  rdf::TripleStore empty;
-  SimulatedRemoteEndpoint hollow("http://empty/sparql", "empty", &empty,
-                                 loop_.clock());
-  ThreadPool pool(2);
-  QueryBatchOptions options;
-  options.pool = &pool;
-  auto probes = ProbeBatch({ep_.get(), &dead, &hollow, nullptr}, options);
-  ASSERT_EQ(probes.size(), 4u);
-  ASSERT_TRUE(probes[0].ok());
-  EXPECT_TRUE(*probes[0]);
-  EXPECT_TRUE(probes[1].status().IsUnavailable());
-  ASSERT_TRUE(probes[2].ok());
-  EXPECT_FALSE(*probes[2]);
-  EXPECT_TRUE(probes[3].status().IsUnavailable());
 }
 
 // ------------------------------------------------- differential cycles

@@ -65,7 +65,7 @@ std::map<std::string, std::string> MergedCanonicalCollection(
 
 std::string DumpStore(const rdf::TripleStore& store) {
   std::string out;
-  for (const rdf::Triple& t : store.MatchAll(rdf::TriplePattern{})) {
+  for (const rdf::Triple& t : store.Span(rdf::TriplePattern{})) {
     out += store.dict().Get(t.s).lexical();
     out += ' ';
     out += store.dict().Get(t.p).lexical();

@@ -31,7 +31,7 @@ using rdf::TriplePattern;
 /// bit-identity comparator for two stores.
 std::string DumpStore(const rdf::TripleStore& store) {
   std::string out;
-  for (const rdf::Triple& t : store.MatchAll(TriplePattern{})) {
+  for (const rdf::Triple& t : store.Span(TriplePattern{})) {
     out += store.dict().Get(t.s).lexical();
     out += ' ';
     out += store.dict().Get(t.p).lexical();

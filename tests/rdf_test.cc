@@ -131,63 +131,38 @@ TEST_F(TripleStoreTest, DuplicatesStoredOnce) {
   EXPECT_EQ(store_.size(), 6u);
 }
 
-TEST_F(TripleStoreTest, MatchBySubject) {
+TEST_F(TripleStoreTest, SpanBySubject) {
   Term alice = A("alice");
-  auto rows = store_.MatchAll(Pat(&alice, nullptr, nullptr));
-  EXPECT_EQ(rows.size(), 3u);
+  EXPECT_EQ(store_.Span(Pat(&alice, nullptr, nullptr)).size, 3u);
 }
 
-TEST_F(TripleStoreTest, MatchByPredicate) {
+TEST_F(TripleStoreTest, SpanByPredicate) {
   Term lives = P("livesIn");
-  auto rows = store_.MatchAll(Pat(nullptr, &lives, nullptr));
-  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_EQ(store_.Span(Pat(nullptr, &lives, nullptr)).size, 2u);
 }
 
-TEST_F(TripleStoreTest, MatchByObject) {
+TEST_F(TripleStoreTest, SpanByObject) {
   Term rome = A("rome");
-  auto rows = store_.MatchAll(Pat(nullptr, nullptr, &rome));
-  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_EQ(store_.Span(Pat(nullptr, nullptr, &rome)).size, 2u);
 }
 
-TEST_F(TripleStoreTest, MatchPredicateObject) {
+TEST_F(TripleStoreTest, SpanPredicateObject) {
   Term type = P("type"), person = C("Person");
-  auto rows = store_.MatchAll(Pat(nullptr, &type, &person));
-  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_EQ(store_.Span(Pat(nullptr, &type, &person)).size, 2u);
 }
 
-TEST_F(TripleStoreTest, MatchSubjectObjectUsesResidualFilter) {
+TEST_F(TripleStoreTest, SpanSubjectObjectNeedsNoResidualFilter) {
   Term alice = A("alice"), rome = A("rome");
-  auto rows = store_.MatchAll(Pat(&alice, nullptr, &rome));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(store_.dict().Get(rows[0].p), P("livesIn"));
+  TripleSpan span = store_.Span(Pat(&alice, nullptr, &rome));
+  ASSERT_EQ(span.size, 1u);
+  EXPECT_EQ(store_.dict().Get(span.begin()->p), P("livesIn"));
 }
 
-TEST_F(TripleStoreTest, FullScanAndEarlyStop) {
-  size_t seen = 0;
-  store_.Match(TriplePattern{}, [&](const Triple&) {
-    ++seen;
-    return seen < 4;  // stop early
-  });
-  EXPECT_EQ(seen, 4u);
-}
-
-TEST_F(TripleStoreTest, CountMatchesMatchAll) {
+TEST_F(TripleStoreTest, CountIsSpanSize) {
   Term type = P("type");
   EXPECT_EQ(store_.Count(Pat(nullptr, &type, nullptr)), 3u);
   EXPECT_EQ(store_.Count(TriplePattern{}), 6u);
-}
-
-TEST_F(TripleStoreTest, DistinctObjectsSortedUnique) {
-  TermId type = store_.dict().Lookup(P("type"));
-  auto classes = store_.DistinctObjects(type);
-  EXPECT_EQ(classes.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(classes.begin(), classes.end()));
-}
-
-TEST_F(TripleStoreTest, DistinctSubjects) {
-  TermId lives = store_.dict().Lookup(P("livesIn"));
-  auto subjects = store_.DistinctSubjects(lives);
-  EXPECT_EQ(subjects.size(), 2u);
+  EXPECT_EQ(store_.Span(TriplePattern{}).size, 6u);
 }
 
 TEST_F(TripleStoreTest, UnknownConstantHasNoId) {
@@ -203,43 +178,92 @@ TEST_F(TripleStoreTest, InsertAfterQueryReindexes) {
   EXPECT_EQ(store_.size(), 6u);  // forces index build
   store_.Add(A("carol"), P("type"), C("Person"));
   Term type = P("type"), person = C("Person");
-  EXPECT_EQ(store_.MatchAll(Pat(nullptr, &type, &person)).size(), 3u);
+  EXPECT_EQ(store_.Span(Pat(nullptr, &type, &person)).size, 3u);
 }
 
-// Property-style sweep: random triples — every (s,p,o) pattern subset must
-// agree with a brute-force filter.
+// Property-style sweep: pseudo-random triples, every pattern over the
+// universe (all 8 bound masks, hits and misses). Span must be exactly the
+// brute-force filter of the inserted triples, in the documented index order
+// for its shape, and Count must be its size — in RAM and on the disk
+// backend alike.
 class TripleStorePropertyTest : public ::testing::TestWithParam<int> {};
+
+/// Sorts `triples` into the index order TripleStore::Span documents for
+/// `pat`'s bound shape: SPO for (), (s), (s,p), (s,p,o); POS for (p),
+/// (p,o); OSP for (o), (s,o).
+void SortInSpanOrder(const TriplePattern& pat, std::vector<Triple>* triples) {
+  const bool bs = pat.s != kInvalidTermId;
+  const bool bp = pat.p != kInvalidTermId;
+  const bool bo = pat.o != kInvalidTermId;
+  auto key = [&](const Triple& t) {
+    if (bo && !bp) return std::make_tuple(t.o, t.s, t.p);  // (o), (s,o)
+    if (bp && !bs) return std::make_tuple(t.p, t.o, t.s);  // (p), (p,o)
+    return std::make_tuple(t.s, t.p, t.o);
+  };
+  std::sort(triples->begin(), triples->end(),
+            [&](const Triple& a, const Triple& b) { return key(a) < key(b); });
+}
 
 TEST_P(TripleStorePropertyTest, PatternsAgreeWithBruteForce) {
   const int seed = GetParam();
-  TripleStore store;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hbold_span_property_" + std::to_string(seed));
+  std::filesystem::remove_all(dir);
+  TripleStore ram;
+  TripleStore disk;
+  DiskBackendOptions options;
+  options.directory = dir.string();
+  ASSERT_TRUE(disk.EnableDiskBackend(options).ok());
   std::vector<Triple> truth;
   // Deterministic small universe so patterns hit often.
+  auto term = [](char kind, int i) {
+    return Term::Iri(std::string(1, kind) + std::to_string(i));
+  };
   for (int i = 0; i < 200; ++i) {
-    int s = (seed * 7 + i * 13) % 10;
-    int p = (seed * 5 + i * 11) % 5;
-    int o = (seed * 3 + i * 17) % 12;
-    Term st = Term::Iri("s" + std::to_string(s));
-    Term pt = Term::Iri("p" + std::to_string(p));
-    Term ot = Term::Iri("o" + std::to_string(o));
-    store.Add(st, pt, ot);
-    truth.push_back(Triple{store.dict().Lookup(st), store.dict().Lookup(pt),
-                           store.dict().Lookup(ot)});
+    Term st = term('s', (seed * 7 + i * 13) % 10);
+    Term pt = term('p', (seed * 5 + i * 11) % 5);
+    Term ot = term('o', (seed * 3 + i * 17) % 12);
+    ram.Add(st, pt, ot);
+    const Dictionary& dict = ram.dict();
+    truth.push_back(
+        Triple{dict.Lookup(st), dict.Lookup(pt), dict.Lookup(ot)});
+    disk.AddIds(truth.back().s, truth.back().p, truth.back().o);
   }
-  std::sort(truth.begin(), truth.end());
-  truth.erase(std::unique(truth.begin(), truth.end()), truth.end());
 
-  for (int mask = 0; mask < 8; ++mask) {
-    TriplePattern pat;
-    if (mask & 1) pat.s = store.dict().Lookup(Term::Iri("s3"));
-    if (mask & 2) pat.p = store.dict().Lookup(Term::Iri("p2"));
-    if (mask & 4) pat.o = store.dict().Lookup(Term::Iri("o5"));
-    size_t expected = 0;
-    for (const Triple& t : truth) {
-      if (pat.Matches(t)) ++expected;
+  // -1 leaves the position unbound; ids past the universe never match.
+  for (int s = -1; s < 11; ++s) {
+    for (int p = -1; p < 6; ++p) {
+      for (int o = -1; o < 13; ++o) {
+        TriplePattern pat;
+        const Dictionary& dict = ram.dict();
+        if (s >= 0) pat.s = dict.Lookup(term('s', s));
+        if (p >= 0) pat.p = dict.Lookup(term('p', p));
+        if (o >= 0) pat.o = dict.Lookup(term('o', o));
+        if ((s >= 0 && pat.s == kInvalidTermId) ||
+            (p >= 0 && pat.p == kInvalidTermId) ||
+            (o >= 0 && pat.o == kInvalidTermId)) {
+          continue;  // an absent constant is no pattern at all
+        }
+        std::vector<Triple> expected;
+        for (const Triple& t : truth) {
+          if (pat.Matches(t)) expected.push_back(t);
+        }
+        std::sort(expected.begin(), expected.end());
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+        SortInSpanOrder(pat, &expected);
+        for (const TripleStore* store : {&ram, &disk}) {
+          SCOPED_TRACE(store == &disk ? "disk" : "ram");
+          const TripleSpan span = store->Span(pat);
+          EXPECT_EQ(std::vector<Triple>(span.begin(), span.end()), expected)
+              << "s=" << s << " p=" << p << " o=" << o;
+          EXPECT_EQ(store->Count(pat), span.size);
+        }
+      }
     }
-    EXPECT_EQ(store.Count(pat), expected) << "mask=" << mask;
   }
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TripleStorePropertyTest,
@@ -369,45 +393,6 @@ TEST(TurtleTest, BlankNodes) {
 }
 
 // ----------------------------------------------- sub-range span primitive
-
-TEST(TripleStoreSpanTest, SpanMatchesMatchAllForEveryBoundCombination) {
-  TripleStore store;
-  auto iri = [](const std::string& s) { return Term::Iri("http://x/" + s); };
-  for (int i = 0; i < 60; ++i) {
-    store.Add(iri("s" + std::to_string(i % 7)), iri("p" + std::to_string(i % 3)),
-              iri("o" + std::to_string(i % 5)));
-  }
-  store.FinalizeIndex();
-  const Dictionary& dict = store.dict();
-  auto id = [&](const std::string& s) { return dict.Lookup(iri(s)); };
-
-  std::vector<TriplePattern> patterns;
-  patterns.push_back({});  // full scan
-  for (int s = -1; s < 7; ++s) {
-    for (int p = -1; p < 3; ++p) {
-      for (int o = -1; o < 5; ++o) {
-        TriplePattern pat;
-        if (s >= 0) pat.s = id("s" + std::to_string(s));
-        if (p >= 0) pat.p = id("p" + std::to_string(p));
-        if (o >= 0) pat.o = id("o" + std::to_string(o));
-        patterns.push_back(pat);
-      }
-    }
-  }
-  for (const TriplePattern& pat : patterns) {
-    std::vector<Triple> expected = store.MatchAll(pat);
-    std::sort(expected.begin(), expected.end());
-    TripleSpan span = store.Span(pat);
-    // Every span triple matches; the span is exactly the match set; and
-    // it arrives sorted in its owning index's order (so within-span
-    // sortedness by *some* key is guaranteed — verify the set here).
-    std::vector<Triple> got(span.begin(), span.end());
-    for (const Triple& t : got) EXPECT_TRUE(pat.Matches(t));
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected);
-    EXPECT_EQ(span.size, store.Count(pat));
-  }
-}
 
 TEST(TripleStoreSpanTest, FullyBoundSpanIsMembership) {
   TripleStore store;
@@ -597,10 +582,12 @@ TEST(DiskBackendTest, DifferentialAgainstInRam) {
   auto check_equal = [&](const char* where) {
     SCOPED_TRACE(where);
     ASSERT_EQ(disk.size(), ram.size());
-    TriplePattern all;
-    EXPECT_EQ(disk.MatchAll(all), ram.MatchAll(all));
+    const TripleSpan ram_all = ram.Span(TriplePattern{});
+    const TripleSpan disk_all = disk.Span(TriplePattern{});
+    EXPECT_TRUE(std::equal(disk_all.begin(), disk_all.end(), ram_all.begin(),
+                           ram_all.end()));
     // Every bound-combination over a probe set drawn from the content.
-    std::vector<Triple> probes = ram.MatchAll(all);
+    std::vector<Triple> probes(ram_all.begin(), ram_all.end());
     const size_t stride = std::max<size_t>(1, probes.size() / 13);
     for (size_t i = 0; i < probes.size(); i += stride) {
       const Triple& t = probes[i];
@@ -610,7 +597,6 @@ TEST(DiskBackendTest, DifferentialAgainstInRam) {
         if (mask & 2) pat.p = t.p;
         if (mask & 4) pat.o = t.o;
         EXPECT_EQ(disk.Count(pat), ram.Count(pat)) << "mask=" << mask;
-        EXPECT_EQ(disk.MatchAll(pat), ram.MatchAll(pat)) << "mask=" << mask;
         rdf::TripleSpan ds = disk.Span(pat);
         rdf::TripleSpan rs = ram.Span(pat);
         EXPECT_TRUE(std::equal(ds.begin(), ds.end(), rs.begin(), rs.end()))
@@ -691,8 +677,8 @@ TEST(TripleStoreStatsTest, SampledStatsNeverServedByCountDistinct) {
   std::vector<Triple> extra = SyntheticTriples(300, 22);
   for (const Triple& t : extra) store.AddIds(t.s, t.p, t.o);
 
-  TriplePattern all;
-  std::vector<Triple> truth = store.MatchAll(all);
+  const TripleSpan all = store.Span(TriplePattern{});
+  std::vector<Triple> truth(all.begin(), all.end());
   std::set<TermId> predicates;
   for (const Triple& t : truth) predicates.insert(t.p);
 

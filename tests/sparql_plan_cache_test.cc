@@ -191,7 +191,7 @@ TEST(StaleStatsTest, SampledRefreshKeepsCountDistinctExact) {
   rdf::TriplePattern pat;
   pat.p = p;
   std::set<rdf::TermId> subjects, objects;
-  for (const rdf::Triple& t : store.MatchAll(pat)) {
+  for (const rdf::Triple& t : store.Span(pat)) {
     subjects.insert(t.s);
     objects.insert(t.o);
   }

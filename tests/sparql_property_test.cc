@@ -60,7 +60,7 @@ struct OraclePattern {
 std::set<std::vector<std::string>> OracleEval(
     const Universe& u, const std::vector<OraclePattern>& patterns,
     size_t num_vars) {
-  std::vector<rdf::Triple> all = u.store.MatchAll(rdf::TriplePattern{});
+  const rdf::TripleSpan all = u.store.Span(rdf::TriplePattern{});
   std::set<std::vector<std::string>> results;
   // Depth-first over pattern assignments.
   std::vector<std::string> binding(num_vars);
@@ -349,8 +349,8 @@ TEST_P(SparqlOracleTest, StoreCountPrimitivesAgreeWithWalks) {
     if (rng.Chance(0.5)) pat.s = iri_id(rng.Choice(u.subjects));
     if (rng.Chance(0.5)) pat.p = iri_id(rng.Choice(u.predicates));
     if (rng.Chance(0.5)) pat.o = iri_id(rng.Choice(u.objects));
-    std::vector<rdf::Triple> matches = u.store.MatchAll(pat);
-    EXPECT_EQ(u.store.Count(pat), matches.size());
+    const rdf::TripleSpan matches = u.store.Span(pat);
+    EXPECT_EQ(u.store.Count(pat), matches.size);
     for (rdf::TriplePos pos :
          {rdf::TriplePos::kS, rdf::TriplePos::kP, rdf::TriplePos::kO}) {
       std::set<rdf::TermId> distinct;
@@ -367,7 +367,7 @@ TEST_P(SparqlOracleTest, StoreCountPrimitivesAgreeWithWalks) {
     rdf::TriplePattern pat;
     pat.p = iri_id(p);
     std::map<rdf::TermId, size_t> histogram;
-    for (const rdf::Triple& t : u.store.MatchAll(pat)) ++histogram[t.o];
+    for (const rdf::Triple& t : u.store.Span(pat)) ++histogram[t.o];
     std::vector<std::pair<rdf::TermId, size_t>> expected(histogram.begin(),
                                                          histogram.end());
     EXPECT_EQ(u.store.GroupedCountByObject(pat.p), expected);

@@ -26,7 +26,9 @@ TEST(LdGeneratorTest, GeneratesRequestedClasses) {
 
   rdf::TermId type = store.dict().Lookup(rdf::Term::Iri(rdf::vocab::kRdfType));
   ASSERT_NE(type, rdf::kInvalidTermId);
-  EXPECT_EQ(store.DistinctObjects(type).size(), 10u);
+  EXPECT_EQ(store.CountDistinct({rdf::kInvalidTermId, type, rdf::kInvalidTermId},
+                                rdf::TriplePos::kO),
+            10u);
 }
 
 TEST(LdGeneratorTest, ZipfSkewMakesFirstClassLargest) {
@@ -90,12 +92,12 @@ TEST(ScholarlyTest, GeneratesExpectedClasses) {
 
   // The Fig. 2 / Fig. 7 classes exist.
   rdf::TermId type = store.dict().Lookup(rdf::Term::Iri(rdf::vocab::kRdfType));
-  auto classes = store.DistinctObjects(type);
+  auto classes = store.GroupedCountByObject(type);
   auto has_class = [&](const std::string& name) {
     rdf::TermId id = store.dict().Lookup(
         rdf::Term::Iri(std::string(kScholarlyNs) + name));
     if (id == rdf::kInvalidTermId) return false;
-    for (rdf::TermId c : classes) {
+    for (const auto& [c, instances] : classes) {
       if (c == id) return true;
     }
     return false;
