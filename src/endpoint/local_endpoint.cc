@@ -9,13 +9,21 @@
 
 namespace hbold::endpoint {
 
+namespace {
+
+/// Forwarded to DiskBackendOptions::memory_budget_bytes for every store
+/// the policy moves to disk.
+constexpr size_t kServedStoreMemoryBudgetBytes = size_t{64} << 20;
+
+}  // namespace
+
 Status ApplyStoreBackendPolicy(rdf::TripleStore* store,
                                const StoreBackendPolicy& policy) {
   if (store->on_disk() || store->size() < policy.disk_threshold_triples) {
     return Status::OK();
   }
   rdf::DiskBackendOptions options;
-  options.memory_budget_bytes = policy.memory_budget_bytes;
+  options.memory_budget_bytes = kServedStoreMemoryBudgetBytes;
   if (!policy.directory.empty()) {
     options.directory = policy.directory;
   } else {
@@ -32,12 +40,7 @@ Status ApplyStoreBackendPolicy(rdf::TripleStore* store,
 
 Result<QueryOutcome> LocalEndpoint::Query(const std::string& query_text) {
   sparql::ExecStats stats;
-  Result<QueryOutcome> outcome = QueryWithStats(query_text, &stats);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_stats_ = stats;
-  }
-  return outcome;
+  return QueryWithStats(query_text, &stats);
 }
 
 Result<QueryOutcome> LocalEndpoint::QueryWithStats(

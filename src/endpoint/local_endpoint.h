@@ -2,7 +2,6 @@
 #define HBOLD_ENDPOINT_LOCAL_ENDPOINT_H_
 
 #include <atomic>
-#include <mutex>
 #include <string>
 
 #include "endpoint/endpoint.h"
@@ -24,8 +23,6 @@ struct StoreBackendPolicy {
   /// Scratch root for the store's run files; empty = a fresh directory
   /// under the system temp dir.
   std::string directory;
-  /// Forwarded to DiskBackendOptions::memory_budget_bytes.
-  size_t memory_budget_bytes = size_t{64} << 20;
 };
 
 /// Enables the disk backend on `store` when it is at or past the policy
@@ -60,10 +57,9 @@ class LocalEndpoint : public SparqlEndpoint {
 
   Result<QueryOutcome> Query(const std::string& query_text) override;
 
-  /// Like Query(), but writes the execution stats to caller-owned storage
-  /// instead of the shared last_stats() slot — the race-free form for
-  /// concurrent callers that need per-query stats. Exactly Parse() then
-  /// Execute(); a text that fails to parse still counts as served.
+  /// Like Query(), but writes the execution stats to caller-owned storage.
+  /// Exactly Parse() then Execute(); a text that fails to parse still
+  /// counts as served.
   Result<QueryOutcome> QueryWithStats(const std::string& query_text,
                                       sparql::ExecStats* stats);
 
@@ -100,15 +96,6 @@ class LocalEndpoint : public SparqlEndpoint {
     return s;
   }
 
-  /// Execution stats of the most recent completed query. Only meaningful
-  /// when no other query is in flight; concurrent callers should use
-  /// QueryWithStats() instead. Returns a copy (the slot is guarded by a
-  /// small mutex, not the query path).
-  sparql::ExecStats last_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return last_stats_;
-  }
-
  private:
   std::string url_;
   std::string name_;
@@ -117,8 +104,6 @@ class LocalEndpoint : public SparqlEndpoint {
   sparql::PlanCache plan_cache_;
   sparql::Executor executor_;
   std::atomic<uint64_t> hash_join_builds_{0};
-  mutable std::mutex stats_mu_;  // guards last_stats_ only, never the query
-  sparql::ExecStats last_stats_;
   std::atomic<size_t> queries_served_{0};
 };
 

@@ -88,7 +88,6 @@ Json EndpointRecord::ToJson() const {
   if (probe_failure_streak != 0) {
     j.Set("probe_failure_streak", probe_failure_streak);
   }
-  if (lifetime_strikes != 0) j.Set("lifetime_strikes", lifetime_strikes);
   return j;
 }
 
@@ -142,7 +141,6 @@ EndpointRecord EndpointRecord::FromJson(const Json& j) {
   r.clean_streak = j.GetInt("clean_streak", 0);
   r.last_full_refresh_day = j.GetInt("last_full_refresh_day", -1);
   r.probe_failure_streak = j.GetInt("probe_failure_streak", 0);
-  r.lifetime_strikes = j.GetInt("lifetime_strikes", 0);
   // Preserve keys from newer builds verbatim (forward compatibility).
   static const std::set<std::string> kKnownKeys = {
       "url",          "name",
@@ -153,7 +151,7 @@ EndpointRecord EndpointRecord::FromJson(const Json& j) {
       "class_fingerprints", "trust_state",
       "suspect_strikes",    "quarantine_until_day",
       "clean_streak",       "last_full_refresh_day",
-      "probe_failure_streak", "lifetime_strikes"};
+      "probe_failure_streak"};
   if (j.is_object()) {
     for (const auto& [key, value] : j.as_object()) {
       if (kKnownKeys.count(key) == 0) r.unknown_fields[key] = value;

@@ -89,13 +89,6 @@ struct EndpointRecord {
   /// Consecutive transient probe failures (Timeout) — drives deterministic
   /// retry/backoff, reset on any successful probe.
   int64_t probe_failure_streak = 0;
-  /// Total divergences ever recorded against this endpoint. Unlike
-  /// suspect_strikes it survives parole and quarantine exit — it is the
-  /// strike *history* the adaptive staleness policy tightens budgets on —
-  /// but it does decay: long clean streaks forgive strikes one at a time
-  /// (IncrementalOptions::strike_decay_clean_cycles), so one bad week
-  /// stops shadowing an endpoint forever.
-  int64_t lifetime_strikes = 0;
 
   /// Forward compatibility: JSON keys this build does not know (e.g.
   /// fields added by a newer build) survive a load/save round-trip

@@ -71,10 +71,10 @@ struct ExtractionReport {
   /// succeeded (Unsupported/Timeout fallbacks).
   std::vector<std::string> fallbacks;
   /// Strategy attempts the endpoint pushed back on with Timeout (work
-  /// budget blown) — the throttling signal an adaptive batch-width policy
-  /// reacts to. Deterministic per endpoint content/dialect: whether a
-  /// strategy times out depends on query results, never on wall clock or
-  /// batch width.
+  /// budget blown). Part of the fleet's canonical dump, and each nonzero
+  /// count becomes a kThrottle event. Deterministic per endpoint
+  /// content/dialect: whether a strategy times out depends on query
+  /// results, never on wall clock or batch width.
   size_t throttle_events = 0;
 };
 

@@ -243,10 +243,12 @@ SessionResult ExplorationService::RunSession(
           ts << " offline";
           break;
         }
+        // Instances fetched per drill-down sample.
+        constexpr size_t kDrilldownLimit = 5;
         size_t node = Resolve(action.pick_a, classes);
         const std::string& iri = summary->nodes()[node].iri;
         Result<sparql::ResultTable> rows = drilldown::SampleInstances(
-            ds->endpoint, iri, options_.drilldown_limit);
+            ds->endpoint, iri, kDrilldownLimit);
         if (!rows.ok()) {
           ts << " node=" << node
              << " error=" << StatusCodeName(rows.status().code());

@@ -61,8 +61,6 @@ struct ExplorationServiceOptions {
   /// cache speedup gate compares against.
   bool use_layout_cache = true;
   size_t layout_cache_capacity = 256;
-  /// Instances fetched per drill-down sample.
-  size_t drilldown_limit = 5;
 };
 
 /// The serving layer: answers simulated exploration sessions against a

@@ -75,56 +75,14 @@ std::vector<ChurnArrival> ChurnModel::TakeArrivalsThrough(int64_t day) {
   return taken;
 }
 
-// ------------------------------------------------------- adaptive width
-
-AdaptiveWidthController::AdaptiveWidthController(
-    const AdaptiveWidthOptions& options, int initial_width)
-    : options_(options) {
-  // Normalise the range once: widths are >= 1 and max_width is at least
-  // min_width, so the clamp below (and every later step) sees lo <= hi.
-  options_.min_width = std::max(1, options_.min_width);
-  options_.max_width = std::max(options_.min_width, options_.max_width);
-  initial_width_ =
-      std::clamp(initial_width, options_.min_width, options_.max_width);
-}
-
-int AdaptiveWidthController::WidthFor(const std::string& url) const {
-  auto it = state_.find(url);
-  return it != state_.end() ? it->second.width : initial_width_;
-}
-
-int AdaptiveWidthController::Observe(const std::string& url,
-                                     bool attempt_failed,
-                                     size_t throttle_events) {
-  State& s = state_.try_emplace(url, State{initial_width_, 0}).first->second;
-  if (attempt_failed || throttle_events > 0) {
-    // Back off multiplicatively: the endpoint pushed back (Timeout
-    // fallback) or the whole attempt failed — halve the concurrent
-    // pressure we put on it tomorrow.
-    s.width = std::max(options_.min_width, s.width / 2);
-    s.clean_streak = 0;
-  } else {
-    ++s.clean_streak;
-    if (s.clean_streak >= std::max(1, options_.recovery_days) &&
-        s.width < options_.max_width) {
-      ++s.width;
-      s.clean_streak = 0;
-    }
-  }
-  return s.width;
-}
-
 // ----------------------------------------------------------------- fleet
 
 Fleet::Fleet(sim::EventLoop* loop, const FleetOptions& options)
     : loop_(loop),
       options_(options),
       churn_(options.churn),
-      widths_(options.adaptive_width,
-              std::max(1, options.server.query_batch_width)),
       cycle_process_(loop_, sim::EventKind::kCycleStart, "fleet-cycle") {
   options_.num_shards = std::max(1, options_.num_shards);
-  options_.virtual_workers = std::max(1, options_.virtual_workers);
   if (options_.fleet_workers == 0) {
     options_.fleet_workers =
         static_cast<size_t>(options_.num_shards) *
@@ -213,13 +171,6 @@ void Fleet::ApplyChurn(int64_t day, FleetDayReport* day_report) {
   }
 }
 
-void Fleet::PushAdaptiveWidths() {
-  for (const std::string& url : registration_order_) {
-    shards_[ShardOf(url)]->SetQueryBatchWidthOverride(url,
-                                                      widths_.WidthFor(url));
-  }
-}
-
 // ------------------------------------------------- the event-loop chain
 
 void Fleet::ScheduleCycles(int64_t count) {
@@ -248,9 +199,6 @@ void Fleet::ScheduleCycleAt(int64_t start_ms) {
                       pending_day_ = FleetDayReport{};
                       pending_day_.day = loop_->NowDay();
                       ApplyChurn(pending_day_.day, &pending_day_);
-                      if (options_.adaptive_width.enabled) {
-                        PushAdaptiveWidths();
-                      }
                     });
   cycle_process_.ActivateAt(start_ms, [this] { RunCycleBody(); });
 }
@@ -318,16 +266,15 @@ void Fleet::RunCycleBody() {
   for (DailyReport& shard : day_report.shard_reports) shard.reports.clear();
 
   // Price the simulated timeline with the canonical ledger: merged
-  // charged latencies, global registration order, virtual_workers wide.
-  // Every figure feeding it is deployment-invariant, so the resulting
-  // event times (and overrun decisions) are too. The adaptive-width
-  // policy observes the same outcomes.
-  WorkerLatencyLedger ledger(
-      static_cast<size_t>(std::max(1, options_.virtual_workers)));
+  // charged latencies, global registration order, kVirtualWorkers wide.
+  // The width is a *simulation* constant, deliberately decoupled from the
+  // physical deployment (fleet_workers, parallelism, shard count). Every
+  // figure feeding the ledger is deployment-invariant, so the resulting
+  // event times (and overrun decisions, and the whole event history) are
+  // too; physical knobs only move real wall-clock.
+  constexpr size_t kVirtualWorkers = 4;
+  WorkerLatencyLedger ledger(kVirtualWorkers);
   for (const DueOutcome& o : day_report.outcomes) {
-    if (options_.adaptive_width.enabled) {
-      widths_.Observe(o.url, !o.succeeded, o.throttle_events);
-    }
     const size_t worker = ledger.Assign(o.charged_latency_ms);
     const int64_t finish_ms =
         start_ms + static_cast<int64_t>(std::ceil(ledger.WorkerMs(worker)));
@@ -381,7 +328,6 @@ FleetReport Fleet::TakeReport() {
   report.num_shards = options_.num_shards;
   report.parallelism = std::max(1, options_.server.parallelism);
   report.query_batch_width = std::max(1, options_.server.query_batch_width);
-  report.adaptive_width = options_.adaptive_width.enabled;
   report.days = std::move(collected_days_);
   collected_days_.clear();
   return report;
@@ -503,7 +449,7 @@ std::string FleetReport::CanonicalDump() const {
       oj.Set("url", o.url);
       oj.Set("ok", o.succeeded);
       // charged_intra_ms is deliberately absent: it is a function of the
-      // (possibly adaptive) batch width, a deployment knob.
+      // batch width, a deployment knob.
       oj.Set("latency_ms", o.charged_latency_ms);
       outcomes.Append(std::move(oj));
     }
@@ -563,7 +509,6 @@ Json FleetReport::ToJson() const {
   root.Set("num_shards", static_cast<int64_t>(num_shards));
   root.Set("parallelism", static_cast<int64_t>(parallelism));
   root.Set("query_batch_width", static_cast<int64_t>(query_batch_width));
-  root.Set("adaptive_width", adaptive_width);
   root.Set("fingerprint", Fingerprint());
   Json day_array = Json::MakeArray();
   for (const FleetDayReport& day : days) {

@@ -79,48 +79,6 @@ class ChurnModel {
   std::vector<ChurnArrival> arrivals_;
 };
 
-// ------------------------------------------------------- adaptive width
-
-/// Policy knobs for per-endpoint intra-pipeline batch width adaptation.
-struct AdaptiveWidthOptions {
-  bool enabled = false;
-  int min_width = 1;
-  int max_width = 8;
-  /// Consecutive clean days (success, no throttle events) before a
-  /// narrowed endpoint's width steps back up by one.
-  int recovery_days = 2;
-};
-
-/// Per-endpoint batch-width state carried across simulated days: an
-/// endpoint that throttles (Timeout fallbacks) or fails gets its width
-/// halved; after `recovery_days` clean days the width creeps back up.
-/// Decisions are a pure function of the observed per-endpoint outcome
-/// stream, which is itself shard- and batching-invariant, so adaptation
-/// never perturbs the fleet's deterministic report content (width only
-/// moves duration figures, per the QueryBatch accounting contract).
-class AdaptiveWidthController {
- public:
-  AdaptiveWidthController(const AdaptiveWidthOptions& options,
-                          int initial_width);
-
-  /// Current width for `url` (initial width until first observation).
-  int WidthFor(const std::string& url) const;
-
-  /// Feeds one day's outcome for `url`; returns the width to use next.
-  int Observe(const std::string& url, bool attempt_failed,
-              size_t throttle_events);
-
- private:
-  struct State {
-    int width = 1;
-    int clean_streak = 0;
-  };
-
-  AdaptiveWidthOptions options_;
-  int initial_width_;
-  std::map<std::string, State> state_;
-};
-
 // ----------------------------------------------------------------- fleet
 
 /// Fleet construction knobs.
@@ -141,17 +99,6 @@ struct FleetOptions {
   /// the determinism contract is anchored to.
   size_t fleet_workers = 0;
   ChurnOptions churn;
-  AdaptiveWidthOptions adaptive_width;
-  /// Simulated hardware width for the event timeline: the canonical
-  /// list-scheduling ledger that prices per-endpoint pipeline-completion
-  /// events and the day's sim_makespan_ms replays the merged charged
-  /// latencies (global registration order) over this many virtual
-  /// workers. A *simulation* parameter, deliberately decoupled from the
-  /// physical deployment (fleet_workers, parallelism, shard count), so
-  /// event times — and with them overrun decisions and the whole event
-  /// history — stay byte-identical across deployment shapes. Physical
-  /// knobs only move real wall-clock.
-  int virtual_workers = 4;
 };
 
 /// One simulated day of the whole fleet, merged across shards. Its
@@ -173,7 +120,7 @@ struct FleetDayReport : CycleCounters {
   double fleet_makespan_ms = 0;
   /// Canonical simulated duration of the day: list-scheduling makespan of
   /// the merged charged latencies (global registration order) over
-  /// FleetOptions::virtual_workers virtual workers. Deployment-invariant
+  /// a fixed 4 virtual workers (kVirtualWorkers). Deployment-invariant
   /// by construction — this is what spaces cycle-complete events on the
   /// event loop and decides overrun days.
   double sim_makespan_ms = 0;
@@ -202,7 +149,6 @@ struct FleetReport {
   int num_shards = 1;
   int parallelism = 1;
   int query_batch_width = 1;
-  bool adaptive_width = false;
   std::vector<FleetDayReport> days;
 
   /// Everything, deployment figures included.
@@ -245,7 +191,7 @@ struct FleetReport {
 /// schedule, availability), FleetReport::CanonicalDump() AND the loop's
 /// event history (sim::EventLoop::HistoryDump()) and the merged persisted
 /// store contents are byte-identical for ANY (num_shards, fleet_workers,
-/// parallelism, query_batch_width, adaptive on/off) — differential-tested
+/// parallelism, query_batch_width) — differential-tested
 /// in tests/fleet_test.cc + tests/sim_test.cc and gated in
 /// bench_fleet_simulation / bench_mixed_timeline. The contract covers
 /// overrun days too: the event timeline is priced by the canonical
@@ -333,7 +279,6 @@ class Fleet {
   void CompleteCycle(int64_t day);
 
   void ApplyChurn(int64_t day, FleetDayReport* day_report);
-  void PushAdaptiveWidths();
 
   sim::EventLoop* loop_;
   FleetOptions options_;
@@ -343,7 +288,6 @@ class Fleet {
   /// (fully inline simulation).
   std::optional<ThreadPool> pool_;
   ChurnModel churn_;
-  AdaptiveWidthController widths_;
   std::vector<std::string> registration_order_;
   /// Live routes, for the death lottery (url-sorted: deterministic).
   std::map<std::string, endpoint::SparqlEndpoint*> attached_;

@@ -43,21 +43,6 @@ void Server::AttachEndpoint(const std::string& url,
 
 void Server::DetachEndpoint(const std::string& url) { network_.erase(url); }
 
-void Server::SetQueryBatchWidthOverride(const std::string& url, int width) {
-  if (width <= 0) {
-    width_overrides_.erase(url);
-  } else {
-    width_overrides_[url] = width;
-  }
-}
-
-int Server::QueryBatchWidthFor(const std::string& url) const {
-  auto it = width_overrides_.find(url);
-  int width = it != width_overrides_.end() ? it->second
-                                           : options_.query_batch_width;
-  return std::max(1, width);
-}
-
 bool Server::RegisterEndpoint(endpoint::EndpointRecord record) {
   return registry_.Add(std::move(record));
 }
@@ -114,20 +99,11 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
 
   // A full refresh is forced — whatever the probe claims — while the
   // endpoint is quarantined, and under kBounded once the unverified drift
-  // window exceeds the staleness budget. The effective budget is adaptive
-  // when strike_budget_penalty_days is set: every lifetime strike the
-  // record carries tightens it, so endpoints with a divergence history
-  // get re-verified sooner than clean ones.
+  // window exceeds the staleness budget.
   bool force_full = report.quarantined;
-  if (inc.mode == IncrementalMode::kBounded && last_full >= 0) {
-    int64_t budget = inc.staleness_budget_days;
-    if (inc.strike_budget_penalty_days > 0 && rec0.has_value() &&
-        rec0->lifetime_strikes > 0) {
-      budget = std::max(
-          inc.min_staleness_budget_days,
-          budget - rec0->lifetime_strikes * inc.strike_budget_penalty_days);
-    }
-    if (today - last_full >= budget) force_full = true;
+  if (inc.mode == IncrementalMode::kBounded && last_full >= 0 &&
+      today - last_full >= inc.staleness_budget_days) {
+    force_full = true;
   }
 
   // Divergence bookkeeping: a probe claim was contradicted by evidence.
@@ -141,7 +117,6 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
     registry_.UpdateRecord(url, [&](endpoint::EndpointRecord& r) {
       r.clean_streak = 0;
       ++r.suspect_strikes;
-      ++r.lifetime_strikes;
       if (r.trust_state == endpoint::TrustState::kTrusted) {
         r.trust_state = endpoint::TrustState::kSuspect;
       }
@@ -168,6 +143,9 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   std::vector<std::string> dirty;
   std::vector<std::string> removed;
   if (inc.mode != IncrementalMode::kOff) {
+    // Transient probe failures retried within one attempt before
+    // degrading to a probe-less full extraction.
+    constexpr int kMaxProbeRetries = 2;
     Status probe_status = Status::OK();
     for (int attempt = 0;; ++attempt) {
       auto probed = net->second->ProbeChanges();
@@ -182,7 +160,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
       // salted by the per-day attempt index, so the retry sequence
       // replays bit-identically on any deployment. A day-level outage
       // (Unavailable) is not retried: §3.1 says try again tomorrow.
-      if (probe_status.IsTimeout() && attempt < inc.max_probe_retries) {
+      if (probe_status.IsTimeout() && attempt < kMaxProbeRetries) {
         ++report.probe_retries;
         continue;
       }
@@ -254,6 +232,10 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
     });
   };
 
+  // Consecutive divergence-free successful cycles a suspect endpoint
+  // needs before it is trusted (and probe-skip eligible) again.
+  constexpr int64_t kParoleCleanCycles = 2;
+
   // Success-side trust bookkeeping: verified full refreshes reset the
   // staleness clock, divergence-free cycles build the clean streak that
   // paroles suspect endpoints, and a served-out quarantine ends once a
@@ -267,14 +249,6 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
       if (have_probe) r.probe_failure_streak = 0;
       if (report.probe_mismatch) return;  // strike() already booked this
       ++r.clean_streak;
-      // Strike decay: a long-enough clean streak forgives one recorded
-      // strike per interval, relaxing the adaptive staleness budget back
-      // toward the configured one.
-      if (inc.strike_decay_clean_cycles > 0 && r.lifetime_strikes > 0 &&
-          r.clean_streak % inc.strike_decay_clean_cycles == 0) {
-        --r.lifetime_strikes;
-        if (r.suspect_strikes > 0) --r.suspect_strikes;
-      }
       if (r.trust_state == endpoint::TrustState::kQuarantined) {
         if (today >= r.quarantine_until_day && ran_full_extraction) {
           r.trust_state = endpoint::TrustState::kSuspect;
@@ -284,7 +258,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
           report.quarantine_exited = true;
         }
       } else if (r.trust_state == endpoint::TrustState::kSuspect &&
-                 r.clean_streak >= inc.parole_clean_cycles) {
+                 r.clean_streak >= kParoleCleanCycles) {
         r.trust_state = endpoint::TrustState::kTrusted;
         r.suspect_strikes = 0;
       }
@@ -335,7 +309,8 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // cycle's own, so intra-pipeline fan-out never spawns extra threads.
   extraction::ExtractionContext context;
   context.pool = pool;
-  context.batch_width = static_cast<size_t>(QueryBatchWidthFor(url));
+  context.batch_width =
+      static_cast<size_t>(std::max(1, options_.query_batch_width));
 
   // kDelta with a dirty digest below the threshold: re-extract ONLY the
   // dirty classes and merge into the stored prior summary. The merge is
@@ -390,7 +365,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // untruncated) list exactly the same classes, with every merged class
   // among them. Any contradiction discards the merge: the endpoint lied
   // to one of the two probes, so only a full re-extraction is safe.
-  if (delta_ok && inc.validate_deltas) {
+  if (delta_ok) {
     auto echo = net->second->ProbeChanges();
     if (echo.ok()) {
       report.extraction.queries_issued += 1;
@@ -452,19 +427,19 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // Stage 2: Schema Summary — patched in place after a delta merge (quiet
   // class nodes are reused verbatim), rebuilt from scratch otherwise.
   // Both forms are value-identical to FromIndexes on the same summary.
+  // The prior is decoded once here and reused by Stage 3's same-graph
+  // check.
   Stopwatch sw;
-  schema::SchemaSummary summary;
-  bool patched = false;
+  std::optional<schema::SchemaSummary> prior_summary;
   if (delta_ok && stored_summary_doc.has_value()) {
-    auto prior_summary = schema::SchemaSummary::FromJson(*stored_summary_doc);
-    if (prior_summary.ok()) {
-      summary =
-          schema::SchemaSummary::PatchedFromIndexes(*prior_summary, *indexes,
-                                                    dirty);
-      patched = true;
-    }
+    auto decoded = schema::SchemaSummary::FromJson(*stored_summary_doc);
+    if (decoded.ok()) prior_summary = std::move(*decoded);
   }
-  if (!patched) summary = schema::SchemaSummary::FromIndexes(*indexes);
+  schema::SchemaSummary summary =
+      prior_summary.has_value()
+          ? schema::SchemaSummary::PatchedFromIndexes(*prior_summary,
+                                                      *indexes, dirty)
+          : schema::SchemaSummary::FromIndexes(*indexes);
   report.summary_ms = sw.ElapsedMillis();
   report.classes = summary.NodeCount();
   report.arcs = summary.ArcCount();
@@ -508,43 +483,40 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   sw.Reset();
   cluster::Partition partition;
   bool partition_reused = false;
-  if (delta_ok && stored_summary_doc.has_value()) {
-    auto prior_summary = schema::SchemaSummary::FromJson(*stored_summary_doc);
-    if (prior_summary.ok() &&
-        prior_summary->NodeCount() == summary.NodeCount() &&
-        prior_summary->ArcCount() == summary.ArcCount()) {
-      bool same_graph = true;
-      for (size_t i = 0; same_graph && i < summary.NodeCount(); ++i) {
-        same_graph = prior_summary->nodes()[i].iri == summary.nodes()[i].iri;
+  if (prior_summary.has_value() &&
+      prior_summary->NodeCount() == summary.NodeCount() &&
+      prior_summary->ArcCount() == summary.ArcCount()) {
+    bool same_graph = true;
+    for (size_t i = 0; same_graph && i < summary.NodeCount(); ++i) {
+      same_graph = prior_summary->nodes()[i].iri == summary.nodes()[i].iri;
+    }
+    for (size_t i = 0; same_graph && i < summary.ArcCount(); ++i) {
+      const schema::PropertyArc& a = prior_summary->arcs()[i];
+      const schema::PropertyArc& b = summary.arcs()[i];
+      same_graph = a.src == b.src && a.dst == b.dst && a.iri == b.iri &&
+                   a.count == b.count;
+    }
+    if (same_graph) {
+      const store::Collection* clusters_ro =
+          db_->FindCollection(kClustersCollection);
+      std::optional<Json> prior_cluster_doc;
+      if (clusters_ro != nullptr) {
+        prior_cluster_doc = clusters_ro->FindOne(url_filter);
       }
-      for (size_t i = 0; same_graph && i < summary.ArcCount(); ++i) {
-        const schema::PropertyArc& a = prior_summary->arcs()[i];
-        const schema::PropertyArc& b = summary.arcs()[i];
-        same_graph = a.src == b.src && a.dst == b.dst && a.iri == b.iri &&
-                     a.count == b.count;
-      }
-      if (same_graph) {
-        const store::Collection* clusters_ro =
-            db_->FindCollection(kClustersCollection);
-        std::optional<Json> prior_cluster_doc;
-        if (clusters_ro != nullptr) {
-          prior_cluster_doc = clusters_ro->FindOne(url_filter);
-        }
-        if (prior_cluster_doc.has_value()) {
-          auto prior_clusters =
-              cluster::ClusterSchema::FromJson(*prior_cluster_doc);
-          if (prior_clusters.ok()) {
-            partition.reserve(summary.NodeCount());
-            partition_reused = true;
-            for (size_t i = 0; i < summary.NodeCount(); ++i) {
-              int c = prior_clusters->ClusterOf(i);
-              if (c < 0) {
-                partition.clear();
-                partition_reused = false;
-                break;
-              }
-              partition.push_back(static_cast<size_t>(c));
+      if (prior_cluster_doc.has_value()) {
+        auto prior_clusters =
+            cluster::ClusterSchema::FromJson(*prior_cluster_doc);
+        if (prior_clusters.ok()) {
+          partition.reserve(summary.NodeCount());
+          partition_reused = true;
+          for (size_t i = 0; i < summary.NodeCount(); ++i) {
+            int c = prior_clusters->ClusterOf(i);
+            if (c < 0) {
+              partition.clear();
+              partition_reused = false;
+              break;
             }
+            partition.push_back(static_cast<size_t>(c));
           }
         }
       }

@@ -59,26 +59,6 @@ struct IncrementalOptions {
   /// kBounded only: maximum days since the last *full* (verified)
   /// extraction before one is forced.
   int64_t staleness_budget_days = 7;
-  /// Adaptive staleness budgets (kBounded): when > 0, every lifetime
-  /// strike on an endpoint's record tightens its *effective* budget by
-  /// this many days — endpoints with a divergence history get verified
-  /// more often — floored at min_staleness_budget_days. 0 keeps the
-  /// fixed budget for everyone (default; preserves earlier histories).
-  int64_t strike_budget_penalty_days = 0;
-  /// Floor for the adaptive budget: even a heavily-struck endpoint keeps
-  /// at least this many days between forced refreshes.
-  int64_t min_staleness_budget_days = 1;
-  /// Strike decay: when > 0, each time an endpoint's divergence-free
-  /// clean streak reaches a multiple of this many cycles, one lifetime
-  /// strike (and one pending suspect strike) is forgiven — the adaptive
-  /// budget relaxes back toward the configured one on long-clean
-  /// endpoints. 0 = strikes never decay (default).
-  int64_t strike_decay_clean_cycles = 0;
-  /// Transient probe failures (Timeout while the endpoint is up) retried
-  /// within one attempt before degrading to a probe-less full extraction.
-  /// Retries are deterministic: the endpoint's fault coins are salted by a
-  /// per-day attempt index, never by wall clock.
-  int max_probe_retries = 2;
   /// Detected divergences (delta validation failure, lying-quiet probe)
   /// before the endpoint is quarantined. Each divergence also forces a
   /// full refresh and drops the persisted fingerprints.
@@ -86,14 +66,6 @@ struct IncrementalOptions {
   /// Days a quarantine lasts; while quarantined every cycle is a forced
   /// full refresh and probe claims are never trusted.
   int64_t quarantine_days = 3;
-  /// Consecutive divergence-free successful cycles a suspect endpoint
-  /// needs before it is trusted (and probe-skip eligible) again.
-  int64_t parole_clean_cycles = 2;
-  /// Post-merge delta validation: echo the change probe after a dirty-
-  /// class merge and cross-check generation, per-class fingerprints, and
-  /// the merged class set against it. A mismatch discards the merge, runs
-  /// a full refresh, and strikes the endpoint.
-  bool validate_deltas = true;
 };
 
 /// Outcome of processing one endpoint through the full pipeline.
@@ -150,8 +122,7 @@ struct PipelineReport {
 /// order — failures included, which the aggregate `reports` list is not.
 /// This is what lets a fleet recompute cost sums in a canonical global
 /// order, bit-identically regardless of how endpoints were sharded, and
-/// lets per-endpoint policies (adaptive batch width, churn detection) see
-/// which URLs failed.
+/// tells the fleet's timeline which URLs failed or throttled.
 struct DueOutcome {
   std::string url;
   bool succeeded = false;
@@ -161,8 +132,9 @@ struct DueOutcome {
   double charged_latency_ms = 0;
   /// The same attempt's intra-pipeline (batched) duration.
   double charged_intra_ms = 0;
-  /// The successful attempt's extraction throttle events (0 on failure) —
-  /// the adaptive-width policy's signal.
+  /// The successful attempt's extraction throttle events (0 on failure);
+  /// part of the canonical dump, and each nonzero count becomes a
+  /// kThrottle event on the fleet's timeline.
   size_t throttle_events = 0;
 };
 
@@ -294,18 +266,6 @@ class Server {
   /// AttachEndpoint, only between cycles, never concurrently with one.
   void DetachEndpoint(const std::string& url);
 
-  /// Overrides the intra-pipeline batch width for one endpoint (clamped
-  /// to >= 1); 0 clears back to ServerOptions::query_batch_width. The
-  /// fleet's adaptive-width policy drives this between cycles from
-  /// observed per-endpoint throttling. Deterministic-accounting contract:
-  /// width only moves duration figures (intra/batched makespans), never
-  /// the work or cost figures, so overrides cannot perturb report
-  /// bit-identity. Only between cycles, never concurrently with one.
-  void SetQueryBatchWidthOverride(const std::string& url, int width);
-
-  /// The batch width ProcessEndpoint will use for `url` right now.
-  int QueryBatchWidthFor(const std::string& url) const;
-
   /// Registers an endpoint record; returns false on duplicate URL.
   bool RegisterEndpoint(endpoint::EndpointRecord record);
 
@@ -383,10 +343,6 @@ class Server {
   /// Read-only during a cycle: AttachEndpoint must happen between
   /// cycles, never concurrently with one.
   std::map<std::string, endpoint::SparqlEndpoint*> network_;
-  /// Per-endpoint batch-width overrides (adaptive policy). Read-only
-  /// during a cycle, mutated only between cycles — same discipline as
-  /// network_.
-  std::map<std::string, int> width_overrides_;
 };
 
 }  // namespace hbold

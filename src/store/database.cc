@@ -46,8 +46,7 @@ bool Database::DropCollection(const std::string& name) {
   return collections_.erase(name) > 0;
 }
 
-Status Database::SaveToDirectory(const std::string& dir,
-                                 SnapshotFormat format) const {
+Status Database::SaveToDirectory(const std::string& dir) const {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -56,21 +55,14 @@ Status Database::SaveToDirectory(const std::string& dir,
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
   for (const auto& [name, collection] : collections_) {
-    std::string filename;
-    std::string content;
-    if (format == SnapshotFormat::kBinary) {
-      filename = EncodeSnapshotFilename(name) + ".hbsnap";
-      content = EncodeSnapshot(name, collection->DumpJsonl());
-    } else {
-      filename = name + ".jsonl";
-      content = collection->DumpJsonl();
-    }
+    const std::string filename = EncodeSnapshotFilename(name) + ".hbsnap";
     // Durable atomic publish: content reaches stable storage before the
     // rename, and the rename itself is fsynced via the parent directory —
     // a crash at any point leaves the previous complete file or the new
     // one, never a truncated file under the final name.
     HBOLD_RETURN_NOT_OK(
-        io::WriteFileDurable((fs::path(dir) / filename).string(), content));
+        io::WriteFileDurable((fs::path(dir) / filename).string(),
+                             EncodeSnapshot(name, collection->DumpJsonl())));
   }
   return Status::OK();
 }

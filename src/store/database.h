@@ -39,26 +39,15 @@ class Database {
   /// Drops a collection. Returns true if it existed.
   bool DropCollection(const std::string& name);
 
-  /// On-disk representation for SaveToDirectory.
-  enum class SnapshotFormat {
-    /// Versioned binary snapshots (`<encoded-name>.hbsnap`, see
-    /// store/snapshot.h): checksummed, and the collection name travels
-    /// inside the file so it round-trips exactly. The default.
-    kBinary,
-    /// Legacy plain `<name>.jsonl` files. Names that are not valid
-    /// filename stems (or collide as filenames) cannot round-trip in this
-    /// format; kept for interop with external JSONL tooling.
-    kJsonl,
-  };
-
-  /// Writes every collection into `dir` (creating it). Each file is
-  /// written durably: content to `<file>.tmp`, fsync, rename into place,
-  /// fsync of the directory — a crash at any point leaves either the
-  /// previous complete file or the new one under the final name, never a
-  /// truncated file, and the rename survives power loss.
-  Status SaveToDirectory(const std::string& dir,
-                         SnapshotFormat format = SnapshotFormat::kBinary)
-      const;
+  /// Writes every collection into `dir` (creating it) as a versioned
+  /// binary snapshot (`<encoded-name>.hbsnap`, see store/snapshot.h):
+  /// checksummed, and the collection name travels inside the file so it
+  /// round-trips exactly. Each file is written durably: content to
+  /// `<file>.tmp`, fsync, rename into place, fsync of the directory — a
+  /// crash at any point leaves either the previous complete file or the
+  /// new one under the final name, never a truncated file, and the rename
+  /// survives power loss.
+  Status SaveToDirectory(const std::string& dir) const;
 
   /// Loads every `*.hbsnap` snapshot in `dir` as a collection, plus any
   /// legacy `*.jsonl` file whose name no snapshot already covers. A

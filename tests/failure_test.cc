@@ -339,8 +339,7 @@ TEST(ProbeRetryTest, TransientProbeFlapRetriesThenDegradesToFull) {
     // The probe was retried up to the cap, then the day degraded to a
     // probe-less full extraction instead of failing outright.
     EXPECT_FALSE(r->probed);
-    EXPECT_EQ(r->probe_retries,
-              static_cast<size_t>(options.incremental.max_probe_retries));
+    EXPECT_EQ(r->probe_retries, 2u);  // the server's fixed retry cap
     EXPECT_FALSE(r->probe_skipped);
     EXPECT_FALSE(r->delta_extracted);
   }
@@ -394,7 +393,6 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   options.incremental.staleness_budget_days = 2;
   options.incremental.quarantine_strikes = 2;
   options.incremental.quarantine_days = 2;
-  options.incremental.parole_clean_cycles = 2;
   Server server(&db, &loop, options);
 
   rdf::TripleStore data;
@@ -487,175 +485,21 @@ TEST(QuarantineLifecycleTest, LyingQuietEndpointIsStruckQuarantinedParoled) {
   EXPECT_EQ(server.registry().GetRecord(url)->suspect_strikes, 0);
 }
 
-TEST(AdaptiveStalenessTest, LifetimeStrikesTightenTheBudget) {
-  const std::string url = "http://repeat-liar.example.org/sparql";
-  sim::EventLoop loop;
-  store::Database db;
-  ServerOptions options;
-  options.refresh_age_days = 1;
-  options.incremental.mode = IncrementalMode::kBounded;
-  options.incremental.staleness_budget_days = 3;
-  options.incremental.strike_budget_penalty_days = 1;
-  options.incremental.min_staleness_budget_days = 1;
-  options.incremental.quarantine_strikes = 10;  // stay out of quarantine
-  options.incremental.parole_clean_cycles = 1;
-  Server server(&db, &loop, options);
-
-  rdf::TripleStore data;
-  workload::SyntheticLdConfig config;
-  config.namespace_iri = "http://repeat-liar.example.org/";
-  config.num_classes = 6;
-  config.max_instances_per_class = 20;
-  config.seed = 4321;
-  workload::GenerateSyntheticLd(config, &data);
-  endpoint::MutationModel mutation;
-  mutation.daily_churn_fraction = 0.5;
-  mutation.hot_class_fraction = 1.0;
-  mutation.seed = 119;
-  endpoint::SimulatedRemoteEndpoint inner(url, "repeat-liar", &data,
-                                          loop.clock(),
-                                          endpoint::Dialect::Full(), {}, {},
-                                          mutation);
-  ScriptedLiarEndpoint ep(&inner);
-  server.AttachEndpoint(url, &ep);
-  endpoint::EndpointRecord record;
-  record.url = url;
-  server.RegisterEndpoint(record);
-
-  auto process = [&](int64_t day) {
-    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
-    inner.AdvanceDataDay(day);
-    auto r = server.ProcessEndpoint(url);
-    EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();
-    return r.ok() ? *r : PipelineReport{};
-  };
-  auto lifetime = [&] {
-    return server.registry().GetRecord(url)->lifetime_strikes;
-  };
-
-  // First offense: quiet lies ride the FULL configured budget — the
-  // forced re-verification lands at staleness 3.
-  process(0);
-  ep.set_lying(true);
-  PipelineReport first_forced;
-  int64_t day = 1;
-  for (; day <= 4; ++day) {
-    PipelineReport r = process(day);
-    if (r.forced_refresh) {
-      first_forced = r;
-      break;
-    }
-  }
-  EXPECT_EQ(first_forced.staleness_days, 3) << "clean history, full budget";
-  EXPECT_TRUE(first_forced.probe_mismatch);
-  EXPECT_EQ(lifetime(), 1);
-
-  // Walk back to trusted on honest cycles (parole resets suspect strikes
-  // but the lifetime strike survives), then re-arm the quiet lie.
-  ep.set_lying(false);
-  process(++day);
-  process(++day);
-  EXPECT_EQ(server.registry().GetRecord(url)->trust_state,
-            endpoint::TrustState::kTrusted);
-  EXPECT_EQ(lifetime(), 1) << "lifetime strikes survive parole";
-
-  // Second offense: the carried strike tightened the effective budget to
-  // max(1, 3 - 1*1) = 2 — the forced refresh now lands at staleness 2.
-  ep.set_lying(true);
-  PipelineReport second_forced;
-  const int64_t last_honest_day = day;
-  for (day = last_honest_day + 1; day <= last_honest_day + 4; ++day) {
-    PipelineReport r = process(day);
-    if (r.forced_refresh) {
-      second_forced = r;
-      break;
-    }
-  }
-  EXPECT_EQ(second_forced.staleness_days, 2)
-      << "one lifetime strike must shave one day off the budget";
-  EXPECT_TRUE(second_forced.probe_mismatch);
-  EXPECT_EQ(lifetime(), 2);
-}
-
-TEST(AdaptiveStalenessTest, CleanStreaksDecayLifetimeStrikes) {
-  const std::string url = "http://reformed.example.org/sparql";
-  sim::EventLoop loop;
-  store::Database db;
-  ServerOptions options;
-  options.refresh_age_days = 1;
-  options.incremental.mode = IncrementalMode::kBounded;
-  options.incremental.staleness_budget_days = 2;
-  options.incremental.strike_budget_penalty_days = 1;
-  options.incremental.quarantine_strikes = 10;
-  options.incremental.parole_clean_cycles = 8;  // stay suspect throughout
-  options.incremental.strike_decay_clean_cycles = 2;
-  Server server(&db, &loop, options);
-
-  rdf::TripleStore data;
-  workload::SyntheticLdConfig config;
-  config.namespace_iri = "http://reformed.example.org/";
-  config.num_classes = 6;
-  config.max_instances_per_class = 20;
-  config.seed = 777;
-  workload::GenerateSyntheticLd(config, &data);
-  endpoint::MutationModel mutation;
-  mutation.daily_churn_fraction = 0.5;
-  mutation.hot_class_fraction = 1.0;
-  mutation.seed = 333;
-  endpoint::SimulatedRemoteEndpoint inner(url, "reformed", &data, loop.clock(),
-                                          endpoint::Dialect::Full(), {}, {},
-                                          mutation);
-  ScriptedLiarEndpoint ep(&inner);
-  server.AttachEndpoint(url, &ep);
-  endpoint::EndpointRecord record;
-  record.url = url;
-  server.RegisterEndpoint(record);
-
-  auto process = [&](int64_t day) {
-    if (day > 0) loop.RunUntil(loop.NowMs() + SimClock::kMillisPerDay);
-    inner.AdvanceDataDay(day);
-    auto r = server.ProcessEndpoint(url);
-    EXPECT_TRUE(r.ok()) << "day " << day << ": " << r.status();
-    return r.ok() ? *r : PipelineReport{};
-  };
-  auto rec = [&] { return *server.registry().GetRecord(url); };
-
-  // Earn one strike: honest first contact, then quiet lies until the
-  // budget forces a re-verification that catches the divergence.
-  process(0);
-  ep.set_lying(true);
-  int64_t day = 1;
-  for (; day <= 3; ++day) {
-    if (process(day).forced_refresh) break;
-  }
-  ASSERT_EQ(rec().lifetime_strikes, 1);
-  ASSERT_EQ(rec().clean_streak, 0) << "the strike resets the streak";
-
-  // Come clean: every divergence-free cycle grows the streak, and each
-  // full decay interval (2 cycles) forgives one lifetime strike.
-  ep.set_lying(false);
-  process(++day);
-  EXPECT_EQ(rec().lifetime_strikes, 1) << "streak 1: no decay yet";
-  process(++day);
-  EXPECT_EQ(rec().lifetime_strikes, 0) << "streak 2: one strike forgiven";
-  EXPECT_EQ(rec().trust_state, endpoint::TrustState::kSuspect)
-      << "decay forgives budget pressure, not parole";
-}
-
-TEST(RegistryFailureTest, LifetimeStrikesRoundTripThroughJson) {
-  endpoint::EndpointRecord r;
-  r.url = "http://strikes.example.org/sparql";
-  r.lifetime_strikes = 3;
-  endpoint::EndpointRecord back = endpoint::EndpointRecord::FromJson(r.ToJson());
-  EXPECT_EQ(back.lifetime_strikes, 3);
-
-  // A zero count is elided from the JSON so pre-existing registry dumps
-  // (and their fingerprints) are byte-identical.
-  endpoint::EndpointRecord clean;
-  clean.url = "http://clean.example.org/sparql";
-  EXPECT_EQ(clean.ToJson().Dump().find("lifetime_strikes"), std::string::npos);
-  EXPECT_EQ(endpoint::EndpointRecord::FromJson(clean.ToJson()).lifetime_strikes,
-            0);
+TEST(RegistryFailureTest, LegacyLifetimeStrikesKeyRoundTripsVerbatim) {
+  // Registries written by older builds carry a "lifetime_strikes" count.
+  // No current field reads it, so it must ride through unknown_fields and
+  // re-serialize byte-identically.
+  const std::string legacy =
+      R"({"added_day":0,"first_eligible_day":-1,"indexed":false,)"
+      R"("last_attempt_day":-1,"last_attempt_failed":false,)"
+      R"("last_success_day":-1,"lifetime_strikes":3,"name":"",)"
+      R"("source":"manual","suspect_strikes":1,"trust_state":"suspect",)"
+      R"("url":"http://strikes.example.org/sparql"})";
+  auto parsed = Json::Parse(legacy);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  endpoint::EndpointRecord r = endpoint::EndpointRecord::FromJson(*parsed);
+  EXPECT_EQ(r.unknown_fields.count("lifetime_strikes"), 1u);
+  EXPECT_EQ(r.ToJson().Dump(), legacy);
 }
 
 }  // namespace

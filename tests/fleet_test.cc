@@ -1,8 +1,8 @@
 // Fleet-layer tests: stable sharding, the multi-day determinism property
 // (canonical history and persisted artifacts are byte-identical across
 // shard counts, parallelism, and batching), seeded churn semantics
-// (arrivals schedulable the NEXT day, deaths retried daily), adaptive
-// batch-width policy, the clock-advance contract, the inline claim order,
+// (arrivals schedulable the NEXT day, deaths retried daily), the
+// clock-advance contract, the inline claim order,
 // the fleet counters as shard sums, and the RefreshScheduler mid-cycle
 // pickup regression.
 
@@ -210,14 +210,11 @@ class FleetSimulationTest : public ::testing::Test {
  protected:
   void SetUp() override { stores_ = FleetWorld::BuildStores(); }
 
-  FleetOptions Config(int shards, int parallelism, int width,
-                      bool adaptive = false) {
+  FleetOptions Config(int shards, int parallelism, int width) {
     FleetOptions options;
     options.num_shards = shards;
     options.server.parallelism = parallelism;
     options.server.query_batch_width = width;
-    options.adaptive_width.enabled = adaptive;
-    options.adaptive_width.max_width = 8;
     if (shards == 1 && parallelism == 1) options.fleet_workers = 1;
     return options;
   }
@@ -262,29 +259,31 @@ TEST_F(FleetSimulationTest, CanonicalHistoryInvariantAcrossDeployments) {
   EXPECT_EQ(baseline.days[0].arrivals, kLatentEndpoints);
   EXPECT_GE(baseline.days[0].failed, 1u);  // the unattached endpoint
   size_t total_deaths = 0;
+  size_t total_throttle_events = 0;
   for (const auto& day : baseline.days) {
     total_deaths += day.deaths;
     EXPECT_FALSE(day.overran_day);
+    for (const DueOutcome& o : day.outcomes) {
+      total_throttle_events += o.throttle_events;
+    }
   }
   EXPECT_GE(total_deaths, 1u) << "churn seed produced no deaths; the "
                                  "differential test would not cover them";
+  EXPECT_GE(total_throttle_events, 1u)
+      << "the throttling proxy reported no throttle_events";
   ASSERT_GE(baseline_summaries.size(), kBaseEndpoints - 2);
 
   struct Deployment {
     int shards, parallelism, width;
-    bool adaptive;
   };
   const Deployment deployments[] = {
-      {2, 1, 1, false}, {4, 1, 1, false}, {4, 4, 1, false},
-      {2, 4, 4, false}, {4, 1, 4, false}, {4, 4, 4, true},
+      {2, 1, 1}, {4, 1, 1}, {4, 4, 1}, {2, 4, 4}, {4, 1, 4}, {4, 4, 4},
   };
   for (const Deployment& dep : deployments) {
     SCOPED_TRACE("shards=" + std::to_string(dep.shards) +
                  " parallelism=" + std::to_string(dep.parallelism) +
-                 " width=" + std::to_string(dep.width) +
-                 (dep.adaptive ? " adaptive" : ""));
-    FleetWorld world(
-        stores_, Config(dep.shards, dep.parallelism, dep.width, dep.adaptive));
+                 " width=" + std::to_string(dep.width));
+    FleetWorld world(stores_, Config(dep.shards, dep.parallelism, dep.width));
     FleetReport report = world.fleet().RunSimulation(kDays);
     EXPECT_EQ(report.CanonicalDump(), baseline_dump);
     EXPECT_EQ(report.Fingerprint(), baseline.Fingerprint());
@@ -467,75 +466,6 @@ TEST_F(FleetSimulationTest, DeadEndpointsFailAndRetryDaily) {
     EXPECT_TRUE(found) << "a dead endpoint must be retried daily (day " << d
                        << ")";
   }
-}
-
-// ------------------------------------------------------- adaptive width
-
-TEST(AdaptiveWidthControllerTest, BacksOffMultiplicativelyAndRecovers) {
-  AdaptiveWidthOptions options;
-  options.enabled = true;
-  options.min_width = 1;
-  options.max_width = 8;
-  options.recovery_days = 2;
-  AdaptiveWidthController controller(options, /*initial_width=*/8);
-  const std::string url = "http://x/sparql";
-  EXPECT_EQ(controller.WidthFor(url), 8);
-  EXPECT_EQ(controller.Observe(url, false, /*throttle_events=*/2), 4);
-  EXPECT_EQ(controller.Observe(url, false, 1), 2);
-  EXPECT_EQ(controller.Observe(url, true, 0), 1);
-  EXPECT_EQ(controller.Observe(url, true, 0), 1);  // clamped at min
-  // Two clean days per step back up.
-  EXPECT_EQ(controller.Observe(url, false, 0), 1);
-  EXPECT_EQ(controller.Observe(url, false, 0), 2);
-  EXPECT_EQ(controller.Observe(url, false, 0), 2);
-  EXPECT_EQ(controller.Observe(url, false, 0), 3);
-  // A relapse resets the streak.
-  EXPECT_EQ(controller.Observe(url, false, 1), 1);
-}
-
-TEST(AdaptiveWidthControllerTest, InitialWidthClampedIntoPolicyRange) {
-  AdaptiveWidthOptions options;
-  options.min_width = 2;
-  options.max_width = 4;
-  AdaptiveWidthController controller(options, /*initial_width=*/16);
-  EXPECT_EQ(controller.WidthFor("a"), 4);
-  AdaptiveWidthController low(options, /*initial_width=*/1);
-  EXPECT_EQ(low.WidthFor("a"), 2);
-}
-
-TEST(AdaptiveWidthControllerTest, InvertedRangeTreatsMaxAsMin) {
-  AdaptiveWidthOptions options;
-  options.min_width = 4;
-  options.max_width = 2;
-  AdaptiveWidthController high(options, /*initial_width=*/16);
-  EXPECT_EQ(high.WidthFor("a"), 4);
-  AdaptiveWidthController low(options, /*initial_width=*/1);
-  EXPECT_EQ(low.WidthFor("a"), 4);
-  EXPECT_EQ(low.Observe("a", false, /*throttle_events=*/1), 4);
-  EXPECT_EQ(low.Observe("a", false, 0), 4);
-  EXPECT_EQ(low.Observe("a", false, 0), 4);
-}
-
-TEST_F(FleetSimulationTest, AdaptiveWidthNarrowsThrottledEndpointOnly) {
-  FleetOptions options = Config(2, 1, 4, /*adaptive=*/true);
-  FleetWorld world(stores_, options);
-  Fleet& fleet = world.fleet();
-  const std::string throttled = FleetWorld::Url(7);
-  const std::string clean = FleetWorld::Url(0);
-  FleetDayReport day0 = world.NextDay();
-  // The throttler really did report pressure.
-  bool saw_throttle = false;
-  for (const PipelineReport& r : day0.reports) {
-    if (r.url == throttled) saw_throttle = r.extraction.throttle_events > 0;
-  }
-  ASSERT_TRUE(saw_throttle)
-      << "work-budget endpoint did not report throttle_events; the "
-         "adaptive policy has no signal";
-  world.NextDay();  // day 1: push the adapted widths into the shards
-  EXPECT_LT(fleet.shard(fleet.ShardOf(throttled))
-                .QueryBatchWidthFor(throttled),
-            4);
-  EXPECT_EQ(fleet.shard(fleet.ShardOf(clean)).QueryBatchWidthFor(clean), 4);
 }
 
 // ------------------------------- RefreshScheduler mid-cycle regression

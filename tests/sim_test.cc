@@ -215,13 +215,11 @@ class SimWorld {
   std::unique_ptr<Fleet> fleet_;
 };
 
-FleetOptions Deployment(int shards, int parallelism, int width,
-                        int virtual_workers = 4) {
+FleetOptions Deployment(int shards, int parallelism, int width) {
   FleetOptions options;
   options.num_shards = shards;
   options.server.parallelism = parallelism;
   options.server.query_batch_width = width;
-  options.virtual_workers = virtual_workers;
   if (shards == 1 && parallelism == 1) options.fleet_workers = 1;
   return options;
 }
@@ -258,13 +256,13 @@ TEST(SimFleetTest, EventHistoryInvariantAcrossDeployments) {
 
 TEST(SimFleetTest, OverrunDayRunsCatchUpCycleDeploymentInvariantly) {
   auto stores = BuildWorldStores();
-  // Price every query so high that one cycle's canonical makespan on one
-  // virtual worker dwarfs a simulated day.
+  // Price every query so high that one cycle's canonical makespan on the
+  // fleet's four virtual workers dwarfs a simulated day.
   LatencyModel slow;
-  slow.base_ms = 2e6;
+  slow.base_ms = 8e6;
   constexpr int64_t kDays = 3;
 
-  SimWorld baseline(stores, Deployment(1, 1, 1, /*virtual_workers=*/1), slow);
+  SimWorld baseline(stores, Deployment(1, 1, 1), slow);
   FleetReport base_report = baseline.fleet().RunSimulation(kDays);
   const std::string base_history = baseline.loop().HistoryDump();
   ASSERT_EQ(base_report.days.size(), static_cast<size_t>(kDays));
@@ -280,7 +278,7 @@ TEST(SimFleetTest, OverrunDayRunsCatchUpCycleDeploymentInvariantly) {
   // catch-up history is byte-identical across deployment shapes.
   for (int shards : {2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    SimWorld world(stores, Deployment(shards, 4, 2, /*virtual_workers=*/1),
+    SimWorld world(stores, Deployment(shards, 4, 2),
                    slow);
     FleetReport report = world.fleet().RunSimulation(kDays);
     EXPECT_EQ(report.CanonicalDump(), base_report.CanonicalDump());

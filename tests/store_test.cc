@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/io_util.h"
 #include "common/json.h"
 #include "store/collection.h"
 #include "store/database.h"
@@ -320,9 +321,12 @@ TEST(DatabaseTest, LegacyJsonlMigratesToBinary) {
   ASSERT_TRUE(legacy.GetCollection("summaries")
                   ->Insert(Obj(R"({"endpoint":"http://a"})"))
                   .ok());
-  ASSERT_TRUE(
-      legacy.SaveToDirectory(dir.string(), Database::SnapshotFormat::kJsonl)
-          .ok());
+  // Legacy plain `<name>.jsonl` layout, written the way older builds did.
+  fs::create_directories(dir);
+  ASSERT_TRUE(io::WriteFileDurable((dir / "summaries.jsonl").string(),
+                                   legacy.FindCollection("summaries")
+                                       ->DumpJsonl())
+                  .ok());
   ASSERT_TRUE(fs::exists(dir / "summaries.jsonl"));
 
   // A database saved as JSONL loads transparently...
