@@ -1,65 +1,92 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace hbold {
 
 namespace {
 
-// Serializes a double the way JSON expects: integers without a fraction,
-// otherwise shortest round-trip-ish representation.
+// Serializes a double the way JSON expects: integers below 1e15 without a
+// fraction (the bytes of "%lld"), other finite values with 17 significant
+// digits (the bytes of "%.17g"), and NaN/Inf as null.
 void AppendNumber(std::string* out, double d) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out->append(buf);
-  } else if (std::isfinite(d)) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out->append(buf);
-  } else {
+  if (!std::isfinite(d)) {
     out->append("null");  // JSON has no Inf/NaN.
+    return;
   }
+  char buf[32];
+  std::to_chars_result r;
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
+  }
+  out->append(buf, r.ptr);
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
+// Quotes and escapes `s`, copying each run of characters that need no
+// escape in one append.
+void AppendEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
-  for (unsigned char c : s) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    const char* escape = nullptr;
     switch (c) {
       case '"':
-        out->append("\\\"");
+        escape = "\\\"";
         break;
       case '\\':
-        out->append("\\\\");
+        escape = "\\\\";
         break;
       case '\n':
-        out->append("\\n");
+        escape = "\\n";
         break;
       case '\r':
-        out->append("\\r");
+        escape = "\\r";
         break;
       case '\t':
-        out->append("\\t");
+        escape = "\\t";
         break;
       case '\b':
-        out->append("\\b");
+        escape = "\\b";
         break;
       case '\f':
-        out->append("\\f");
+        escape = "\\f";
         break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+        if (c >= 0x20) continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out->append(escape);
+    } else {
+      const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+      out->append(u, sizeof(u));
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
+}
+
+bool KeyLess(const std::pair<std::string, Json>& a,
+             const std::pair<std::string, Json>& b) {
+  return a.first < b.first;
+}
+
+// The first pair of a sorted object whose key is not less than `key`.
+template <typename ObjectT>
+auto KeyLowerBound(ObjectT& obj, std::string_view key) {
+  return std::lower_bound(obj.begin(), obj.end(), key,
+                          [](const auto& kv, std::string_view k) {
+                            return std::string_view(kv.first) < k;
+                          });
 }
 
 class Parser {
@@ -241,6 +268,8 @@ class Parser {
   }
 
   Status ParseObject(Json* out) {
+    DepthGuard guard(this);
+    if (depth_ > kMaxDepth) return Err("nesting too deep");
     ++pos_;  // '{'
     Json::Object obj;
     SkipWs();
@@ -261,7 +290,7 @@ class Parser {
       Json value;
       st = ParseValue(&value);
       if (!st.ok()) return st;
-      obj[std::move(key)] = std::move(value);
+      obj.emplace_back(std::move(key), std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) return Err("unterminated object");
       if (text_[pos_] == ',') {
@@ -279,6 +308,8 @@ class Parser {
   }
 
   Status ParseArray(Json* out) {
+    DepthGuard guard(this);
+    if (depth_ > kMaxDepth) return Err("nesting too deep");
     ++pos_;  // '['
     Json::Array arr;
     SkipWs();
@@ -320,17 +351,75 @@ class Parser {
     return Status::ParseError(msg + " at offset " + std::to_string(pos_));
   }
 
+  // Arrays and objects nest by recursion; the cap keeps hostile input
+  // from exhausting the stack (and the recursive destructor after it).
+  static constexpr int kMaxDepth = 512;
+  struct DepthGuard {
+    explicit DepthGuard(Parser* p) : parser(p) { ++parser->depth_; }
+    ~DepthGuard() { --parser->depth_; }
+    Parser* parser;
+  };
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
 
+Json::Json(Object o) {
+  const bool normalized =
+      std::adjacent_find(o.begin(), o.end(),
+                         [](const auto& a, const auto& b) {
+                           return !(a.first < b.first);
+                         }) == o.end();
+  if (!normalized) {
+    // Stable, so equal keys keep their order and the last one survives.
+    std::stable_sort(o.begin(), o.end(), KeyLess);
+    auto kept = o.begin();
+    for (auto it = o.begin(); it != o.end(); ++it) {
+      if (it + 1 != o.end() && (it + 1)->first == it->first) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    o.erase(kept, o.end());
+  }
+  value_ = std::move(o);
+}
+
+bool Json::as_bool() const {
+  const bool* b = std::get_if<bool>(&value_);
+  return b != nullptr && *b;
+}
+
+double Json::as_number() const {
+  const double* d = std::get_if<double>(&value_);
+  return d == nullptr ? 0 : *d;
+}
+
+const std::string& Json::as_string() const {
+  static const std::string kEmpty;
+  const std::string* s = std::get_if<std::string>(&value_);
+  return s == nullptr ? kEmpty : *s;
+}
+
+const Json::Array& Json::as_array() const {
+  static const Array kEmpty;
+  const Array* a = std::get_if<Array>(&value_);
+  return a == nullptr ? kEmpty : *a;
+}
+
+const Json::Object& Json::as_object() const {
+  static const Object kEmpty;
+  const Object* o = std::get_if<Object>(&value_);
+  return o == nullptr ? kEmpty : *o;
+}
+
 const Json* Json::Find(std::string_view key) const {
-  if (!is_object()) return nullptr;
-  auto it = obj_.find(std::string(key));
-  if (it == obj_.end()) return nullptr;
-  return &it->second;
+  const Object* obj = std::get_if<Object>(&value_);
+  if (obj == nullptr) return nullptr;
+  auto it = KeyLowerBound(*obj, key);
+  return it == obj->end() || it->first != key ? nullptr : &it->second;
 }
 
 std::string Json::GetString(std::string_view key,
@@ -359,95 +448,94 @@ bool Json::GetBool(std::string_view key, bool default_value) const {
 }
 
 Json& Json::Set(std::string key, Json value) {
-  obj_[std::move(key)] = std::move(value);
+  if (!is_object()) value_ = Object{};
+  Object& obj = std::get<Object>(value_);
+  if (obj.empty() || obj.back().first < key) {
+    obj.emplace_back(std::move(key), std::move(value));
+    return *this;
+  }
+  auto it = KeyLowerBound(obj, key);
+  if (it != obj.end() && it->first == key) {
+    it->second = std::move(value);
+  } else {
+    obj.emplace(it, std::move(key), std::move(value));
+  }
   return *this;
 }
 
 Json& Json::Append(Json value) {
-  arr_.push_back(std::move(value));
+  if (!is_array()) value_ = Array{};
+  std::get<Array>(value_).push_back(std::move(value));
   return *this;
 }
 
-void Json::DumpTo(std::string* out, int indent, int depth) const {
+void Json::DumpAt(std::string* out, int indent, int depth) const {
   auto newline = [&](int d) {
     if (indent > 0) {
       out->push_back('\n');
       out->append(static_cast<size_t>(indent * d), ' ');
     }
   };
-  switch (type_) {
+  switch (type()) {
     case Type::kNull:
       out->append("null");
       break;
     case Type::kBool:
-      out->append(bool_ ? "true" : "false");
+      out->append(std::get<bool>(value_) ? "true" : "false");
       break;
     case Type::kNumber:
-      AppendNumber(out, num_);
+      AppendNumber(out, std::get<double>(value_));
       break;
     case Type::kString:
-      AppendEscaped(out, str_);
+      AppendEscaped(out, std::get<std::string>(value_));
       break;
     case Type::kArray: {
+      const Array& arr = std::get<Array>(value_);
       out->push_back('[');
       bool first = true;
-      for (const Json& v : arr_) {
+      for (const Json& v : arr) {
         if (!first) out->push_back(',');
         first = false;
         newline(depth + 1);
-        v.DumpTo(out, indent, depth + 1);
+        v.DumpAt(out, indent, depth + 1);
       }
-      if (!arr_.empty()) newline(depth);
+      if (!arr.empty()) newline(depth);
       out->push_back(']');
       break;
     }
     case Type::kObject: {
+      const Object& obj = std::get<Object>(value_);
       out->push_back('{');
       bool first = true;
-      for (const auto& [k, v] : obj_) {
+      for (const auto& [k, v] : obj) {
         if (!first) out->push_back(',');
         first = false;
         newline(depth + 1);
         AppendEscaped(out, k);
         out->push_back(':');
         if (indent > 0) out->push_back(' ');
-        v.DumpTo(out, indent, depth + 1);
+        v.DumpAt(out, indent, depth + 1);
       }
-      if (!obj_.empty()) newline(depth);
+      if (!obj.empty()) newline(depth);
       out->push_back('}');
       break;
     }
   }
 }
 
+void Json::DumpTo(std::string* out, int indent) const {
+  DumpAt(out, indent, 0);
+}
+
 std::string Json::Dump(int indent) const {
   std::string out;
-  DumpTo(&out, indent, 0);
+  DumpAt(&out, indent, 0);
   return out;
 }
 
 Result<Json> Json::Parse(std::string_view text) {
   Parser p(text);
   return p.Parse();
-}
-
-bool operator==(const Json& a, const Json& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Json::Type::kNull:
-      return true;
-    case Json::Type::kBool:
-      return a.bool_ == b.bool_;
-    case Json::Type::kNumber:
-      return a.num_ == b.num_;
-    case Json::Type::kString:
-      return a.str_ == b.str_;
-    case Json::Type::kArray:
-      return a.arr_ == b.arr_;
-    case Json::Type::kObject:
-      return a.obj_ == b.obj_;
-  }
-  return false;
 }
 
 }  // namespace hbold

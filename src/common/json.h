@@ -2,10 +2,10 @@
 #define HBOLD_COMMON_JSON_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -16,53 +16,52 @@ namespace hbold {
 /// A JSON value: null, bool, number (double), string, array, or object.
 ///
 /// This is the document representation used by the embedded document store
-/// (our MongoDB substitute) and by the export layer. Objects keep keys in
-/// sorted order (std::map) so serialization is deterministic.
+/// (our MongoDB substitute) and by the export layer. A value is one
+/// std::variant, so it holds only the alternative it is. An object is a
+/// flat vector of (key, value) pairs kept sorted by key with unique keys:
+/// Find is a binary search that allocates nothing, and serialization walks
+/// the keys in sorted order, so it is deterministic.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<Json>;
-  using Object = std::map<std::string, Json>;
+  /// Sorted by key, keys unique. Every constructor and mutator keeps it so.
+  using Object = std::vector<std::pair<std::string, Json>>;
 
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}  // NOLINT(runtime/explicit)
-  Json(bool b) : type_(Type::kBool), bool_(b) {}  // NOLINT
-  Json(double d) : type_(Type::kNumber), num_(d) {}  // NOLINT
-  Json(int i) : type_(Type::kNumber), num_(i) {}  // NOLINT
-  Json(int64_t i)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(uint64_t i)  // NOLINT
-      : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Json(const char* s) : type_(Type::kString), str_(s) {}  // NOLINT
-  Json(std::string s)  // NOLINT
-      : type_(Type::kString), str_(std::move(s)) {}
-  Json(std::string_view s)  // NOLINT
-      : type_(Type::kString), str_(s) {}
-  Json(Array a) : type_(Type::kArray), arr_(std::move(a)) {}  // NOLINT
-  Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {}  // NOLINT
+  Json() = default;
+  Json(std::nullptr_t) {}  // NOLINT(runtime/explicit)
+  Json(bool b) : value_(b) {}  // NOLINT
+  Json(double d) : value_(d) {}  // NOLINT
+  Json(int i) : value_(static_cast<double>(i)) {}  // NOLINT
+  Json(int64_t i) : value_(static_cast<double>(i)) {}  // NOLINT
+  Json(uint64_t i) : value_(static_cast<double>(i)) {}  // NOLINT
+  Json(const char* s) : value_(std::string(s)) {}  // NOLINT
+  Json(std::string s) : value_(std::move(s)) {}  // NOLINT
+  Json(std::string_view s) : value_(std::string(s)) {}  // NOLINT
+  Json(Array a) : value_(std::move(a)) {}  // NOLINT
+  /// Sorts `o` by key; with duplicate keys the last one wins.
+  Json(Object o);  // NOLINT
 
   static Json MakeArray() { return Json(Array{}); }
   static Json MakeObject() { return Json(Object{}); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
-  /// Accessors; preconditions checked with assert in debug builds. Use the
-  /// typed Get* helpers for checked access.
-  bool as_bool() const { return bool_; }
-  double as_number() const { return num_; }
-  int64_t as_int() const { return static_cast<int64_t>(num_); }
-  const std::string& as_string() const { return str_; }
-  const Array& as_array() const { return arr_; }
-  Array& as_array() { return arr_; }
-  const Object& as_object() const { return obj_; }
-  Object& as_object() { return obj_; }
+  /// Accessors. Called on the wrong type they return false, 0 or an empty
+  /// string/array/object. Use the typed Get* helpers for keyed access.
+  bool as_bool() const;
+  double as_number() const;
+  int64_t as_int() const { return static_cast<int64_t>(as_number()); }
+  const std::string& as_string() const;
+  const Array& as_array() const;
+  const Object& as_object() const;
 
   /// Object field access. Returns nullptr if not an object or key missing.
   const Json* Find(std::string_view key) const;
@@ -74,32 +73,37 @@ class Json {
   int64_t GetInt(std::string_view key, int64_t default_value = 0) const;
   bool GetBool(std::string_view key, bool default_value = false) const;
 
-  /// Sets a field on an object (value must be an object).
+  /// Sets a field on an object; a value that is not an object becomes an
+  /// empty one first. Appends when `key` sorts after every existing key,
+  /// otherwise inserts or overwrites in place.
   Json& Set(std::string key, Json value);
 
-  /// Appends to an array (value must be an array).
+  /// Appends to an array; a value that is not an array becomes an empty
+  /// one first.
   Json& Append(Json value);
 
   /// Serializes to compact JSON. `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
+  /// Appends the serialization to `out` (same bytes as Dump).
+  void DumpTo(std::string* out, int indent = 0) const;
 
   /// Parses a JSON document. Supports the full JSON grammar with
-  /// \uXXXX escapes (BMP only; surrogate pairs combined).
+  /// \uXXXX escapes (BMP only; surrogate pairs combined). Within an object
+  /// a repeated key keeps its last value.
   static Result<Json> Parse(std::string_view text);
 
   /// Deep structural equality.
-  friend bool operator==(const Json& a, const Json& b);
+  friend bool operator==(const Json& a, const Json& b) {
+    return a.value_ == b.value_;
+  }
   friend bool operator!=(const Json& a, const Json& b) { return !(a == b); }
 
  private:
-  void DumpTo(std::string* out, int indent, int depth) const;
+  void DumpAt(std::string* out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double num_ = 0;
-  std::string str_;
-  Array arr_;
-  Object obj_;
+  // Alternative order matches Type.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 }  // namespace hbold

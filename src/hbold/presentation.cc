@@ -20,23 +20,35 @@ PresentationSnapshot PresentationSnapshot::Capture(const store::Database& db) {
   return snap;
 }
 
-const Json* PresentationSnapshot::FindSummaryDoc(const std::string& url) const {
-  for (const Json& doc : summaries_) {
-    if (doc.GetString("endpoint_url") == url) return &doc;
+namespace {
+
+/// The document in `docs` whose `endpoint_url` is `url`, compared in place.
+const Json* FindByUrl(const std::vector<store::DocHandle>& docs,
+                      const std::string& url) {
+  for (const store::DocHandle& doc : docs) {
+    const Json* doc_url = doc->Find("endpoint_url");
+    if (doc_url != nullptr && doc_url->is_string() &&
+        doc_url->as_string() == url) {
+      return doc.get();
+    }
   }
   return nullptr;
 }
 
+}  // namespace
+
+const Json* PresentationSnapshot::FindSummaryDoc(const std::string& url) const {
+  return FindByUrl(summaries_, url);
+}
+
 const Json* PresentationSnapshot::FindClusterDoc(const std::string& url) const {
-  for (const Json& doc : clusters_) {
-    if (doc.GetString("endpoint_url") == url) return &doc;
-  }
-  return nullptr;
+  return FindByUrl(clusters_, url);
 }
 
 std::vector<DatasetInfo> PresentationSnapshot::ListDatasets() const {
   std::vector<DatasetInfo> out;
-  for (const Json& doc : summaries_) {
+  for (const store::DocHandle& handle : summaries_) {
+    const Json& doc = *handle;
     DatasetInfo info;
     info.url = doc.GetString("endpoint_url");
     const Json* nodes = doc.Find("nodes");

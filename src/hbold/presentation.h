@@ -22,12 +22,13 @@ struct DatasetInfo {
   int64_t extracted_day = -1;
 };
 
-/// Point-in-time view of the presentation collections. Capture() copies
-/// the summary and cluster documents once via Collection::Snapshot();
-/// every read on the object is then lock-free and sees one consistent
-/// store state, no matter how many daily-cycle writes land concurrently.
-/// This is the read path the serving layer holds across a whole burst of
-/// user interactions.
+/// Point-in-time view of the presentation collections. Capture() takes the
+/// summary and cluster documents' shared handles once via
+/// Collection::Snapshot() — no document is copied. The store never mutates
+/// a document it has handed out, so every read on the object is lock-free
+/// and sees one consistent store state, no matter how many daily-cycle
+/// writes land concurrently. This is the read path the serving layer holds
+/// across a whole burst of user interactions.
 class PresentationSnapshot {
  public:
   PresentationSnapshot() = default;
@@ -48,15 +49,16 @@ class PresentationSnapshot {
                                                    double* load_ms = nullptr)
       const;
 
-  /// Raw document accessors (nullptr when absent).
+  /// Raw document accessors (nullptr when absent). The document lives as
+  /// long as this snapshot.
   const Json* FindSummaryDoc(const std::string& url) const;
   const Json* FindClusterDoc(const std::string& url) const;
 
   size_t dataset_count() const { return summaries_.size(); }
 
  private:
-  std::vector<Json> summaries_;
-  std::vector<Json> clusters_;
+  std::vector<store::DocHandle> summaries_;
+  std::vector<store::DocHandle> clusters_;
 };
 
 /// H-BOLD's presentation layer against the document store: dataset

@@ -267,7 +267,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
 
   const store::Collection* summaries_ro =
       db_->FindCollection(kSummariesCollection);
-  std::optional<Json> stored_summary_doc;
+  store::DocHandle stored_summary_doc;
   if (summaries_ro != nullptr) {
     stored_summary_doc = summaries_ro->FindOne(url_filter);
   }
@@ -287,7 +287,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   if (delta_mode && !force_full &&
       trust == endpoint::TrustState::kTrusted && have_probe &&
       !probe.truncated && !probe.classes.empty() && generation_match &&
-      dirty.empty() && removed.empty() && stored_summary_doc.has_value()) {
+      dirty.empty() && removed.empty() && stored_summary_doc != nullptr) {
     const Json* nodes = stored_summary_doc->Find("nodes");
     const Json* arcs = stored_summary_doc->Find("arcs");
     report.classes =
@@ -330,11 +330,11 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
         static_cast<double>(std::max<size_t>(1, probe.classes.size()));
     const store::Collection* indexes_ro =
         db_->FindCollection(kIndexesCollection);
-    std::optional<Json> prior_doc;
+    store::DocHandle prior_doc;
     if (fraction <= inc.full_refresh_fraction && indexes_ro != nullptr) {
       prior_doc = indexes_ro->FindOne(url_filter);
     }
-    if (prior_doc.has_value()) {
+    if (prior_doc != nullptr) {
       auto prior = extraction::IndexSummary::FromJson(*prior_doc);
       if (prior.ok()) {
         // Restricted strategies (paginated scan) price the dirty-class
@@ -431,7 +431,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // check.
   Stopwatch sw;
   std::optional<schema::SchemaSummary> prior_summary;
-  if (delta_ok && stored_summary_doc.has_value()) {
+  if (delta_ok && stored_summary_doc != nullptr) {
     auto decoded = schema::SchemaSummary::FromJson(*stored_summary_doc);
     if (decoded.ok()) prior_summary = std::move(*decoded);
   }
@@ -453,7 +453,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // The hash is stored as a hex string: JSON numbers are doubles and would
   // truncate 64-bit fingerprints.
   std::string content_hash = HexU64(Fnv64(summary_doc.Dump()));
-  if (stored_summary_doc.has_value() &&
+  if (stored_summary_doc != nullptr &&
       stored_summary_doc->GetString("content_hash") == content_hash) {
     report.reused_cluster_schema = true;
     store_fingerprints();
@@ -469,7 +469,7 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // kBounded bounds the trust window.
   if (ran_full_extraction && have_probe && !probe.truncated &&
       generation_match && dirty.empty() && removed.empty() &&
-      stored_summary_doc.has_value()) {
+      stored_summary_doc != nullptr) {
     strike("content changed behind a quiet probe");
   }
 
@@ -499,11 +499,11 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
     if (same_graph) {
       const store::Collection* clusters_ro =
           db_->FindCollection(kClustersCollection);
-      std::optional<Json> prior_cluster_doc;
+      store::DocHandle prior_cluster_doc;
       if (clusters_ro != nullptr) {
         prior_cluster_doc = clusters_ro->FindOne(url_filter);
       }
-      if (prior_cluster_doc.has_value()) {
+      if (prior_cluster_doc != nullptr) {
         auto prior_clusters =
             cluster::ClusterSchema::FromJson(*prior_cluster_doc);
         if (prior_clusters.ok()) {
@@ -738,8 +738,8 @@ Status Server::PersistRegistry() {
 Status Server::LoadRegistry() {
   const store::Collection* c = db_->FindCollection(kRegistryCollection);
   if (c == nullptr) return Status::NotFound("no registry collection");
-  auto doc = c->FindOne(Json::MakeObject());
-  if (!doc.has_value()) return Status::NotFound("registry document missing");
+  store::DocHandle doc = c->FindOne(Json::MakeObject());
+  if (doc == nullptr) return Status::NotFound("registry document missing");
   const Json* records = doc->Find("records");
   if (records == nullptr) {
     return Status::InvalidArgument("registry document malformed");

@@ -1,6 +1,8 @@
 #include "store/collection.h"
 
+#include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -65,24 +67,30 @@ bool MatchesOperator(const Json* field, const Json& op_obj) {
   return true;
 }
 
+/// True when `constraint` is an operator object ({"$gt": ...}) rather than
+/// a value to compare for equality.
+bool IsOperatorConstraint(const Json& constraint) {
+  const Json::Object& obj = constraint.as_object();
+  return !obj.empty() && obj.front().first.rfind('$', 0) == 0;
+}
+
 }  // namespace
 
-const Json* Collection::Resolve(const Document& doc, const std::string& path) {
+const Json* Collection::Resolve(const Document& doc, std::string_view path) {
   const Json* cur = &doc;
-  for (const std::string& part : Split(path, '.')) {
-    if (!cur->is_object()) return nullptr;
-    cur = cur->Find(part);
-    if (cur == nullptr) return nullptr;
+  while (true) {
+    const size_t dot = path.find('.');
+    cur = cur->Find(path.substr(0, dot));
+    if (cur == nullptr || dot == std::string_view::npos) return cur;
+    path.remove_prefix(dot + 1);
   }
-  return cur;
 }
 
 bool Collection::Matches(const Document& doc, const Document& filter) {
   if (!filter.is_object()) return false;
   for (const auto& [key, constraint] : filter.as_object()) {
     const Json* field = Resolve(doc, key);
-    if (constraint.is_object() && !constraint.as_object().empty() &&
-        constraint.as_object().begin()->first.rfind('$', 0) == 0) {
+    if (IsOperatorConstraint(constraint)) {
       if (!MatchesOperator(field, constraint)) return false;
     } else {
       if (field == nullptr || !(*field == constraint)) return false;
@@ -98,7 +106,7 @@ Status Collection::CheckUnique(const Document& doc,
     if (value == nullptr) continue;
     for (const auto& [id, existing] : docs_) {
       if (skip_id.has_value() && id == *skip_id) continue;
-      const Json* other = Resolve(existing, path);
+      const Json* other = Resolve(*existing, path);
       if (other != nullptr && *other == *value) {
         return Status::AlreadyExists("unique index violation on '" + path +
                                      "' in collection '" + name_ + "'");
@@ -133,15 +141,39 @@ const std::set<DocId>* Collection::IndexCandidates(
     auto index = field_indexes_.find(key);
     if (index == field_indexes_.end()) continue;
     // Only plain equality constraints are index-answerable.
-    if (constraint.is_object() && !constraint.as_object().empty() &&
-        constraint.as_object().begin()->first.rfind('$', 0) == 0) {
-      continue;
-    }
+    if (IsOperatorConstraint(constraint)) continue;
     static const std::set<DocId> kEmpty;
     auto bucket = index->second.find(constraint.Dump());
     return bucket == index->second.end() ? &kEmpty : &bucket->second;
   }
   return nullptr;
+}
+
+template <typename Fn>
+void Collection::ScanMatches(const Document& filter, Fn&& fn) const {
+  const std::set<DocId>* candidates = IndexCandidates(filter);
+  if (candidates != nullptr) {
+    for (DocId id : *candidates) {
+      auto it = docs_.find(id);
+      if (it != docs_.end() && Matches(*it->second, filter) &&
+          !fn(id, it->second)) {
+        return;
+      }
+    }
+    return;
+  }
+  for (const auto& [id, doc] : docs_) {
+    if (Matches(*doc, filter) && !fn(id, doc)) return;
+  }
+}
+
+std::vector<DocId> Collection::MatchingIds(const Document& filter) const {
+  std::vector<DocId> ids;
+  ScanMatches(filter, [&](DocId id, const DocHandle&) {
+    ids.push_back(id);
+    return true;
+  });
+  return ids;
 }
 
 Result<DocId> Collection::Insert(Document doc) {
@@ -153,55 +185,39 @@ Result<DocId> Collection::Insert(Document doc) {
   DocId id = next_id_++;
   doc.Set(kIdField, Json(static_cast<int64_t>(id)));
   IndexDoc(id, doc);
-  docs_.emplace(id, std::move(doc));
+  docs_.emplace(id, std::make_shared<const Document>(std::move(doc)));
   return id;
 }
 
-std::vector<Document> Collection::Find(const Document& filter) const {
+std::vector<DocHandle> Collection::Find(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<Document> out;
-  const std::set<DocId>* candidates = IndexCandidates(filter);
-  if (candidates != nullptr) {
-    for (DocId id : *candidates) {
-      auto it = docs_.find(id);
-      if (it != docs_.end() && Matches(it->second, filter)) {
-        out.push_back(it->second);
-      }
-    }
-    return out;
-  }
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) out.push_back(doc);
-  }
+  std::vector<DocHandle> out;
+  ScanMatches(filter, [&](DocId, const DocHandle& doc) {
+    out.push_back(doc);
+    return true;
+  });
   return out;
 }
 
-std::optional<Document> Collection::FindOne(const Document& filter) const {
+DocHandle Collection::FindOne(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const std::set<DocId>* candidates = IndexCandidates(filter);
-  if (candidates != nullptr) {
-    for (DocId id : *candidates) {
-      auto it = docs_.find(id);
-      if (it != docs_.end() && Matches(it->second, filter)) return it->second;
-    }
-    return std::nullopt;
-  }
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) return doc;
-  }
-  return std::nullopt;
+  DocHandle found;
+  ScanMatches(filter, [&](DocId, const DocHandle& doc) {
+    found = doc;
+    return false;
+  });
+  return found;
 }
 
-std::optional<Document> Collection::FindById(DocId id) const {
+DocHandle Collection::FindById(DocId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = docs_.find(id);
-  if (it == docs_.end()) return std::nullopt;
-  return it->second;
+  return it == docs_.end() ? nullptr : it->second;
 }
 
-std::vector<Document> Collection::Snapshot() const {
+std::vector<DocHandle> Collection::Snapshot() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<Document> out;
+  std::vector<DocHandle> out;
   out.reserve(docs_.size());
   for (const auto& [id, doc] : docs_) out.push_back(doc);
   return out;
@@ -210,88 +226,86 @@ std::vector<Document> Collection::Snapshot() const {
 size_t Collection::CountMatching(const Document& filter) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) ++n;
-  }
+  ScanMatches(filter, [&](DocId, const DocHandle&) {
+    ++n;
+    return true;
+  });
   return n;
 }
 
 Result<size_t> Collection::Update(const Document& filter,
                                   const Document& update) {
+  // Declared before the lock so the displaced versions are freed after it
+  // is released.
+  std::vector<DocHandle> displaced;
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!update.is_object()) {
     return Status::InvalidArgument("update must be a JSON object");
   }
-  // Two passes: validate uniqueness first so a failed update is atomic.
-  std::vector<DocId> targets;
-  for (const auto& [id, doc] : docs_) {
-    if (Matches(doc, filter)) targets.push_back(id);
-  }
-  for (DocId id : targets) {
-    Document merged = docs_[id];
-    for (const auto& [k, v] : update.as_object()) {
-      if (k == kIdField) continue;
-      merged.Set(k, v);
-    }
-    HBOLD_RETURN_NOT_OK(CheckUnique(merged, id));
-  }
-  for (DocId id : targets) {
-    Document& doc = docs_[id];
-    DeindexDoc(id, doc);
+  // Merge every target first and validate uniqueness, so a failed update
+  // changes nothing; then swap the merged copies in.
+  std::vector<std::pair<DocId, Document>> merged;
+  for (DocId id : MatchingIds(filter)) {
+    Document doc = *docs_[id];
     for (const auto& [k, v] : update.as_object()) {
       if (k == kIdField) continue;
       doc.Set(k, v);
     }
-    IndexDoc(id, doc);
+    HBOLD_RETURN_NOT_OK(CheckUnique(doc, id));
+    merged.emplace_back(id, std::move(doc));
   }
-  return targets.size();
+  displaced.reserve(merged.size());
+  for (auto& [id, doc] : merged) {
+    DocHandle& slot = docs_[id];
+    DeindexDoc(id, *slot);
+    IndexDoc(id, doc);
+    displaced.push_back(std::exchange(
+        slot, std::make_shared<const Document>(std::move(doc))));
+  }
+  return merged.size();
 }
 
 Result<DocId> Collection::Replace(const Document& filter, Document doc) {
+  std::vector<DocHandle> displaced;  // freed after the lock is released
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!doc.is_object()) {
     return Status::InvalidArgument("documents must be JSON objects");
   }
   // Pull the matches out first so the uniqueness check runs against the
   // survivors only; restore them if the new document is rejected.
-  std::vector<std::pair<DocId, Document>> removed;
-  for (auto it = docs_.begin(); it != docs_.end();) {
-    if (Matches(it->second, filter)) {
-      DeindexDoc(it->first, it->second);
-      removed.emplace_back(it->first, std::move(it->second));
-      it = docs_.erase(it);
-    } else {
-      ++it;
-    }
+  const std::vector<DocId> ids = MatchingIds(filter);
+  displaced.reserve(ids.size());
+  for (DocId id : ids) {
+    auto it = docs_.find(id);
+    DeindexDoc(id, *it->second);
+    displaced.push_back(std::move(it->second));
+    docs_.erase(it);
   }
   Status unique = CheckUnique(doc, std::nullopt);
   if (!unique.ok()) {
-    for (auto& [id, old_doc] : removed) {
-      IndexDoc(id, old_doc);
-      docs_.emplace(id, std::move(old_doc));
+    for (size_t i = 0; i < ids.size(); ++i) {
+      IndexDoc(ids[i], *displaced[i]);
+      docs_.emplace(ids[i], std::move(displaced[i]));
     }
     return unique;
   }
   DocId id = next_id_++;
   doc.Set(kIdField, Json(static_cast<int64_t>(id)));
   IndexDoc(id, doc);
-  docs_.emplace(id, std::move(doc));
+  docs_.emplace(id, std::make_shared<const Document>(std::move(doc)));
   return id;
 }
 
 size_t Collection::Remove(const Document& filter) {
+  std::vector<DocHandle> displaced;  // freed after the lock is released
   std::unique_lock<std::shared_mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = docs_.begin(); it != docs_.end();) {
-    if (Matches(it->second, filter)) {
-      DeindexDoc(it->first, it->second);
-      it = docs_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  for (DocId id : MatchingIds(filter)) {
+    auto it = docs_.find(id);
+    DeindexDoc(id, *it->second);
+    displaced.push_back(std::move(it->second));
+    docs_.erase(it);
   }
-  return removed;
+  return displaced.size();
 }
 
 Status Collection::CreateUniqueIndex(const std::string& field_path) {
@@ -299,7 +313,7 @@ Status Collection::CreateUniqueIndex(const std::string& field_path) {
   // Validate no existing duplicates.
   std::vector<const Json*> seen;
   for (const auto& [id, doc] : docs_) {
-    const Json* value = Resolve(doc, field_path);
+    const Json* value = Resolve(*doc, field_path);
     if (value == nullptr) continue;
     for (const Json* other : seen) {
       if (*other == *value) {
@@ -315,11 +329,12 @@ Status Collection::CreateUniqueIndex(const std::string& field_path) {
 }
 
 void Collection::CreateIndex(const std::string& field_path) {
+  if (HasIndex(field_path)) return;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (field_indexes_.count(field_path) > 0) return;
+  if (field_indexes_.count(field_path) > 0) return;  // lost the race
   auto& buckets = field_indexes_[field_path];
   for (const auto& [id, doc] : docs_) {
-    const Json* value = Resolve(doc, field_path);
+    const Json* value = Resolve(*doc, field_path);
     if (value != nullptr) buckets[value->Dump()].insert(id);
   }
 }
@@ -330,20 +345,28 @@ bool Collection::HasIndex(const std::string& field_path) const {
 }
 
 std::string Collection::DumpJsonl() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   std::string out;
-  for (const auto& [id, doc] : docs_) {
-    out += doc.Dump();
-    out += '\n';
-  }
+  AppendJsonl(&out);
   return out;
 }
 
-Status Collection::LoadJsonl(const std::string& text) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  std::map<DocId, Document> loaded;
+void Collection::AppendJsonl(std::string* out) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  for (const auto& [id, doc] : docs_) {
+    doc->DumpTo(out);
+    out->push_back('\n');
+  }
+}
+
+Status Collection::LoadJsonl(std::string_view text) {
+  // Parsed without the lock; after the swap it holds the previous content,
+  // which is freed once the lock (declared below it) is released.
+  std::map<DocId, DocHandle> loaded;
   DocId max_id = 0;
-  for (const std::string& line : Split(text, '\n')) {
+  while (!text.empty()) {
+    const size_t eol = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(std::min(eol + 1, text.size()));
     if (Trim(line).empty()) continue;
     auto parsed = Json::Parse(line);
     if (!parsed.ok()) return parsed.status();
@@ -353,13 +376,14 @@ Status Collection::LoadJsonl(const std::string& text) {
                                 name_ + "'");
     }
     max_id = std::max(max_id, id);
-    loaded.emplace(id, std::move(*parsed));
+    loaded.emplace(id, std::make_shared<const Document>(std::move(*parsed)));
   }
-  docs_ = std::move(loaded);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  docs_.swap(loaded);
   next_id_ = max_id + 1;
   // Rebuild hash indexes over the replaced content.
   for (auto& [path, buckets] : field_indexes_) buckets.clear();
-  for (const auto& [id, doc] : docs_) IndexDoc(id, doc);
+  for (const auto& [id, doc] : docs_) IndexDoc(id, *doc);
   return Status::OK();
 }
 

@@ -54,15 +54,18 @@ Status Database::SaveToDirectory(const std::string& dir) const {
                            "': " + ec.message());
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
+  std::string file;  // one buffer, reused across collections
   for (const auto& [name, collection] : collections_) {
     const std::string filename = EncodeSnapshotFilename(name) + ".hbsnap";
+    BeginSnapshot(name, &file);
+    collection->AppendJsonl(&file);
+    FinishSnapshot(&file);
     // Durable atomic publish: content reaches stable storage before the
     // rename, and the rename itself is fsynced via the parent directory —
     // a crash at any point leaves the previous complete file or the new
     // one, never a truncated file under the final name.
     HBOLD_RETURN_NOT_OK(
-        io::WriteFileDurable((fs::path(dir) / filename).string(),
-                             EncodeSnapshot(name, collection->DumpJsonl())));
+        io::WriteFileDurable((fs::path(dir) / filename).string(), file));
   }
   return Status::OK();
 }
@@ -98,15 +101,15 @@ Status Database::LoadFromDirectory(const std::string& dir) {
   for (const fs::path& path : snapshots) {
     auto data = io::ReadFile(path.string());
     HBOLD_RETURN_NOT_OK(data.status());
-    std::string name;
-    std::string payload;
+    std::string_view name;
+    std::string_view payload;
     Status st = DecodeSnapshot(*data, &name, &payload);
     if (!st.ok()) {
       return Status(st.code(),
                     "snapshot '" + path.string() + "': " + st.message());
     }
-    HBOLD_RETURN_NOT_OK(GetCollection(name)->LoadJsonl(payload));
-    loaded_names.insert(std::move(name));
+    HBOLD_RETURN_NOT_OK(GetCollection(std::string(name))->LoadJsonl(payload));
+    loaded_names.emplace(name);
   }
   // Legacy JSONL files migrate transparently: loaded when no snapshot
   // already covers the same collection name (the next binary save then
@@ -126,7 +129,7 @@ std::string Database::CanonicalDump() const {
   std::string out;
   for (const auto& [name, collection] : collections_) {
     out += "== " + name + "\n";
-    out += collection->DumpJsonl();
+    collection->AppendJsonl(&out);
   }
   return out;
 }

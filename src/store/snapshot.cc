@@ -13,17 +13,9 @@ constexpr char kMagic[8] = {'H', 'B', 'S', 'N', 'A', 'P', '1', '\n'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 32;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
+void WriteU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
+void WriteU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
 uint32_t ReadU32(const char* p) {
   uint32_t v;
@@ -37,14 +29,6 @@ uint64_t ReadU64(const char* p) {
   return v;
 }
 
-uint64_t ContentChecksum(std::string_view name, std::string_view payload) {
-  std::string joined;
-  joined.reserve(name.size() + payload.size());
-  joined.append(name);
-  joined.append(payload);
-  return Fnv64(joined);
-}
-
 char HexDigit(unsigned v) { return v < 10 ? char('0' + v) : char('A' + v - 10); }
 
 int HexValue(char c) {
@@ -56,22 +40,26 @@ int HexValue(char c) {
 
 }  // namespace
 
-std::string EncodeSnapshot(const std::string& name,
-                           const std::string& payload) {
-  std::string out;
-  out.reserve(kHeaderBytes + name.size() + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kVersion);
-  AppendU32(&out, static_cast<uint32_t>(name.size()));
-  AppendU64(&out, static_cast<uint64_t>(payload.size()));
-  AppendU64(&out, ContentChecksum(name, payload));
-  out.append(name);
-  out.append(payload);
-  return out;
+void BeginSnapshot(const std::string& name, std::string* out) {
+  out->assign(kHeaderBytes, '\0');
+  std::memcpy(out->data(), kMagic, sizeof(kMagic));
+  WriteU32(out->data() + 8, kVersion);
+  WriteU32(out->data() + 12, static_cast<uint32_t>(name.size()));
+  out->append(name);
 }
 
-Status DecodeSnapshot(std::string_view data, std::string* name,
-                      std::string* payload) {
+void FinishSnapshot(std::string* out) {
+  const uint64_t name_len = ReadU32(out->data() + 12);
+  const std::string_view content =
+      std::string_view(*out).substr(kHeaderBytes);
+  // The checksum covers name + payload, which sit contiguously after the
+  // header.
+  WriteU64(out->data() + 16, content.size() - name_len);
+  WriteU64(out->data() + 24, Fnv64(content));
+}
+
+Status DecodeSnapshot(std::string_view data, std::string_view* name,
+                      std::string_view* payload) {
   if (data.size() < kHeaderBytes) {
     return Status::ParseError("snapshot truncated: " +
                               std::to_string(data.size()) +
@@ -94,13 +82,11 @@ Status DecodeSnapshot(std::string_view data, std::string* name,
         " bytes, header claims " +
         std::to_string(kHeaderBytes + name_len + payload_len));
   }
-  std::string_view got_name = data.substr(kHeaderBytes, name_len);
-  std::string_view got_payload = data.substr(kHeaderBytes + name_len);
-  if (ContentChecksum(got_name, got_payload) != checksum) {
+  if (Fnv64(data.substr(kHeaderBytes)) != checksum) {
     return Status::ParseError("snapshot checksum mismatch (corrupt content)");
   }
-  name->assign(got_name);
-  payload->assign(got_payload);
+  *name = data.substr(kHeaderBytes, name_len);
+  *payload = data.substr(kHeaderBytes + name_len);
   return Status::OK();
 }
 

@@ -28,15 +28,20 @@ namespace hbold::store {
 /// colliding) in filenames all survive. The filename is only a
 /// filesystem-safe handle, produced by EncodeSnapshotFilename.
 
-/// Serializes one collection snapshot.
-std::string EncodeSnapshot(const std::string& name,
-                           const std::string& payload);
+/// Starts a snapshot in `out` (cleared first): reserves the header and
+/// writes the name. Append the payload straight after it, then call
+/// FinishSnapshot — the file is built in one buffer, never copied.
+void BeginSnapshot(const std::string& name, std::string* out);
+
+/// Fills in the payload length and checksum of a snapshot started with
+/// BeginSnapshot; everything after the name is the payload.
+void FinishSnapshot(std::string* out);
 
 /// Parses a snapshot; fails with a descriptive Status on a truncated file,
 /// bad magic, unsupported version, or checksum mismatch. Never crashes on
-/// arbitrary bytes.
-Status DecodeSnapshot(std::string_view data, std::string* name,
-                      std::string* payload);
+/// arbitrary bytes. `name` and `payload` point into `data`.
+Status DecodeSnapshot(std::string_view data, std::string_view* name,
+                      std::string_view* payload);
 
 /// Maps a collection name to a filesystem-safe stem: bytes in [a-z0-9_-]
 /// pass through, everything else (including uppercase, '.', '/', '%')

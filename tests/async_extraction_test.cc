@@ -95,7 +95,8 @@ std::map<std::string, std::string> CanonicalCollection(
   std::map<std::string, std::string> canonical;
   const store::Collection* c = db.FindCollection(collection);
   if (c == nullptr) return canonical;
-  for (store::Document doc : c->Snapshot()) {
+  for (const store::DocHandle& stored : c->Snapshot()) {
+    store::Document doc = *stored;
     std::string url = doc.GetString("endpoint_url");
     doc.Set("_id", 0);
     canonical[url] = doc.Dump();

@@ -5,7 +5,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <future>
+#include <limits>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -248,6 +252,161 @@ TEST(JsonTest, LargeIntegersPreserved) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->as_int(), 123456789012LL);
   EXPECT_EQ(doc->Dump(), "123456789012");
+}
+
+/// The number bytes JSON serialization has always written: "%lld" for
+/// integers below 1e15, "%.17g" for other finite values, null otherwise.
+std::string ReferenceNumber(double d) {
+  char buf[40];
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else if (std::isfinite(d)) {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  } else {
+    return "null";
+  }
+  return buf;
+}
+
+TEST(JsonTest, NumberBytesMatchPrintf) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                1e15,
+                                -1e15,
+                                1e15 - 1,
+                                -(1e15 - 1),
+                                1e15 + 1,
+                                -(1e15 + 1),
+                                9007199254740992.0,  // 2^53
+                                -9007199254740992.0,
+                                9007199254740993.0,
+                                0.1,
+                                -2.5,
+                                1e-7,
+                                123456.789e3,
+                                1e300,
+                                Limits::max(),
+                                Limits::lowest(),
+                                Limits::min(),
+                                Limits::denorm_min(),
+                                -Limits::denorm_min(),
+                                Limits::min() / 3,
+                                Limits::quiet_NaN(),
+                                Limits::infinity(),
+                                -Limits::infinity()};
+  std::mt19937_64 rng(20200330);
+  for (int i = 0; i < 4000; ++i) {
+    switch (i % 4) {
+      case 0: {  // any bit pattern: subnormals, NaNs, infinities included
+        const uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        values.push_back(d);
+        break;
+      }
+      case 1:  // integers on both sides of the 1e15 switch
+        values.push_back(static_cast<double>(static_cast<int64_t>(rng()) >>
+                                             (rng() % 64)));
+        break;
+      case 2:  // fractions of the size documents carry
+        values.push_back(std::ldexp(static_cast<double>(rng() >> 11),
+                                    -static_cast<int>(rng() % 80)));
+        break;
+      default:  // near-integers around the switch
+        values.push_back(1e15 + (static_cast<double>(rng() % 2001) - 1000) /
+                                    8);
+    }
+  }
+  for (double d : values) {
+    EXPECT_EQ(Json(d).Dump(), ReferenceNumber(d)) << std::hexfloat << d;
+  }
+}
+
+TEST(JsonTest, ControlCharactersEscape) {
+  for (int c = 0; c < 0x20; ++c) {
+    std::string expected;
+    switch (c) {
+      case '\b':
+        expected = "\\b";
+        break;
+      case '\t':
+        expected = "\\t";
+        break;
+      case '\n':
+        expected = "\\n";
+        break;
+      case '\f':
+        expected = "\\f";
+        break;
+      case '\r':
+        expected = "\\r";
+        break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        expected = buf;
+      }
+    }
+    const std::string raw = "a" + std::string(1, static_cast<char>(c)) + "b";
+    EXPECT_EQ(Json(raw).Dump(), "\"a" + expected + "b\"") << c;
+    auto back = Json::Parse(Json(raw).Dump());
+    ASSERT_TRUE(back.ok()) << c;
+    EXPECT_EQ(back->as_string(), raw) << c;
+  }
+  // Quotes and backslashes escape; DEL and UTF-8 bytes pass through.
+  EXPECT_EQ(Json("q\"b\\\x7f\xC3\xA9").Dump(), "\"q\\\"b\\\\\x7f\xC3\xA9\"");
+}
+
+TEST(JsonTest, DuplicateKeysLastWins) {
+  auto doc = Json::Parse(R"({"b":1,"a":2,"b":3,"c":{"x":1,"x":[2]}})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->Dump(), R"({"a":2,"b":3,"c":{"x":[2]}})");
+  EXPECT_EQ(doc->as_object().size(), 3u);
+  EXPECT_EQ(Json(Json::Object{{"k", 1}, {"a", 2}, {"k", 3}}).Dump(),
+            R"({"a":2,"k":3})");
+}
+
+TEST(JsonTest, SetOutOfOrderDumpsSorted) {
+  Json obj = Json::MakeObject();
+  for (const char* key : {"m", "c", "x", "a", "c", "z", "b"}) {
+    obj.Set(key, key);
+  }
+  obj.Set("m", 7);  // overwrite in the middle
+  EXPECT_EQ(obj.Dump(),
+            R"({"a":"a","b":"b","c":"c","m":7,"x":"x","z":"z"})");
+  EXPECT_EQ(obj.GetInt("m"), 7);
+  EXPECT_EQ(obj.Find("q"), nullptr);
+  auto reparsed = Json::Parse(obj.Dump());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_TRUE(*reparsed == obj);
+}
+
+TEST(JsonTest, WrongTypeAccessorsReturnEmpty) {
+  const Json num(5);
+  EXPECT_EQ(num.as_string(), "");
+  EXPECT_TRUE(num.as_array().empty());
+  EXPECT_TRUE(num.as_object().empty());
+  EXPECT_FALSE(num.as_bool());
+  EXPECT_EQ(num.Find("k"), nullptr);
+  EXPECT_EQ(num.GetString("k", "d"), "d");
+  const Json str("x");
+  EXPECT_EQ(str.as_number(), 0);
+  EXPECT_EQ(str.as_int(), 0);
+  EXPECT_TRUE(Json().is_null());
+}
+
+TEST(JsonTest, DeepNestingIsRejectedCleanly) {
+  const std::string ok = std::string(100, '[') + std::string(100, ']');
+  EXPECT_TRUE(Json::Parse(ok).ok());
+  auto deep = Json::Parse(std::string(100000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(Json::Parse(std::string(100000, '[') + "1" +
+                           std::string(100000, ']'))
+                   .ok());
 }
 
 // ---------------------------------------------------------------- RNG

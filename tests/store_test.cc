@@ -8,10 +8,12 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/io_util.h"
 #include "common/json.h"
 #include "store/collection.h"
@@ -40,7 +42,7 @@ class CollectionTest : public ::testing::Test {
 TEST_F(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(c_.size(), 3u);
   auto doc = c_.FindOne(Obj(R"({"name":"b"})"));
-  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->GetInt("_id"), 2);
 }
 
@@ -81,8 +83,8 @@ TEST_F(CollectionTest, MultipleKeysAreAnded) {
 }
 
 TEST_F(CollectionTest, FindByIdAndCount) {
-  EXPECT_TRUE(c_.FindById(1).has_value());
-  EXPECT_FALSE(c_.FindById(99).has_value());
+  EXPECT_NE(c_.FindById(1), nullptr);
+  EXPECT_EQ(c_.FindById(99), nullptr);
   EXPECT_EQ(c_.CountMatching(Obj(R"({"n":{"$gte":2}})")), 2u);
 }
 
@@ -91,7 +93,7 @@ TEST_F(CollectionTest, UpdateMergesFields) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
   auto doc = c_.FindOne(Obj(R"({"name":"a"})"));
-  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc, nullptr);
   EXPECT_EQ(doc->GetInt("n"), 10);
   EXPECT_TRUE(doc->GetBool("fresh"));
   EXPECT_EQ(doc->GetInt("_id"), 1);  // _id preserved
@@ -124,7 +126,7 @@ TEST_F(CollectionTest, UniqueIndexBlocksUpdateCollisions) {
   auto r = c_.Update(Obj(R"({"name":"b"})"), Obj(R"({"name":"a"})"));
   EXPECT_FALSE(r.ok());
   // Atomicity: b unchanged.
-  EXPECT_TRUE(c_.FindOne(Obj(R"({"name":"b"})")).has_value());
+  EXPECT_NE(c_.FindOne(Obj(R"({"name":"b"})")), nullptr);
 }
 
 TEST_F(CollectionTest, UniqueIndexRejectsExistingDuplicates) {
@@ -401,15 +403,145 @@ TEST(DatabaseTest, CorruptedSnapshotIsRejectedWithCleanStatus) {
   fs::remove_all(dir);
 }
 
+// Builds the fixed database whose snapshot bytes are pinned: escapes,
+// control characters, UTF-8, every number form, nested objects built with
+// out-of-order keys, and documents that went through Update, Replace and
+// Remove.
+void FillPinnedDatabase(Database* db) {
+  Collection* docs = db->GetCollection("schema_summaries");
+  docs->CreateIndex("endpoint_url");
+  for (int i = 0; i < 6; ++i) {
+    Json doc = Json::MakeObject();
+    doc.Set("endpoint_url",
+            "http://ld" + std::to_string(i) + ".example.org/sparql");
+    doc.Set("zeta", i * 0.1);
+    doc.Set("alpha", static_cast<int64_t>(1) << (40 + i));
+    doc.Set("mid", i % 2 == 0);
+    doc.Set("label", std::string("tab\there \"q\" back\\slash \x01\x1f é") +
+                         std::to_string(i));
+    Json nodes = Json::MakeArray();
+    for (int n = 0; n <= i; ++n) {
+      Json node = Json::MakeObject();
+      node.Set("iri", "http://x/C" + std::to_string(n));
+      node.Set("count", n * 1000 + 7);
+      node.Set("share", 1.0 / (n + 3));
+      node.Set("big", 1e15 + n);
+      node.Set("tiny", -1e-7 * (n + 1));
+      node.Set("none", nullptr);
+      nodes.Append(std::move(node));
+    }
+    doc.Set("nodes", std::move(nodes));
+    ASSERT_TRUE(docs->Insert(std::move(doc)).ok());
+  }
+  Json update = Json::MakeObject();
+  update.Set("extracted_day", 3);
+  ASSERT_TRUE(
+      docs->Update(Obj(R"({"endpoint_url":"http://ld2.example.org/sparql"})"),
+                   update)
+          .ok());
+  ASSERT_TRUE(
+      docs->Replace(Obj(R"({"endpoint_url":"http://ld4.example.org/sparql"})"),
+                    Obj(R"({"endpoint_url":"http://ld4.example.org/sparql",)"
+                        R"("v":2,"a":[1,2.5,"x",{"b":null,"a":false}]})"))
+          .ok());
+  docs->Remove(Obj(R"({"endpoint_url":"http://ld1.example.org/sparql"})"));
+  Collection* odd = db->GetCollection("Odd.Name/x");
+  ASSERT_TRUE(
+      odd->Insert(Obj(R"({"k":-0.0,"n":-12345678901234,"d":123456.789e3})"))
+          .ok());
+  db->GetCollection("empty");
+}
+
+TEST(DatabaseTest, SnapshotBytesArePinned) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hbold_store_pinned";
+  fs::remove_all(dir);
+  Database db;
+  FillPinnedDatabase(&db);
+  ASSERT_TRUE(db.SaveToDirectory(dir.string()).ok());
+  // File sizes and FNV-1a 64 of the bytes every earlier save wrote for
+  // this database.
+  const std::map<std::string, std::pair<size_t, uint64_t>> expected = {
+      {"schema_summaries.hbsnap", {2598, 0xe5447ee66991efa4ull}},
+      {"%4Fdd%2E%4Eame%2Fx.hbsnap", {92, 0x3b3979859b1473a0ull}},
+      {"empty.hbsnap", {37, 0x469b1d6383312987ull}}};
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    auto bytes = io::ReadFile(entry.path().string());
+    ASSERT_TRUE(bytes.ok()) << name;
+    auto want = expected.find(name);
+    ASSERT_NE(want, expected.end()) << name;
+    EXPECT_EQ(bytes->size(), want->second.first) << name;
+    EXPECT_EQ(Fnv64(*bytes), want->second.second) << name;
+    ++files;
+  }
+  EXPECT_EQ(files, expected.size());
+  EXPECT_EQ(Fnv64(db.CanonicalDump()), 0x6ed12721ec6f712dull);
+  Database loaded;
+  ASSERT_TRUE(loaded.LoadFromDirectory(dir.string()).ok());
+  EXPECT_EQ(loaded.CanonicalDump(), db.CanonicalDump());
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------- Handles
+
+class DocHandleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    c_.CreateIndex("url");
+    ASSERT_TRUE(c_.Insert(Obj(R"({"url":"a","v":1})")).ok());
+    ASSERT_TRUE(c_.Insert(Obj(R"({"url":"b","v":2})")).ok());
+    held_ = c_.FindOne(Obj(R"({"url":"a"})"));
+    ASSERT_NE(held_, nullptr);
+    held_dump_ = held_->Dump();
+  }
+  Collection c_{"handles"};
+  DocHandle held_;
+  std::string held_dump_;
+};
+
+TEST_F(DocHandleTest, FindOneHandleSurvivesReplace) {
+  ASSERT_TRUE(c_.Replace(Obj(R"({"url":"a"})"), Obj(R"({"url":"a","v":9})"))
+                  .ok());
+  EXPECT_EQ(held_->Dump(), held_dump_);
+  EXPECT_EQ(c_.FindOne(Obj(R"({"url":"a"})"))->GetInt("v"), 9);
+}
+
+TEST_F(DocHandleTest, FindOneHandleSurvivesRemove) {
+  EXPECT_EQ(c_.Remove(Obj(R"({"url":"a"})")), 1u);
+  EXPECT_EQ(held_->Dump(), held_dump_);
+  EXPECT_EQ(c_.FindOne(Obj(R"({"url":"a"})")), nullptr);
+}
+
+TEST_F(DocHandleTest, FindOneHandleSurvivesUpdate) {
+  ASSERT_TRUE(c_.Update(Obj(R"({"url":"a"})"), Obj(R"({"v":5,"w":true})"))
+                  .ok());
+  EXPECT_EQ(held_->Dump(), held_dump_);
+  DocHandle fresh = c_.FindById(held_->GetInt("_id"));
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh, held_);
+  EXPECT_EQ(fresh->GetInt("v"), 5);
+  EXPECT_TRUE(fresh->GetBool("w"));
+  EXPECT_EQ(fresh->GetInt("_id"), held_->GetInt("_id"));
+}
+
+TEST_F(DocHandleTest, ReadsShareOneDocument) {
+  // Two reads of an unchanged document return the same stored object.
+  EXPECT_EQ(c_.FindOne(Obj(R"({"url":"a"})")), held_);
+  EXPECT_EQ(c_.FindById(held_->GetInt("_id")), held_);
+  EXPECT_EQ(c_.Snapshot().front(), held_);
+}
+
 // ------------------------------------------------------------- Concurrency
 
 TEST(CollectionSnapshotTest, SnapshotIsImmutableView) {
   Collection c("snap");
   ASSERT_TRUE(c.Insert(Obj(R"({"k":1})")).ok());
   ASSERT_TRUE(c.Insert(Obj(R"({"k":2})")).ok());
-  std::vector<Document> snapshot = c.Snapshot();
+  std::vector<DocHandle> snapshot = c.Snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].GetInt("k"), 1);
+  EXPECT_EQ(snapshot[0]->GetInt("k"), 1);
   c.Remove(Obj(R"({"k":1})"));
   EXPECT_EQ(c.size(), 1u);
   EXPECT_EQ(snapshot.size(), 2u);  // unaffected by the removal
@@ -459,7 +591,7 @@ TEST(ConcurrencyTest, ParallelWritersToSameCollection) {
   EXPECT_EQ(c->size(), static_cast<size_t>(kWriters * kDocsPerWriter));
   // Every document got a distinct id.
   std::set<int64_t> ids;
-  for (const Document& doc : c->Snapshot()) ids.insert(doc.GetInt("_id"));
+  for (const DocHandle& doc : c->Snapshot()) ids.insert(doc->GetInt("_id"));
   EXPECT_EQ(ids.size(), static_cast<size_t>(kWriters * kDocsPerWriter));
 }
 
@@ -486,8 +618,8 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
       filter.Set("k", 3);
       while (!stop) {
         // Every doc an indexed read returns must actually match.
-        for (const Document& doc : c->Find(filter)) {
-          if (doc.GetInt("k") != 3) ++read_errors;
+        for (const DocHandle& doc : c->Find(filter)) {
+          if (doc->GetInt("k") != 3) ++read_errors;
         }
         c->Snapshot();
         c->CountMatching(filter);
@@ -501,6 +633,72 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
   Json filter = Json::MakeObject();
   filter.Set("k", 3);
   EXPECT_EQ(c->CountMatching(filter), 50u);
+}
+
+TEST(ConcurrencyTest, HandlesHeldAcrossConcurrentReplace) {
+  Database db;
+  Collection* c = db.GetCollection("replaced");
+  c->CreateIndex("url");
+  constexpr int kUrls = 4;
+  constexpr int kRounds = 2000;
+  for (int u = 0; u < kUrls; ++u) {
+    Json doc = Json::MakeObject();
+    doc.Set("url", "u" + std::to_string(u));
+    doc.Set("version", 0);
+    doc.Set("payload", std::string(256, static_cast<char>('a' + u)));
+    ASSERT_TRUE(c->Insert(std::move(doc)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> read_errors{0};
+  std::thread writer([c, &stop] {
+    for (int round = 1; round <= kRounds; ++round) {
+      for (int u = 0; u < kUrls; ++u) {
+        Json filter = Json::MakeObject();
+        filter.Set("url", "u" + std::to_string(u));
+        Json doc = filter;
+        doc.Set("version", round);
+        doc.Set("payload", std::string(256 + round % 7,
+                                       static_cast<char>('a' + u)));
+        ASSERT_TRUE(c->Replace(filter, std::move(doc)).ok());
+      }
+    }
+    stop = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([c, r, &stop, &read_errors] {
+      Json filter = Json::MakeObject();
+      filter.Set("url", "u" + std::to_string(r % kUrls));
+      std::vector<std::pair<DocHandle, std::string>> held;
+      int64_t last_version = -1;
+      while (!stop) {
+        DocHandle doc = c->FindOne(filter);
+        // Replace is atomic: the document is never missing, and versions
+        // only move forward.
+        if (doc == nullptr) {
+          ++read_errors;
+          continue;
+        }
+        const int64_t version = doc->GetInt("version");
+        if (version < last_version) ++read_errors;
+        last_version = version;
+        // Keep a window of old versions alive while the writer keeps
+        // displacing them; each must stay exactly as it was read.
+        held.emplace_back(doc, doc->Dump());
+        if (held.size() > 16) held.erase(held.begin());
+        for (const auto& [handle, dump] : held) {
+          if (handle->Dump() != dump) ++read_errors;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(read_errors.load(), 0);
+  EXPECT_EQ(c->size(), static_cast<size_t>(kUrls));
+  for (const DocHandle& doc : c->Snapshot()) {
+    EXPECT_EQ(doc->GetInt("version"), kRounds);
+  }
 }
 
 }  // namespace
