@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "common/hash.h"
 #include "hbold/hbold.h"
 #include "sparql/parser.h"
 #include "workload/ld_generator.h"
@@ -67,6 +68,23 @@ TEST_F(HboldTest, PipelinePersistsBothArtifacts) {
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->indexed);
   EXPECT_EQ(rec->last_success_day, 0);
+}
+
+/// The persisted §3.2 `content_hash` is compared across days, and the
+/// Cluster Schema document is what the presentation layer serves: both are
+/// pinned to their bytes for the fixture's scholarly endpoint.
+TEST_F(HboldTest, SummaryContentHashAndClusterDocArePinned) {
+  ASSERT_TRUE(server_->ProcessEndpoint(kUrl).ok());
+  Json url_filter = Json::MakeObject();
+  url_filter.Set("endpoint_url", kUrl);
+  store::DocHandle summary =
+      db_.FindCollection(kSummariesCollection)->FindOne(url_filter);
+  store::DocHandle clusters =
+      db_.FindCollection(kClustersCollection)->FindOne(url_filter);
+  ASSERT_NE(summary, nullptr);
+  ASSERT_NE(clusters, nullptr);
+  EXPECT_EQ(summary->GetString("content_hash"), "701dfe38ed5e4f85");
+  EXPECT_EQ(Fnv64(clusters->Dump()), 0x3246c2bf958f1bf8ULL);
 }
 
 TEST_F(HboldTest, ReprocessingReplacesStoredDocuments) {

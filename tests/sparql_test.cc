@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "endpoint/local_endpoint.h"
 #include "endpoint/simulated_endpoint.h"
 #include "rdf/graph.h"
@@ -575,6 +576,67 @@ TEST_F(SparqlTest, ResultTableTsvHasHeader) {
                       "SELECT ?p WHERE { ?p a ex:City . }");
   std::string tsv = t.ToTsv();
   EXPECT_EQ(tsv.substr(0, 2), "?p");
+}
+
+/// FNV-64 of every serialization (JSON, CSV, TSV) of each query's result,
+/// with and without the count pushdown. Recorded before the result table
+/// became column-major with integer aggregate cells; any change to the
+/// serialized bytes of IRIs, blank nodes, typed and language-tagged
+/// literals, absent OPTIONAL cells, COUNT cells or ordered slices fails
+/// here.
+TEST(ResultTableTest, SerializationBytesArePinned) {
+  rdf::TripleStore store;
+  auto parsed = rdf::ParseTurtle(R"(
+@prefix ex: <http://x/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:a a ex:Person ; ex:name "Ann"@en ; ex:nick "annie, \"A\"" ;
+    ex:born "1990-01-02"^^xsd:date ; ex:knows ex:b , _:anon .
+ex:b a ex:Person ; ex:name "Bo\nline"@it ; ex:score 10 ; ex:knows ex:a .
+_:anon a ex:Person ; ex:name "Anon" ; ex:score 9 .
+ex:c a ex:Robot ; ex:name "C-3" ; ex:score 2.5 ; ex:knows ex:a , ex:b .
+ex:d a ex:Robot ; ex:score "x1" .
+)",
+                                 &store);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const std::string p = "PREFIX ex: <http://x/>\n";
+  struct Pin {
+    std::string query;
+    uint64_t fnv;
+  };
+  const std::vector<Pin> pins = {
+      {p + "SELECT ?s ?name ?nick WHERE { ?s ex:name ?name . "
+           "OPTIONAL { ?s ex:nick ?nick } } ORDER BY ?name",
+       0x13dbe0761652f376ULL},
+      {p + "SELECT ?c (COUNT(?s) AS ?n) (COUNT(DISTINCT ?o) AS ?d) WHERE { "
+           "?s a ?c . ?s ?q ?o . } GROUP BY ?c ORDER BY DESC(?n) LIMIT 2",
+       0x4d355701001c52aaULL},
+      {p + "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ex:knows ?o . } "
+           "GROUP BY ?s ORDER BY DESC(?n) ?s LIMIT 2 OFFSET 1",
+       0x25e0b8bd055b068cULL},
+      {p + "SELECT DISTINCT (COUNT(?o) AS ?n) WHERE { ?s ?q ?o . } "
+           "GROUP BY ?s ORDER BY ?n",
+       0xe4141d58f6f12090ULL},
+      {p + "SELECT ?s ?v WHERE { ?s ex:score ?v . } ORDER BY DESC(?v)",
+       0xba0e626454eda659ULL},
+      {p + "SELECT * WHERE { ?s ?q ?o . } ORDER BY DESC(?o) LIMIT 7 OFFSET 2",
+       0xe088f9aaf49e2cc2ULL},
+      {p + "SELECT (COUNT(*) AS ?n) WHERE { ?s a ex:Alien . }",
+       0x8184635f9134c54eULL},
+      {p + "ASK { ?s ex:score ?v . FILTER(?v > 9) }", 0xd9f2d863c14662d6ULL},
+  };
+  ExecOptions no_pushdown;
+  no_pushdown.aggregate_pushdown = false;
+  const Executor executors[] = {Executor(&store), Executor(&store, no_pushdown)};
+  for (const Pin& pin : pins) {
+    std::string bytes[2];
+    for (int e = 0; e < 2; ++e) {
+      auto r = executors[e].Execute(pin.query);
+      ASSERT_TRUE(r.ok()) << pin.query << "\n" << r.status();
+      bytes[e] = r->ToJson().Dump() + "\x1e" + r->ToCsv() + "\x1e" + r->ToTsv();
+    }
+    EXPECT_EQ(bytes[0], bytes[1]) << pin.query;
+    EXPECT_EQ(Fnv64(bytes[0]), pin.fnv) << pin.query << "\n" << bytes[0];
+  }
 }
 
 TEST(ResultTableTest, TruncateAndScalar) {
