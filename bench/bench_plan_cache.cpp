@@ -114,19 +114,6 @@ std::vector<std::string> RepeatedCorpus(size_t subjects) {
   return corpus;
 }
 
-bool TablesIdentical(const ResultTable& a, const ResultTable& b) {
-  if (a.columns() != b.columns() || a.num_rows() != b.num_rows()) return false;
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      const auto& ca = a.rows()[r][c];
-      const auto& cb = b.rows()[r][c];
-      if (ca.has_value() != cb.has_value()) return false;
-      if (ca.has_value() && *ca != *cb) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,21 +130,22 @@ int main(int argc, char** argv) {
   PlanCache cache;
   Executor cached(&store, ExecOptions{}, &cache);
 
-  // Bit-identity first (also warms nothing: each side runs once).
+  // Bit-identity over two passes, which are also the cache's warm-up: a
+  // text is admitted on its second run, so after them every text is
+  // resident. The cache is kept warm on purpose for the timed cached side:
+  // the corpus is *repeated*, that is the steady state being measured (the
+  // uncached side has no state at all).
   bool identical = true;
-  for (const std::string& q : corpus) {
-    auto ru = uncached.Execute(q);
-    ExecStats cs;
-    auto rc = cached.Execute(q, &cs);
-    if (!ru.ok() || !rc.ok() || !TablesIdentical(*ru, *rc)) {
-      std::fprintf(stderr, "MISMATCH: %s\n", q.c_str());
-      identical = false;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& q : corpus) {
+      auto ru = uncached.Execute(q);
+      auto rc = cached.Execute(q);
+      if (!ru.ok() || !rc.ok() || *ru != *rc) {
+        std::fprintf(stderr, "MISMATCH (pass %d): %s\n", pass, q.c_str());
+        identical = false;
+      }
     }
   }
-  // The check above also served as the cache's warm-up round; clear the
-  // timing slate by measuring fresh executors below (cache kept warm on
-  // purpose for the cached side: the corpus is *repeated*, that is the
-  // steady state being measured — the uncached side has no state at all).
 
   const int kReps = 3;  // best-of, for noisy shared runners
   double uncached_ms = 0;

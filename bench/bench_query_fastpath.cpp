@@ -69,19 +69,6 @@ TripleStore MakeStore(size_t target_triples, uint64_t seed) {
   return store;
 }
 
-bool TablesIdentical(const ResultTable& a, const ResultTable& b) {
-  if (a.columns() != b.columns() || a.num_rows() != b.num_rows()) return false;
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      const auto& ca = a.rows()[r][c];
-      const auto& cb = b.rows()[r][c];
-      if (ca.has_value() != cb.has_value()) return false;
-      if (ca.has_value() && *ca != *cb) return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::string> CountCorpus() {
   const std::string c0 = "<http://bench/class/C0>";
   const std::string p1 = "<http://bench/p1>";
@@ -130,7 +117,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "query failed: %s\n", q.c_str());
       return 1;
     }
-    bool same = TablesIdentical(*rf, *rs) &&
+    bool same = *rf == *rs &&
                 fs.intermediate_bindings == ss.intermediate_bindings &&
                 fs.fast_path_hits > 0;
     identical_ok = identical_ok && same;

@@ -1,7 +1,7 @@
 #include "cluster/cluster_schema.h"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 namespace hbold::cluster {
 
@@ -16,24 +16,34 @@ UGraph BuildClassGraph(const schema::SchemaSummary& summary) {
 
 namespace {
 
-/// Primary labeling score of a node under a policy (ties broken by
-/// instance count then IRI so labeling is deterministic).
-size_t LabelScore(const schema::SchemaSummary& summary, size_t node,
-                  LabelPolicy policy) {
+/// Every node's primary labeling score under a policy (ties are broken by
+/// instance count then IRI so labeling is deterministic). Degrees take one
+/// pass over the arcs: in-degree + out-degree, self-loops counting twice,
+/// as SchemaSummary::Degree.
+std::vector<size_t> LabelScores(const schema::SchemaSummary& summary,
+                                LabelPolicy policy) {
+  std::vector<size_t> scores(summary.NodeCount(), 0);
   switch (policy) {
     case LabelPolicy::kHighestDegree:
-      return summary.Degree(node);
-    case LabelPolicy::kMostInstances:
-      return summary.nodes()[node].instance_count;
-    case LabelPolicy::kMostAttributes: {
-      size_t total = 0;
-      for (const schema::Attribute& a : summary.nodes()[node].attributes) {
-        total += a.count;
+      for (const schema::PropertyArc& arc : summary.arcs()) {
+        ++scores[arc.src];
+        ++scores[arc.dst];
       }
-      return total;
-    }
+      break;
+    case LabelPolicy::kMostInstances:
+      for (size_t i = 0; i < scores.size(); ++i) {
+        scores[i] = summary.nodes()[i].instance_count;
+      }
+      break;
+    case LabelPolicy::kMostAttributes:
+      for (size_t i = 0; i < scores.size(); ++i) {
+        for (const schema::Attribute& a : summary.nodes()[i].attributes) {
+          scores[i] += a.count;
+        }
+      }
+      break;
   }
-  return 0;
+  return scores;
 }
 
 }  // namespace
@@ -57,14 +67,14 @@ ClusterSchema ClusterSchema::FromPartition(
 
   // Label: by default the local name of the member with the highest degree
   // in the Schema Summary pseudograph (§2.1).
+  const std::vector<size_t> scores = LabelScores(summary, label_policy);
   for (Cluster& cluster : cs.clusters_) {
-    size_t best = cluster.class_nodes.empty() ? 0 : cluster.class_nodes[0];
+    if (cluster.class_nodes.empty()) continue;
+    size_t best = cluster.class_nodes[0];
     for (size_t node : cluster.class_nodes) {
-      size_t s_node = LabelScore(summary, node, label_policy);
-      size_t s_best = LabelScore(summary, best, label_policy);
-      if (s_node > s_best) {
+      if (scores[node] > scores[best]) {
         best = node;
-      } else if (s_node == s_best) {
+      } else if (scores[node] == scores[best]) {
         const auto& a = summary.nodes()[node];
         const auto& b = summary.nodes()[best];
         if (a.instance_count > b.instance_count ||
@@ -73,25 +83,30 @@ ClusterSchema ClusterSchema::FromPartition(
         }
       }
     }
-    if (!cluster.class_nodes.empty()) {
-      cluster.label = summary.nodes()[best].label;
-    }
+    cluster.label = summary.nodes()[best].label;
   }
 
-  // Aggregate arcs across cluster boundaries.
-  std::map<std::pair<size_t, size_t>, ClusterArc> arcs;
+  // Aggregate arcs across cluster boundaries: sort by (src, dst), then
+  // merge runs, which yields ascending (src, dst) order.
+  std::vector<ClusterArc> cut;
   for (const schema::PropertyArc& arc : summary.arcs()) {
-    size_t cs_src = normalized[arc.src];
-    size_t cs_dst = normalized[arc.dst];
-    if (cs_src == cs_dst) continue;
-    auto key = std::make_pair(cs_src, cs_dst);
-    ClusterArc& ca = arcs[key];
-    ca.src = cs_src;
-    ca.dst = cs_dst;
-    ca.weight += arc.count;
-    ca.property_count += 1;
+    const size_t cs_src = normalized[arc.src];
+    const size_t cs_dst = normalized[arc.dst];
+    if (cs_src != cs_dst) cut.push_back({cs_src, cs_dst, arc.count, 1});
   }
-  for (auto& [key, arc] : arcs) cs.arcs_.push_back(arc);
+  std::sort(cut.begin(), cut.end(),
+            [](const ClusterArc& a, const ClusterArc& b) {
+              return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+            });
+  for (const ClusterArc& arc : cut) {
+    if (!cs.arcs_.empty() && cs.arcs_.back().src == arc.src &&
+        cs.arcs_.back().dst == arc.dst) {
+      cs.arcs_.back().weight += arc.weight;
+      ++cs.arcs_.back().property_count;
+    } else {
+      cs.arcs_.push_back(arc);
+    }
+  }
   return cs;
 }
 

@@ -439,7 +439,7 @@ Result<QueryOutcome> SimulatedRemoteEndpoint::Query(
   }
   if (dialect_.max_result_rows > 0 &&
       outcome.table.num_rows() > dialect_.max_result_rows) {
-    outcome.table.Truncate(dialect_.max_result_rows);
+    outcome.table.Slice(0, dialect_.max_result_rows);
     outcome.truncated = true;
   }
   outcome.latency_ms =

@@ -17,6 +17,8 @@ using endpoint::QueryBatchOptions;
 using endpoint::QueryOutcome;
 using endpoint::SparqlEndpoint;
 using sparql::ResultTable;
+constexpr ResultTable::ColumnType kTerm = ResultTable::ColumnType::kTerm;
+constexpr ResultTable::ColumnType kInt = ResultTable::ColumnType::kInt;
 
 /// Issues one query sequentially, accumulating report cost. A sequential
 /// query contributes its full latency to the intra-pipeline makespan —
@@ -120,15 +122,15 @@ Status ParseClassPropsRanges(ClassInfo* cls,
   if (props.truncated) {
     return Status::Unsupported("property list truncated");
   }
-  for (size_t i = 0; i < props.table.num_rows(); ++i) {
-    auto p = props.table.Cell(i, "p");
-    auto n = props.table.Cell(i, "n");
-    if (!p.has_value() || !n.has_value()) continue;
-    if (p->lexical() == rdf::vocab::kRdfType) continue;
+  const ResultTable& pt = props.table;
+  const int p_col = pt.ColumnIndex("p", kTerm);
+  const int n_col = pt.ColumnIndex("n", kInt);
+  for (size_t i = 0; p_col >= 0 && n_col >= 0 && i < pt.num_rows(); ++i) {
+    const rdf::Term* p = pt.TermAt(i, p_col);
+    if (p == nullptr || p->lexical() == rdf::vocab::kRdfType) continue;
     PropertyInfo info;
     info.iri = p->lexical();
-    info.count =
-        static_cast<size_t>(std::strtoll(n->lexical().c_str(), nullptr, 10));
+    info.count = static_cast<size_t>(pt.IntAt(i, n_col));
     cls->properties.push_back(std::move(info));
   }
   if (!ranges_result.ok()) return ranges_result.status();
@@ -136,17 +138,21 @@ Status ParseClassPropsRanges(ClassInfo* cls,
   if (ranges.truncated) {
     return Status::Unsupported("range list truncated");
   }
-  for (size_t i = 0; i < ranges.table.num_rows(); ++i) {
-    auto p = ranges.table.Cell(i, "p");
-    auto rc = ranges.table.Cell(i, "rc");
-    auto n = ranges.table.Cell(i, "n");
-    if (!p.has_value() || !rc.has_value() || !n.has_value()) continue;
+  const ResultTable& rt = ranges.table;
+  const int rp_col = rt.ColumnIndex("p", kTerm);
+  const int rc_col = rt.ColumnIndex("rc", kTerm);
+  const int rn_col = rt.ColumnIndex("n", kInt);
+  const bool resolved = rp_col >= 0 && rc_col >= 0 && rn_col >= 0;
+  for (size_t i = 0; resolved && i < rt.num_rows(); ++i) {
+    const rdf::Term* p = rt.TermAt(i, rp_col);
+    const rdf::Term* rc = rt.TermAt(i, rc_col);
+    if (p == nullptr || rc == nullptr) continue;
     if (p->lexical() == rdf::vocab::kRdfType) continue;
     for (PropertyInfo& info : cls->properties) {
       if (info.iri == p->lexical()) {
         info.is_object_property = true;
-        info.range_classes[rc->lexical()] = static_cast<size_t>(
-            std::strtoll(n->lexical().c_str(), nullptr, 10));
+        info.range_classes[rc->lexical()] =
+            static_cast<size_t>(rt.IntAt(i, rn_col));
         break;
       }
     }
@@ -202,14 +208,15 @@ Result<IndexSummary> DirectAggregationStrategy::Extract(
   if (classes.truncated) {
     return Status::Unsupported("class list truncated by endpoint row cap");
   }
-  for (size_t i = 0; i < classes.table.num_rows(); ++i) {
-    auto c = classes.table.Cell(i, "c");
-    auto n = classes.table.Cell(i, "n");
-    if (!c.has_value() || !n.has_value()) continue;
+  const ResultTable& ct = classes.table;
+  const int c_col = ct.ColumnIndex("c", kTerm);
+  const int n_col = ct.ColumnIndex("n", kInt);
+  for (size_t i = 0; c_col >= 0 && n_col >= 0 && i < ct.num_rows(); ++i) {
+    const rdf::Term* c = ct.TermAt(i, c_col);
+    if (c == nullptr) continue;
     ClassInfo info;
     info.iri = c->lexical();
-    info.instance_count =
-        static_cast<size_t>(std::strtoll(n->lexical().c_str(), nullptr, 10));
+    info.instance_count = static_cast<size_t>(ct.IntAt(i, n_col));
     s.classes.push_back(std::move(info));
   }
 
@@ -314,9 +321,11 @@ Status RunPerClassWaves(SparqlEndpoint* ep, const ExtractionContext& context,
     if (props_result->truncated) {
       return Status::Unsupported("property enumeration truncated");
     }
-    for (size_t pi = 0; pi < props_result->table.num_rows(); ++pi) {
-      auto p = props_result->table.Cell(pi, "p");
-      if (!p.has_value() || p->lexical() == rdf::vocab::kRdfType) continue;
+    const ResultTable& pt = props_result->table;
+    const int p_col = pt.ColumnIndex("p", kTerm);
+    for (size_t pi = 0; p_col >= 0 && pi < pt.num_rows(); ++pi) {
+      const rdf::Term* p = pt.TermAt(pi, p_col);
+      if (p == nullptr || p->lexical() == rdf::vocab::kRdfType) continue;
       PropertyInfo info;
       info.iri = p->lexical();
       cls.properties.push_back(std::move(info));
@@ -358,9 +367,11 @@ Status RunPerClassWaves(SparqlEndpoint* ep, const ExtractionContext& context,
     if (ranges_result->truncated) {
       return Status::Unsupported("range enumeration truncated");
     }
-    for (size_t ri = 0; ri < ranges_result->table.num_rows(); ++ri) {
-      auto rc = ranges_result->table.Cell(ri, "rc");
-      if (!rc.has_value()) continue;
+    const ResultTable& rt = ranges_result->table;
+    const int rc_col = rt.ColumnIndex("rc", kTerm);
+    for (size_t ri = 0; rc_col >= 0 && ri < rt.num_rows(); ++ri) {
+      const rdf::Term* rc = rt.TermAt(ri, rc_col);
+      if (rc == nullptr) continue;
       wave3.push_back("SELECT (COUNT(?o) AS ?n) WHERE { ?s a " +
                       IriRef(s.classes[ci].iri) + " . ?s " +
                       IriRef(info.iri) + " ?o . ?o a " +
@@ -397,9 +408,11 @@ Result<IndexSummary> PerClassCountStrategy::Extract(
   if (classes.truncated) {
     return Status::Unsupported("class enumeration truncated");
   }
-  for (size_t i = 0; i < classes.table.num_rows(); ++i) {
-    auto c = classes.table.Cell(i, "c");
-    if (!c.has_value()) continue;
+  const ResultTable& ct = classes.table;
+  const int c_col = ct.ColumnIndex("c", kTerm);
+  for (size_t i = 0; c_col >= 0 && i < ct.num_rows(); ++i) {
+    const rdf::Term* c = ct.TermAt(i, c_col);
+    if (c == nullptr) continue;
     ClassInfo cls;
     cls.iri = c->lexical();
     s.classes.push_back(std::move(cls));
@@ -539,6 +552,21 @@ Status ScanPages(SparqlEndpoint* ep, const std::string& base_query,
   }
 }
 
+/// Pass 1 of the paginated scan: each page's (subject, class) rows into
+/// the subject -> classes map.
+void CollectTypes(const ResultTable& table,
+                  std::map<std::string, std::set<std::string>>* types_of) {
+  const int s_col = table.ColumnIndex("s", kTerm);
+  const int c_col = table.ColumnIndex("c", kTerm);
+  for (size_t i = 0; s_col >= 0 && c_col >= 0 && i < table.num_rows(); ++i) {
+    const rdf::Term* subj = table.TermAt(i, s_col);
+    const rdf::Term* cls = table.TermAt(i, c_col);
+    if (subj != nullptr && cls != nullptr) {
+      (*types_of)[subj->ToNTriples()].insert(cls->lexical());
+    }
+  }
+}
+
 }  // namespace
 
 Result<IndexSummary> PaginatedScanStrategy::Extract(
@@ -551,15 +579,7 @@ Result<IndexSummary> PaginatedScanStrategy::Extract(
   std::map<std::string, std::set<std::string>> types_of;  // subject -> classes
   HBOLD_RETURN_NOT_OK(ScanPages(
       ep, "SELECT ?s ?c WHERE { ?s a ?c . }", page_size_, context, report,
-      [&](const ResultTable& table) {
-        for (size_t i = 0; i < table.num_rows(); ++i) {
-          auto subj = table.Cell(i, "s");
-          auto cls = table.Cell(i, "c");
-          if (subj.has_value() && cls.has_value()) {
-            types_of[subj->ToNTriples()].insert(cls->lexical());
-          }
-        }
-      }));
+      [&](const ResultTable& table) { CollectTypes(table, &types_of); }));
 
   s.num_instances = types_of.size();
   std::map<std::string, ClassInfo> classes;
@@ -579,13 +599,15 @@ Result<IndexSummary> PaginatedScanStrategy::Extract(
       ep, "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", page_size_, context, report,
       [&](const ResultTable& table) {
         total_triples += table.num_rows();
-        for (size_t i = 0; i < table.num_rows(); ++i) {
-          auto subj = table.Cell(i, "s");
-          auto pred = table.Cell(i, "p");
-          auto obj = table.Cell(i, "o");
-          if (!subj.has_value() || !pred.has_value() || !obj.has_value()) {
-            continue;
-          }
+        const int s_col = table.ColumnIndex("s", kTerm);
+        const int p_col = table.ColumnIndex("p", kTerm);
+        const int o_col = table.ColumnIndex("o", kTerm);
+        const bool resolved = s_col >= 0 && p_col >= 0 && o_col >= 0;
+        for (size_t i = 0; resolved && i < table.num_rows(); ++i) {
+          const rdf::Term* subj = table.TermAt(i, s_col);
+          const rdf::Term* pred = table.TermAt(i, p_col);
+          const rdf::Term* obj = table.TermAt(i, o_col);
+          if (subj == nullptr || pred == nullptr || obj == nullptr) continue;
           if (pred->lexical() == rdf::vocab::kRdfType) continue;
           auto it = types_of.find(subj->ToNTriples());
           if (it == types_of.end()) continue;  // untyped subject
@@ -661,15 +683,7 @@ Result<IndexSummary> PaginatedScanStrategy::ExtractClasses(
   std::map<std::string, std::set<std::string>> types_of;  // subject -> classes
   HBOLD_RETURN_NOT_OK(ScanPages(
       ep, "SELECT ?s ?c WHERE { ?s a ?c . }", page_size_, context, report,
-      [&](const ResultTable& table) {
-        for (size_t i = 0; i < table.num_rows(); ++i) {
-          auto subj = table.Cell(i, "s");
-          auto cls = table.Cell(i, "c");
-          if (subj.has_value() && cls.has_value()) {
-            types_of[subj->ToNTriples()].insert(cls->lexical());
-          }
-        }
-      }));
+      [&](const ResultTable& table) { CollectTypes(table, &types_of); }));
   s.num_instances = types_of.size();
   std::map<std::string, size_t> instance_counts;
   for (const auto& [subj, cls_set] : types_of) {
@@ -757,10 +771,13 @@ Result<IndexSummary> PaginatedScanStrategy::ExtractClasses(
         "SELECT ?s ?p ?o WHERE { ?s a " + IriRef(cls_iri) +
             " . ?s ?p ?o . }",
         page_size_, context, report, [&](const ResultTable& table) {
-          for (size_t i = 0; i < table.num_rows(); ++i) {
-            auto pred = table.Cell(i, "p");
-            auto obj = table.Cell(i, "o");
-            if (!pred.has_value() || !obj.has_value()) continue;
+          const int p_col = table.ColumnIndex("p", kTerm);
+          const int o_col = table.ColumnIndex("o", kTerm);
+          for (size_t i = 0; p_col >= 0 && o_col >= 0 && i < table.num_rows();
+               ++i) {
+            const rdf::Term* pred = table.TermAt(i, p_col);
+            const rdf::Term* obj = table.TermAt(i, o_col);
+            if (pred == nullptr || obj == nullptr) continue;
             if (pred->lexical() == rdf::vocab::kRdfType) continue;
             PropertyInfo& info = props[pred->lexical()];
             info.iri = pred->lexical();

@@ -28,10 +28,15 @@ PortalCrawlResult PortalCrawler::Merge(const std::string& portal_name,
 
   // Distinct URLs with their dataset titles (first title wins).
   std::set<std::string> urls;
-  for (size_t i = 0; i < outcome.table.num_rows(); ++i) {
-    auto url = outcome.table.Cell(i, "url");
-    auto title = outcome.table.Cell(i, "title");
-    if (!url.has_value()) continue;
+  const sparql::ResultTable& table = outcome.table;
+  constexpr auto kTerm = sparql::ResultTable::ColumnType::kTerm;
+  const int url_col = table.ColumnIndex("url", kTerm);
+  const int title_col = table.ColumnIndex("title", kTerm);
+  for (size_t i = 0; url_col >= 0 && i < table.num_rows(); ++i) {
+    const rdf::Term* url = table.TermAt(i, url_col);
+    const rdf::Term* title =
+        title_col >= 0 ? table.TermAt(i, title_col) : nullptr;
+    if (url == nullptr) continue;
     const std::string& u = url->lexical();
     if (!urls.insert(u).second) continue;
     if (registry_->Contains(u)) {
@@ -40,7 +45,7 @@ PortalCrawlResult PortalCrawler::Merge(const std::string& portal_name,
     }
     endpoint::EndpointRecord record;
     record.url = u;
-    record.name = title.has_value() ? title->lexical() : u;
+    record.name = title != nullptr ? title->lexical() : u;
     record.source = endpoint::EndpointSource::kPortalCrawl;
     record.added_day = today;
     // Crawls run while the daily cycle may already be in flight; a record

@@ -257,8 +257,7 @@ SessionResult ExplorationService::RunSession(
         ts << " node=" << node << " rows=" << rows->num_rows();
         if (rows->num_rows() > 0 && rows->num_columns() > 0) {
           size_t row = Resolve(action.pick_b, rows->num_rows());
-          auto cell = rows->Cell(row, rows->columns()[0]);
-          if (cell) {
+          if (const rdf::Term* cell = rows->TermAt(row, 0)) {
             sampled_instance = cell->lexical();
             ts << " picked=" << sampled_instance;
           }

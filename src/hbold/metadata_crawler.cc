@@ -41,9 +41,12 @@ MetadataCrawlResult MetadataRepositoryCrawler::Merge(
       static_cast<size_t>(census.table.ScalarInt("n").value_or(0));
 
   std::set<std::string> urls;
-  for (size_t i = 0; i < filtered.table.num_rows(); ++i) {
-    auto url = filtered.table.Cell(i, "url");
-    if (!url.has_value()) continue;
+  const sparql::ResultTable& table = filtered.table;
+  const int url_col =
+      table.ColumnIndex("url", sparql::ResultTable::ColumnType::kTerm);
+  for (size_t i = 0; url_col >= 0 && i < table.num_rows(); ++i) {
+    const rdf::Term* url = table.TermAt(i, url_col);
+    if (url == nullptr) continue;
     const std::string& u = url->lexical();
     if (!urls.insert(u).second) continue;
     if (registry_->Contains(u)) {

@@ -451,8 +451,12 @@ Result<PipelineReport> Server::ProcessEndpoint(const std::string& url,
   // mutation model implies unchanged data, so the prior is still exact.
   Json summary_doc = summary.ToJson();
   // The hash is stored as a hex string: JSON numbers are doubles and would
-  // truncate 64-bit fingerprints.
-  std::string content_hash = HexU64(Fnv64(summary_doc.Dump()));
+  // truncate 64-bit fingerprints. The dump is written into a per-thread
+  // buffer reused across pipelines, so hashing allocates no string.
+  thread_local std::string summary_dump;
+  summary_dump.clear();
+  summary_doc.DumpTo(&summary_dump);
+  std::string content_hash = HexU64(Fnv64(summary_dump));
   if (stored_summary_doc != nullptr &&
       stored_summary_doc->GetString("content_hash") == content_hash) {
     report.reused_cluster_schema = true;

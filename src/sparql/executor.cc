@@ -430,12 +430,13 @@ class GroupEvaluator {
     std::vector<RowIds> rows = std::move(input);
     for (size_t k = 0; k < order.size(); ++k) {
       const TriplePatternNode& pat = triples[order[k]];
+      const PatternConsts& consts = plan.plan->consts[order[k]];
       const bool last = k + 1 == order.size();
       const size_t cap = last ? row_cap : kNoCap;
       if (plan.plan->ops[k] == JoinOp::kHashJoin) {
-        rows = HashExtendRows(pat, std::move(rows), cap);
+        rows = HashExtendRows(pat, consts, std::move(rows), cap);
       } else {
-        rows = ExtendRows(pat, std::move(rows), cap);
+        rows = ExtendRows(pat, consts, std::move(rows), cap);
       }
       if (pat.s.is_var) bound.insert(pat.s.var);
       if (pat.p.is_var) bound.insert(pat.p.var);
@@ -467,9 +468,9 @@ class GroupEvaluator {
   }
 
   std::vector<RowIds> ExtendRows(const TriplePatternNode& pat,
+                                 const PatternConsts& consts,
                                  std::vector<RowIds> rows, size_t cap) {
     // A constant not present in the dictionary can never match.
-    const PatternConsts consts = ResolveConsts(pat, store_->dict());
     if (consts.missing) return {};
     const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
     const int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
@@ -534,6 +535,7 @@ class GroupEvaluator {
   struct HashBuild;  // defined below (after the join methods)
 
   std::vector<RowIds> HashExtendRows(const TriplePatternNode& pat,
+                                     const PatternConsts& consts,
                                      std::vector<RowIds> rows, size_t cap) {
     if (rows.empty()) return rows;
     const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
@@ -541,7 +543,7 @@ class GroupEvaluator {
     const int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
     if ((slot_s >= 0 && (slot_s == slot_p || slot_s == slot_o)) ||
         (slot_p >= 0 && slot_p == slot_o)) {
-      return ExtendRows(pat, std::move(rows), cap);
+      return ExtendRows(pat, consts, std::move(rows), cap);
     }
     auto bound_at = [](const RowIds& row, int slot) {
       return slot >= 0 && row[static_cast<size_t>(slot)] != kInvalidTermId;
@@ -550,16 +552,15 @@ class GroupEvaluator {
     const bool key_p = bound_at(rows[0], slot_p);
     const bool key_o = bound_at(rows[0], slot_o);
     if (!key_s && !key_p && !key_o) {
-      return ExtendRows(pat, std::move(rows), cap);
+      return ExtendRows(pat, consts, std::move(rows), cap);
     }
     for (const RowIds& row : rows) {
       if (bound_at(row, slot_s) != key_s || bound_at(row, slot_p) != key_p ||
           bound_at(row, slot_o) != key_o) {
-        return ExtendRows(pat, std::move(rows), cap);
+        return ExtendRows(pat, consts, std::move(rows), cap);
       }
     }
 
-    PatternConsts consts = ResolveConsts(pat, store_->dict());
     if (consts.missing) return {};
 
     // The build depends only on the pattern's resolved constants and the
@@ -698,35 +699,65 @@ class GroupEvaluator {
 
 // ------------------------------------------------------- result modifiers
 
-/// ORDER BY via decorate-sort-undecorate: numeric keys are parsed once per
-/// row instead of on every comparison. Ordering semantics: unbound cells
-/// first, numeric comparison when both keys parse as numbers and differ,
-/// lexical comparison otherwise.
-void ApplyOrderBy(const SelectQuery& q, ResultTable* table) {
-  if (q.order_by.empty()) return;
+/// The empty result table of a SELECT with an explicit projection: the
+/// projected variables' term columns, then one integer column per
+/// aggregate.
+ResultTable ProjectionTable(const SelectQuery& q) {
+  std::vector<std::string> columns = q.vars;
+  std::vector<ResultTable::ColumnType> types(q.vars.size(),
+                                             ResultTable::ColumnType::kTerm);
+  for (const Aggregate& a : q.aggregates) {
+    columns.push_back(a.as);
+    types.push_back(ResultTable::ColumnType::kInt);
+  }
+  return ResultTable(std::move(columns), types);
+}
+
+/// ORDER BY, then OFFSET/LIMIT. Without ORDER BY the slice is an erase.
+/// Otherwise decorate-sort-undecorate over a row permutation (numeric keys
+/// are parsed once per row instead of on every comparison), cut the
+/// permutation to the slice, and gather only the surviving rows. Ordering
+/// semantics: unbound cells first, numeric comparison when both keys parse
+/// as numbers and differ, lexical comparison otherwise. An integer cell is
+/// the number it holds; its lexical form (for ties between distinct
+/// integers with one double value) is its decimal text, as when it was an
+/// xsd:integer literal.
+void ApplyOrderAndSlice(const SelectQuery& q, ResultTable* table) {
+  const size_t offset = q.offset.value_or(0);
+  const size_t limit = q.limit.value_or(kNoCap);
+  if (q.order_by.empty()) {
+    table->Slice(offset, limit);
+    return;
+  }
   struct SortKey {
     bool present = false;
     bool numeric = false;
     double num = 0;
-    const std::string* lex = nullptr;
+    const std::string* lex = nullptr;  // null for an integer cell
+    int64_t integer = 0;
   };
   std::vector<std::pair<int, bool>> cols;
   for (const auto& [var, asc] : q.order_by) {
-    cols.emplace_back(table->ColumnIndex(var), asc);
+    const int col = table->ColumnIndex(var);
+    if (col >= 0) cols.emplace_back(col, asc);
   }
-  const std::vector<ResultTable::Row>& rows = table->rows();
-  std::vector<std::vector<SortKey>> keys(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    keys[r].resize(cols.size());
-    for (size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k].first < 0) continue;
-      const std::optional<Term>& cell =
-          rows[r][static_cast<size_t>(cols[k].first)];
-      SortKey& key = keys[r][k];
-      if (!cell.has_value()) continue;
-      key.present = true;
-      key.lex = &cell->lexical();
-      key.numeric = TryParseNumber(*cell, &key.num);
+  const size_t n = table->num_rows();
+  std::vector<SortKey> keys(n * cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const size_t col = static_cast<size_t>(cols[k].first);
+    const bool ints =
+        table->column_type(col) == ResultTable::ColumnType::kInt;
+    for (size_t r = 0; r < n; ++r) {
+      SortKey& key = keys[r * cols.size() + k];
+      if (ints) {
+        key.present = key.numeric = true;
+        key.integer = table->IntAt(r, col);
+        key.num = static_cast<double>(key.integer);
+      } else if (const Term* cell = table->TermAt(r, col)) {
+        key.present = true;
+        key.lex = &cell->lexical();
+        key.numeric = TryParseNumber(*cell, &key.num);
+      }
     }
   }
   // Strict weak ordering over mixed columns: unbound first, then numeric
@@ -737,54 +768,49 @@ void ApplyOrderBy(const SelectQuery& q, ResultTable* table) {
     if (!a.present || !b.present) return b.present;
     if (a.numeric != b.numeric) return a.numeric;
     if (a.numeric && a.num != b.num) return a.num < b.num;
+    if (a.lex == nullptr) {  // a column holds one cell type
+      return a.integer != b.integer &&
+             std::to_string(a.integer) < std::to_string(b.integer);
+    }
     return *a.lex < *b.lex;
   };
-  std::vector<size_t> idx(rows.size());
+  std::vector<size_t> idx(n);
   std::iota(idx.begin(), idx.end(), 0);
   std::stable_sort(idx.begin(), idx.end(), [&](size_t i, size_t j) {
     for (size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k].first < 0) continue;
-      const SortKey& a = keys[i][k];
-      const SortKey& b = keys[j][k];
+      const SortKey& a = keys[i * cols.size() + k];
+      const SortKey& b = keys[j * cols.size() + k];
       if (key_less(a, b)) return cols[k].second;
       if (key_less(b, a)) return !cols[k].second;
     }
     return false;
   });
-  ResultTable reordered(table->columns());
-  for (size_t i : idx) reordered.AddRow(rows[i]);
-  *table = std::move(reordered);
+  const size_t begin = std::min(offset, n);
+  idx.resize(begin + std::min(limit, n - begin));
+  idx.erase(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(begin));
+  table->Gather(idx);
 }
 
-void ApplySlice(const SelectQuery& q, ResultTable* table) {
-  if (!q.offset.has_value() && !q.limit.has_value()) return;
-  const size_t off = q.offset.value_or(0);
-  const size_t lim = q.limit.value_or(kNoCap);
-  ResultTable sliced(table->columns());
-  // `i - off < lim`, not `i < off + lim`: the sum overflows for a LIMIT
-  // near SIZE_MAX.
-  for (size_t i = off; i < table->num_rows() && i - off < lim; ++i) {
-    sliced.AddRow(table->rows()[i]);
-  }
-  *table = std::move(sliced);
-}
-
-/// DISTINCT over rows that may contain computed terms (aggregate output)
+/// DISTINCT over rows that may contain computed cells (aggregate output)
 /// not backed by the dictionary, so keyed by serialized cells.
 void ApplyTermDistinct(ResultTable* table) {
   std::set<std::string> seen;
-  ResultTable deduped(table->columns());
-  for (const auto& row : table->rows()) {
+  std::vector<size_t> kept;
+  for (size_t r = 0; r < table->num_rows(); ++r) {
     std::string key;
-    for (const auto& cell : row) {
-      key += cell.has_value() ? cell->ToNTriples() : "~";
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      if (table->column_type(c) == ResultTable::ColumnType::kInt) {
+        key += std::to_string(table->IntAt(r, c));
+      } else if (const Term* cell = table->TermAt(r, c)) {
+        key += cell->ToNTriples();
+      } else {
+        key += '~';
+      }
       key += '\x1f';
     }
-    if (seen.insert(std::move(key)).second) {
-      deduped.AddRow(row);
-    }
+    if (seen.insert(std::move(key)).second) kept.push_back(r);
   }
-  *table = std::move(deduped);
+  table->Gather(kept);
 }
 
 // --------------------------------------------------- count pushdown
@@ -832,7 +858,7 @@ void Charge(ExecStats* stats, size_t bindings) {
 /// and every projected variable a group key.
 std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
                                             const rdf::TripleStore* store,
-                                            const std::vector<size_t>& order,
+                                            const GroupPlan& plan,
                                             ExecStats* stats) {
   const GroupGraphPattern& where = q.where;
   if (q.form != QueryForm::kSelect || q.select_all) return std::nullopt;
@@ -843,13 +869,14 @@ std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
   }
 
   const rdf::Dictionary& dict = store->dict();
+  const std::vector<size_t>& order = plan.order;
   VarRegistry vars;
   std::vector<WalkStep> steps(order.size());
   for (size_t k = 0; k < order.size(); ++k) {
     const TriplePatternNode& t = where.triples[order[k]];
     const TermOrVar* slots[3] = {&t.s, &t.p, &t.o};
     WalkStep& step = steps[k];
-    step.consts = ResolveConsts(t, dict);
+    step.consts = plan.consts[order[k]];
     for (int j = 0; j < 3; ++j) {
       if (!slots[j]->is_var) continue;
       for (int i = 0; i < j; ++i) {
@@ -909,27 +936,27 @@ std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
     }
   }
 
-  std::vector<std::string> columns = q.vars;
-  for (const Aggregate& a : q.aggregates) columns.push_back(a.as);
-  ResultTable table(columns);
+  ResultTable table = ProjectionTable(q);
   if (stats != nullptr) ++stats->fast_path_hits;
+  std::vector<size_t> key_of_var;  // projected variable -> group key index
+  for (const std::string& v : q.vars) {
+    key_of_var.push_back(static_cast<size_t>(
+        std::find(q.group_by.begin(), q.group_by.end(), v) -
+        q.group_by.begin()));
+  }
 
   auto emit_row = [&](const std::vector<TermId>& key, size_t count,
                       const std::vector<size_t>& distinct) {
-    ResultTable::Row row;
-    for (const std::string& v : q.vars) {
-      const size_t j = static_cast<size_t>(
-          std::find(q.group_by.begin(), q.group_by.end(), v) -
-          q.group_by.begin());
-      row.push_back(dict.Get(key[j]));
+    const size_t r = table.AppendRow();
+    for (size_t c = 0; c < key_of_var.size(); ++c) {
+      table.SetTerm(r, c, dict.Get(key[key_of_var[c]]));
     }
     for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
       size_t n = count;
       if (modes[ai] == AggMode::kOne) n = 1;  // emitted groups are non-empty
       if (modes[ai] == AggMode::kSet) n = distinct[set_of_agg[ai]];
-      row.push_back(Term::IntLiteral(static_cast<int64_t>(n)));
+      table.SetInt(r, key_of_var.size() + ai, static_cast<int64_t>(n));
     }
-    table.AddRow(std::move(row));
   };
 
   // Shortcut: a single-pattern global count is index arithmetic alone.
@@ -1130,16 +1157,17 @@ Result<ResultTable> Executor::Execute(const std::string& query_text,
                                       ExecStats* stats) const {
   if (parsed.prepared_ != nullptr) {
     if (stats != nullptr) ++stats->plan_cache_hits;
-    return ExecutePlanned(parsed.prepared_->query, *parsed.prepared_->plan,
+    return ExecutePlanned(parsed.prepared_->query, parsed.prepared_->plan,
                           stats);
   }
-  if (plan_cache_ == nullptr) return Execute(parsed.fresh_, stats);
-  std::shared_ptr<const QueryPlan> plan = AcquirePlan(parsed.fresh_, stats);
-  auto insert = std::make_shared<PreparedQuery>();
-  insert->query = std::move(parsed.fresh_);
-  insert->plan = plan;
+  QueryPlan plan = Plan(parsed.fresh_, stats);
+  if (plan_cache_ == nullptr || !plan_cache_->SeenBefore(query_text)) {
+    return ExecutePlanned(parsed.fresh_, plan, stats);
+  }
+  auto insert = std::make_shared<PreparedQuery>(
+      PreparedQuery{std::move(parsed.fresh_), std::move(plan)});
   plan_cache_->InsertPrepared(query_text, parsed.generation_, insert);
-  return ExecutePlanned(insert->query, *plan, stats);
+  return ExecutePlanned(insert->query, insert->plan, stats);
 }
 
 Result<ResultTable> Executor::Execute(const std::string& query_text,
@@ -1148,23 +1176,20 @@ Result<ResultTable> Executor::Execute(const std::string& query_text,
   return Execute(query_text, std::move(parsed), stats);
 }
 
-std::shared_ptr<const QueryPlan> Executor::AcquirePlan(const SelectQuery& q,
-                                                       ExecStats* stats) const {
+QueryPlan Executor::Plan(const SelectQuery& q, ExecStats* stats) const {
   // Planning is a deterministic function of (query, store content), and a
   // rebuilt store changes its generation, so a cached plan equals a fresh
   // one: caching never changes results or charged accounting.
-  auto plan = std::make_shared<QueryPlan>(PlanQuery(q, options_, store_));
   if (plan_cache_ != nullptr) {
     plan_cache_->RecordMiss();
     if (stats != nullptr) ++stats->plan_cache_misses;
   }
-  return plan;
+  return PlanQuery(q, options_, store_);
 }
 
 Result<ResultTable> Executor::Execute(const SelectQuery& q,
                                       ExecStats* stats) const {
-  std::shared_ptr<const QueryPlan> plan = AcquirePlan(q, stats);
-  return ExecutePlanned(q, *plan, stats);
+  return ExecutePlanned(q, Plan(q, stats), stats);
 }
 
 Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
@@ -1175,11 +1200,10 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
   // else falls through to the materializing path.
   if (options_.aggregate_pushdown) {
     std::optional<ResultTable> fast =
-        TryCountPushdown(q, store_, plan.groups.front().order, stats);
+        TryCountPushdown(q, store_, plan.groups.front(), stats);
     if (fast.has_value()) {
       if (q.distinct) ApplyTermDistinct(&*fast);
-      ApplyOrderBy(q, &*fast);
-      ApplySlice(q, &*fast);
+      ApplyOrderAndSlice(q, &*fast);
       if (stats != nullptr) stats->result_rows = fast->num_rows();
       return *std::move(fast);
     }
@@ -1198,17 +1222,16 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
   // LIMIT pushdown: when nothing downstream (grouping, DISTINCT, ORDER BY,
   // filters, optionals, unions) can change which rows survive, the join
   // loop may stop at OFFSET+LIMIT rows. ASK stops at the first solution.
+  // OFFSET+LIMIT (saturating): no slice keeps a row past it.
+  size_t slice_end = kNoCap;
+  if (q.limit.has_value() && q.offset.value_or(0) + *q.limit >= *q.limit) {
+    slice_end = q.offset.value_or(0) + *q.limit;
+  }
   size_t row_cap = kNoCap;
   if (options_.limit_pushdown && !grouping && !q.distinct &&
       q.order_by.empty() && q.where.filters.empty() &&
       q.where.optionals.empty() && q.where.unions.empty()) {
-    if (q.form == QueryForm::kAsk) {
-      row_cap = 1;
-    } else if (q.limit.has_value()) {
-      size_t off = q.offset.value_or(0);
-      size_t cap = off + *q.limit;
-      if (cap >= off) row_cap = cap;  // saturating add
-    }
+    row_cap = q.form == QueryForm::kAsk ? 1 : slice_end;
   }
 
   GroupPlanMap plan_map =
@@ -1221,28 +1244,30 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
   // results `boolean` member; ResultTable::AskResult decodes it).
   if (q.form == QueryForm::kAsk) {
     ResultTable ask_table({"ask"});
-    ask_table.AddRow({Term::BoolLiteral(!rows.empty())});
+    ask_table.SetTerm(ask_table.AppendRow(), 0,
+                      Term::BoolLiteral(!rows.empty()));
     if (stats != nullptr) stats->result_rows = 1;
     return ask_table;
   }
 
-  const rdf::Dictionary& dict = store_->dict();
-  auto term_at = [&](const RowIds& row, int slot) -> std::optional<Term> {
-    if (slot < 0 || row[static_cast<size_t>(slot)] == kInvalidTermId) {
-      return std::nullopt;
-    }
-    return dict.Get(row[static_cast<size_t>(slot)]);
-  };
-
-  // Projection column list.
-  std::vector<std::string> columns;
-  if (q.select_all) {
-    columns = vars.names();
-  } else {
-    columns = q.vars;
-    for (const Aggregate& a : q.aggregates) columns.push_back(a.as);
+  // Projection: the selected variables, then one integer column per
+  // aggregate.
+  ResultTable table = q.select_all ? ResultTable(vars.names())
+                                   : ProjectionTable(q);
+  const size_t num_vars = q.select_all ? table.num_columns() : q.vars.size();
+  std::vector<int> slots;
+  for (size_t c = 0; c < num_vars; ++c) {
+    slots.push_back(vars.Lookup(table.columns()[c]));
   }
-  ResultTable table(columns);
+  const rdf::Dictionary& dict = store_->dict();
+  auto emit_vars = [&](const RowIds& row) {
+    const size_t r = table.AppendRow();
+    for (size_t c = 0; c < slots.size(); ++c) {
+      const TermId id = slots[c] < 0 ? kInvalidTermId : row[slots[c]];
+      if (id != kInvalidTermId) table.SetTerm(r, c, dict.Get(id));
+    }
+    return r;
+  };
 
   if (grouping) {
     // Group rows by the GROUP BY key (empty key = single global group).
@@ -1273,60 +1298,47 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
     for (const auto& entry : groups) ordered.push_back(&entry);
     std::sort(ordered.begin(), ordered.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
+    const RowIds unbound(vars.size(), kInvalidTermId);
+    table.Reserve(ordered.size());
     for (const auto* entry : ordered) {
       const std::vector<const RowIds*>& members = entry->second;
-      ResultTable::Row out_row;
-      for (const std::string& v : q.vars) {
-        int slot = vars.Lookup(v);
-        if (!members.empty()) {
-          out_row.push_back(term_at(*members.front(), slot));
+      const size_t r = emit_vars(members.empty() ? unbound : *members.front());
+      for (size_t ai = 0; ai < q.aggregates.size(); ++ai) {
+        const Aggregate& a = q.aggregates[ai];
+        // COUNT(*) counts every row, COUNT(?v) the rows binding ?v.
+        const int slot = a.var.has_value() ? vars.Lookup(*a.var) : -1;
+        auto value = [&](const RowIds* m) {
+          return slot < 0 ? kInvalidTermId : (*m)[static_cast<size_t>(slot)];
+        };
+        size_t count = 0;
+        if (!a.var.has_value() && a.distinct) {
+          std::unordered_set<RowIds, IdVecHash> distinct_rows;
+          for (const RowIds* m : members) distinct_rows.insert(*m);
+          count = distinct_rows.size();
+        } else if (!a.var.has_value()) {
+          count = members.size();
+        } else if (a.distinct) {
+          std::unordered_set<TermId> seen;
+          for (const RowIds* m : members) seen.insert(value(m));
+          count = seen.size() - seen.count(kInvalidTermId);
         } else {
-          out_row.push_back(std::nullopt);
+          for (const RowIds* m : members) count += value(m) != kInvalidTermId;
         }
+        table.SetInt(r, num_vars + ai, static_cast<int64_t>(count));
       }
-      for (const Aggregate& a : q.aggregates) {
-        int64_t count = 0;
-        if (!a.var.has_value()) {
-          if (a.distinct) {
-            std::unordered_set<std::vector<TermId>, IdVecHash> distinct_rows;
-            for (const RowIds* r : members) distinct_rows.insert(*r);
-            count = static_cast<int64_t>(distinct_rows.size());
-          } else {
-            count = static_cast<int64_t>(members.size());
-          }
-        } else {
-          int slot = vars.Lookup(*a.var);
-          if (a.distinct) {
-            std::unordered_set<TermId> seen;
-            for (const RowIds* r : members) {
-              TermId v = slot < 0 ? kInvalidTermId
-                                  : (*r)[static_cast<size_t>(slot)];
-              if (v != kInvalidTermId) seen.insert(v);
-            }
-            count = static_cast<int64_t>(seen.size());
-          } else {
-            for (const RowIds* r : members) {
-              if (slot >= 0 &&
-                  (*r)[static_cast<size_t>(slot)] != kInvalidTermId) {
-                ++count;
-              }
-            }
-          }
-        }
-        out_row.push_back(Term::IntLiteral(count));
-      }
-      table.AddRow(std::move(out_row));
     }
-    // Aggregate rows contain computed terms, so DISTINCT falls back to the
-    // serialized-cell keying.
+    // Aggregate rows contain computed cells, so DISTINCT keys on the
+    // table's cells.
     if (q.distinct) ApplyTermDistinct(&table);
   } else {
-    std::vector<int> slots;
-    for (const std::string& c : columns) slots.push_back(vars.Lookup(c));
     // Non-aggregate DISTINCT dedups on the projected id tuple — equal ids
-    // iff equal terms, since the dictionary interns.
+    // iff equal terms, since the dictionary interns. Without ORDER BY the
+    // slice keeps the first rows emitted, so emission stops at its end.
+    const size_t emit_cap = q.order_by.empty() ? slice_end : kNoCap;
     std::unordered_set<std::vector<TermId>, IdVecHash> seen;
+    if (!q.distinct) table.Reserve(std::min(rows.size(), emit_cap));
     for (const RowIds& row : rows) {
+      if (table.num_rows() >= emit_cap) break;
       if (q.distinct) {
         std::vector<TermId> key;
         key.reserve(slots.size());
@@ -1335,15 +1347,11 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
         }
         if (!seen.insert(std::move(key)).second) continue;
       }
-      ResultTable::Row out_row;
-      out_row.reserve(slots.size());
-      for (int s : slots) out_row.push_back(term_at(row, s));
-      table.AddRow(std::move(out_row));
+      emit_vars(row);
     }
   }
 
-  ApplyOrderBy(q, &table);
-  ApplySlice(q, &table);
+  ApplyOrderAndSlice(q, &table);
 
   if (stats != nullptr) stats->result_rows = table.num_rows();
   return table;

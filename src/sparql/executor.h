@@ -46,9 +46,9 @@ struct ExecStats {
 
 /// A query text resolved to its AST: the first of Executor's two query
 /// steps. On a plan-cache hit it holds the cached PreparedQuery (AST and
-/// plan); otherwise a fresh parse, not yet planned or cached. Callers may
-/// inspect query() — the endpoints' dialect gate does — before handing it
-/// to Executor::Execute(text, parsed) with the same text.
+/// plan); otherwise a fresh parse, not yet planned, sighted or cached.
+/// Callers may inspect query() — the endpoints' dialect gate does — before
+/// handing it to Executor::Execute(text, parsed) with the same text.
 class ParsedQuery {
  public:
   const SelectQuery& query() const {
@@ -76,7 +76,8 @@ class ParsedQuery {
 /// bit-identical result tables and ExecStats::intermediate_bindings.
 ///
 /// `plan_cache`, when non-null, memoizes prepared queries (AST + plan) by
-/// exact text, scoped to the store's rebuild generation.
+/// exact text, scoped to the store's rebuild generation, admitting a text
+/// the second time it executes (see PlanCache).
 /// The cache must be dedicated to (store, options) — LocalEndpoint owns
 /// one per endpoint. Cached and freshly planned executions are
 /// bit-identical by construction (plans are deterministic functions of the
@@ -95,8 +96,9 @@ class Executor {
 
   /// Step 2, executes `parsed`, which Parse() built from `query_text`. A
   /// cache hit runs the cached plan. Otherwise the AST is planned (counted
-  /// as one miss) and moved into the cache, so repeats of the text skip
-  /// both steps' work.
+  /// as one miss) and the text's sighting recorded; on its second sighting
+  /// the AST and plan move into the cache, so later repeats skip both
+  /// steps' work.
   Result<ResultTable> Execute(const std::string& query_text,
                               ParsedQuery parsed,
                               ExecStats* stats = nullptr) const;
@@ -115,8 +117,7 @@ class Executor {
 
  private:
   /// Plans `q`; with a cache attached, counts the miss into it and `stats`.
-  std::shared_ptr<const QueryPlan> AcquirePlan(const SelectQuery& q,
-                                               ExecStats* stats) const;
+  QueryPlan Plan(const SelectQuery& q, ExecStats* stats) const;
   /// Runs `q` under a fixed physical plan.
   Result<ResultTable> ExecutePlanned(const SelectQuery& q,
                                      const QueryPlan& plan,

@@ -8,25 +8,20 @@ namespace hbold::sparql {
 
 using rdf::kInvalidTermId;
 
+namespace {
+
 PatternConsts ResolveConsts(const TriplePatternNode& t,
                             const rdf::Dictionary& dict) {
   PatternConsts c;
-  if (!t.s.is_var) {
-    c.s = dict.Lookup(t.s.term);
-    if (c.s == kInvalidTermId) c.missing = true;
-  }
-  if (!t.p.is_var) {
-    c.p = dict.Lookup(t.p.term);
-    if (c.p == kInvalidTermId) c.missing = true;
-  }
-  if (!t.o.is_var) {
-    c.o = dict.Lookup(t.o.term);
-    if (c.o == kInvalidTermId) c.missing = true;
+  const TermOrVar* slots[3] = {&t.s, &t.p, &t.o};
+  rdf::TermId* ids[3] = {&c.s, &c.p, &c.o};
+  for (int j = 0; j < 3; ++j) {
+    if (slots[j]->is_var) continue;
+    *ids[j] = dict.Lookup(slots[j]->term);
+    if (*ids[j] == kInvalidTermId) c.missing = true;
   }
   return c;
 }
-
-namespace {
 
 /// One pattern's planning inputs, resolved once per group.
 struct PatternFacts {
@@ -48,7 +43,7 @@ int InternVar(const TermOrVar& slot, std::vector<const std::string*>* names) {
   return static_cast<int>(names->size() - 1);
 }
 
-PatternFacts ResolveFacts(const TriplePatternNode& t,
+PatternFacts ResolveFacts(const TriplePatternNode& t, const PatternConsts& c,
                           const rdf::TripleStore* store,
                           std::vector<const std::string*>* names) {
   PatternFacts f;
@@ -58,7 +53,6 @@ PatternFacts ResolveFacts(const TriplePatternNode& t,
   f.repeated_var = (f.vars[0] >= 0 && f.vars[0] == f.vars[1]) ||
                    (f.vars[0] >= 0 && f.vars[0] == f.vars[2]) ||
                    (f.vars[1] >= 0 && f.vars[1] == f.vars[2]);
-  const PatternConsts c = ResolveConsts(t, store->dict());
   f.missing = c.missing;
   if (f.missing) return f;
   f.count = static_cast<double>(store->Count({c.s, c.p, c.o}));
@@ -105,13 +99,19 @@ GroupPlan PlanGroup(const GroupGraphPattern& group, const ExecOptions& options,
   plan.order.resize(n);
   std::iota(plan.order.begin(), plan.order.end(), 0);
   plan.ops.assign(n, JoinOp::kNestedIndexLoop);
+  plan.consts.reserve(n);
+  for (const auto& t : triples) {
+    plan.consts.push_back(ResolveConsts(t, store->dict()));
+  }
   const bool price = options.hash_join != HashJoinMode::kOff;
   if (n < 2 || (!options.greedy_join_order && !price)) return plan;
 
   std::vector<const std::string*> names;
   std::vector<PatternFacts> facts;
   facts.reserve(n);
-  for (const auto& t : triples) facts.push_back(ResolveFacts(t, store, &names));
+  for (size_t i = 0; i < n; ++i) {
+    facts.push_back(ResolveFacts(triples[i], plan.consts[i], store, &names));
+  }
 
   // Each step places one pattern — the written next one, or the greedy
   // pick — and prices it against the running intermediate row estimate:
@@ -211,6 +211,15 @@ void PlanCache::InsertPrepared(const std::string& text, uint64_t generation,
   prepared_[text] = std::move(prepared);
 }
 
+bool PlanCache::SeenBefore(const std::string& text) {
+  const uint64_t hash = std::hash<std::string>{}(text);
+  std::lock_guard<std::mutex> lock(seen_mu_);
+  if (seen_.count(hash) > 0) return true;
+  if (seen_.size() >= kSeenCapacity) seen_.clear();
+  seen_.insert(hash);
+  return false;
+}
+
 void PlanCache::RecordMiss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -220,8 +229,12 @@ PlanCacheStats PlanCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  s.entries = prepared_.size();
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    s.entries = prepared_.size();
+  }
+  std::lock_guard<std::mutex> lock(seen_mu_);
+  s.seen = seen_.size();
   return s;
 }
 

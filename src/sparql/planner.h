@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "rdf/graph.h"
@@ -68,13 +70,26 @@ enum class JoinOp : uint8_t {
   kHashJoin = 1,
 };
 
+/// Constant slots of a pattern resolved to term ids. `missing` means some
+/// constant is absent from the dictionary, so the pattern can never match.
+struct PatternConsts {
+  rdf::TermId s = rdf::kInvalidTermId;
+  rdf::TermId p = rdf::kInvalidTermId;
+  rdf::TermId o = rdf::kInvalidTermId;
+  bool missing = false;
+};
+
 /// The physical plan of one basic graph pattern: the join order (indices
 /// into the group's written triple list) plus the operator chosen for each
 /// step. `ops` parallels `order`; step 0 is always a nested index scan
-/// (there is nothing to probe with yet).
+/// (there is nothing to probe with yet). `consts` holds each pattern's
+/// constants resolved at planning time, by written position; they stay
+/// valid as long as the plan does, because any store write bumps the
+/// generation that cached plans are keyed on.
 struct GroupPlan {
   std::vector<size_t> order;
   std::vector<JoinOp> ops;
+  std::vector<PatternConsts> consts;
 };
 
 /// The physical plan of a whole query: one GroupPlan per group graph
@@ -86,26 +101,15 @@ struct QueryPlan {
   std::vector<GroupPlan> groups;
 };
 
-/// Constant slots of a pattern resolved to term ids. `missing` means some
-/// constant is absent from the dictionary, so the pattern can never match.
-struct PatternConsts {
-  rdf::TermId s = rdf::kInvalidTermId;
-  rdf::TermId p = rdf::kInvalidTermId;
-  rdf::TermId o = rdf::kInvalidTermId;
-  bool missing = false;
-};
-
-PatternConsts ResolveConsts(const TriplePatternNode& t,
-                            const rdf::Dictionary& dict);
-
 /// Plans one group in a single pass. Each pattern is resolved once: its
-/// constants, the index range count over its constant slots, and its
-/// predicate's statistics when the predicate is a constant. The join order
-/// is then picked greedily: connectivity first (joining through a shared
-/// variable avoids cartesian products on triangle and chain patterns;
-/// while no variable is bound yet, every pattern counts as connected), then
-/// ascending cardinality estimate (the range count narrowed by the average
-/// fan-out of every bound variable slot), ties broken by written position.
+/// constants (kept in the plan), the index range count over its constant
+/// slots, and its predicate's statistics when the predicate is a constant.
+/// The join order is then picked greedily: connectivity first (joining
+/// through a shared variable avoids cartesian products on triangle and
+/// chain patterns; while no variable is bound yet, every pattern counts as
+/// connected), then ascending cardinality estimate (the range count
+/// narrowed by the average fan-out of every bound variable slot), ties
+/// broken by written position.
 /// `greedy_join_order = false` keeps the written order. Each chosen step is
 /// priced as it is placed: nested index-loop (est_rows * log n probes)
 /// against hash join (build-side range count + probe pass). A step is
@@ -134,12 +138,14 @@ void ForEachGroup(const GroupGraphPattern& g, Fn&& fn) {
   for (const auto& o : g.optionals) ForEachGroup(*o, fn);
 }
 
-/// Cumulative counters of one PlanCache (monotonic except `entries`).
+/// Cumulative counters of one PlanCache (monotonic except `entries` and
+/// `seen`).
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t invalidations = 0;  // generation flushes
   size_t entries = 0;          // entries currently resident
+  size_t seen = 0;             // text hashes currently remembered
 };
 
 /// A fully prepared query: the parsed AST plus its physical plan. The
@@ -148,7 +154,7 @@ struct PlanCacheStats {
 /// execution reads the AST concurrently.
 struct PreparedQuery {
   SelectQuery query;
-  std::shared_ptr<const QueryPlan> plan;
+  QueryPlan plan;
 };
 
 /// Cross-query plan cache: exact query text -> PreparedQuery (AST + plan),
@@ -158,14 +164,23 @@ struct PreparedQuery {
 /// inserting a new text drops the whole epoch first (bulk eviction: cheap,
 /// deterministic, and the steady-state corpus re-warms it).
 ///
+/// Admission on the second sighting: a text is inserted only when its
+/// 64-bit hash is already in the seen-set, i.e. the second time it is
+/// executed. A cold extraction issues hundreds of thousands of texts that
+/// never repeat, so building and freeing their entries would be pure
+/// cost. The seen-set is keyed by text alone and survives generation
+/// flushes (a text run yesterday is a repeat today); it holds at most
+/// kSeenCapacity hashes and is dropped whole when full, like the epoch.
+///
 /// Hit/miss accounting: each executed query counts exactly once — a hit
 /// when its text is served, a miss (RecordMiss) when it is planned — so
 /// hits + misses always equals queries executed through the cache.
 ///
 /// Thread safety: lookups take a shared lock (concurrent readers on the
 /// endpoints' lock-free query path never serialize against each other);
-/// inserts take the exclusive lock. Entries are shared_ptr<const>, so a
-/// plan stays valid for a reader even if the epoch is flushed mid-query.
+/// inserts take the exclusive lock, sightings their own mutex. Entries are
+/// shared_ptr<const>, so a plan stays valid for a reader even if the epoch
+/// is flushed mid-query.
 ///
 /// Sharing discipline: one cache must only be shared by executors with
 /// identical ExecOptions against the same store (plans depend on both).
@@ -175,6 +190,8 @@ class PlanCache {
  public:
   /// Resident entries at which the next new text drops the epoch.
   static constexpr size_t kCapacity = 8192;
+  /// Remembered text hashes at which the next new sighting drops the set.
+  static constexpr size_t kSeenCapacity = 4 * kCapacity;
 
   PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
@@ -185,6 +202,10 @@ class PlanCache {
   /// and records the miss when it plans it).
   std::shared_ptr<const PreparedQuery> LookupPrepared(
       const std::string& text, uint64_t generation) const;
+
+  /// Records that `text` missed and was executed; true when it had been
+  /// sighted before, which is when the caller inserts it.
+  bool SeenBefore(const std::string& text);
 
   /// Inserts after a successful parse + plan. If the cache holds an older
   /// generation's epoch it is flushed first (counted as one invalidation);
@@ -203,6 +224,8 @@ class PlanCache {
   uint64_t generation_ = 0;  // epoch of resident entries (guarded by mu_)
   std::unordered_map<std::string, std::shared_ptr<const PreparedQuery>>
       prepared_;
+  mutable std::mutex seen_mu_;
+  std::unordered_set<uint64_t> seen_;  // guarded by seen_mu_
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   mutable std::atomic<uint64_t> invalidations_{0};

@@ -126,10 +126,14 @@ TEST_F(ReuseTest, DescribeResourceListsAllProperties) {
 
 TEST(CsvTest, HeaderAndRows) {
   sparql::ResultTable t({"a", "b"});
-  t.AddRow({rdf::Term::Iri("http://x/1"), rdf::Term::Literal("plain")});
-  t.AddRow({rdf::Term::Literal("has,comma"),
-            rdf::Term::Literal("has \"quote\"")});
-  t.AddRow({std::nullopt, rdf::Term::Literal("line\nbreak")});
+  auto add = [&t](std::optional<rdf::Term> a, rdf::Term b) {
+    const size_t r = t.AppendRow();
+    if (a.has_value()) t.SetTerm(r, 0, *std::move(a));
+    t.SetTerm(r, 1, std::move(b));
+  };
+  add(rdf::Term::Iri("http://x/1"), rdf::Term::Literal("plain"));
+  add(rdf::Term::Literal("has,comma"), rdf::Term::Literal("has \"quote\""));
+  add(std::nullopt, rdf::Term::Literal("line\nbreak"));
   std::string csv = t.ToCsv();
   EXPECT_EQ(csv.substr(0, 5), "a,b\r\n");
   EXPECT_NE(csv.find("http://x/1,plain\r\n"), std::string::npos);

@@ -2,8 +2,8 @@
 // invalidation after incremental triple loads, the stale-statistics
 // regression (join orders must follow a skewed appended batch, not a
 // frozen snapshot), golden PlanGroup output on a fixed store, capacity
-// eviction, and a TSan-gated concurrent-readers test against one shared
-// cache.
+// eviction, second-sighting admission, and TSan-gated concurrent tests
+// against one shared cache.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,67 @@ TEST(PlanCacheTest, DifferentConstantsMiss) {
   PlanCacheStats cs = cache.stats();
   EXPECT_EQ(cs.misses, 2u);
   EXPECT_EQ(cs.hits, 0u);
-  EXPECT_EQ(cs.entries, 2u);
+  EXPECT_EQ(cs.entries, 0u) << "texts run once are not admitted";
+  EXPECT_EQ(cs.seen, 2u);
+}
+
+// ------------------------------------------------------------- admission
+
+TEST(PlanCacheTest, AdmitsOnSecondSighting) {
+  rdf::TripleStore store = MakeSmallStore();
+  PlanCache cache;
+  Executor ex(&store, ExecOptions{}, &cache);
+  const std::string q = "SELECT ?a WHERE { ?a <http://x/p> ?b . }";
+
+  ExecStats s1;
+  auto r1 = ex.Execute(q, &s1);
+  ASSERT_TRUE(r1.ok());
+  EXPECT_EQ(s1.plan_cache_misses, 1u);
+  EXPECT_EQ(cache.size(), 0u) << "first sighting leaves no entry";
+  EXPECT_EQ(cache.stats().seen, 1u);
+
+  ExecStats s2;
+  auto r2 = ex.Execute(q, &s2);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(s2.plan_cache_misses, 1u) << "second sighting is still a miss";
+  EXPECT_EQ(cache.size(), 1u) << "second sighting inserts";
+
+  ExecStats s3;
+  auto r3 = ex.Execute(q, &s3);
+  ASSERT_TRUE(r3.ok());
+  EXPECT_EQ(s3.plan_cache_hits, 1u);
+  EXPECT_EQ(*r1, *r2);
+  EXPECT_EQ(*r1, *r3);
+
+  // A generation flush drops the entries but keeps the seen-set: the next
+  // run re-plans and is admitted at once, and the one after hits.
+  store.Add(Term::Iri("http://x/new"), Term::Iri("http://x/p"),
+            Term::Iri("http://x/o0"));
+  ExecStats s4;
+  ASSERT_TRUE(ex.Execute(q, &s4).ok());
+  EXPECT_EQ(s4.plan_cache_misses, 1u);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  ExecStats s5;
+  ASSERT_TRUE(ex.Execute(q, &s5).ok());
+  EXPECT_EQ(s5.plan_cache_hits, 1u);
+}
+
+TEST(PlanCacheTest, SeenSetIsBoundedAndDroppedWhole) {
+  PlanCache cache;
+  auto text = [](size_t i) { return "SELECT * WHERE { ?s ?p " +
+                                    std::to_string(i) + " }"; };
+  for (size_t i = 0; i < PlanCache::kSeenCapacity; ++i) {
+    EXPECT_FALSE(cache.SeenBefore(text(i))) << i;
+  }
+  EXPECT_EQ(cache.stats().seen, PlanCache::kSeenCapacity);
+  EXPECT_TRUE(cache.SeenBefore(text(0)));
+  EXPECT_EQ(cache.stats().seen, PlanCache::kSeenCapacity);
+  // One new text past the bound drops the set before remembering it.
+  EXPECT_FALSE(cache.SeenBefore(text(PlanCache::kSeenCapacity)));
+  EXPECT_EQ(cache.stats().seen, 1u);
+  EXPECT_FALSE(cache.SeenBefore(text(0)));
+  EXPECT_TRUE(cache.SeenBefore(text(PlanCache::kSeenCapacity)));
 }
 
 // ----------------------------------------------- generation invalidation
@@ -69,7 +129,10 @@ TEST(PlanCacheTest, IncrementalLoadInvalidatesByGeneration) {
   EXPECT_EQ(s1.plan_cache_misses, 1u);
   ExecStats s2;
   ASSERT_TRUE(ex.Execute(q, &s2).ok());
-  EXPECT_EQ(s2.plan_cache_hits, 1u);
+  EXPECT_EQ(s2.plan_cache_misses, 1u);  // second sighting: admitted
+  ExecStats s2b;
+  ASSERT_TRUE(ex.Execute(q, &s2b).ok());
+  EXPECT_EQ(s2b.plan_cache_hits, 1u);
 
   // Incremental load: the store's rebuild generation advances on the next
   // read, so the cached epoch no longer matches.
@@ -88,7 +151,8 @@ TEST(PlanCacheTest, IncrementalLoadInvalidatesByGeneration) {
   PlanCacheStats cs = cache.stats();
   EXPECT_EQ(cs.invalidations, 1u);
 
-  // And the fresh epoch serves hits again.
+  // And the fresh epoch serves hits again (the text was sighted before the
+  // flush, so the stale-epoch miss above re-admitted it).
   ExecStats s4;
   ASSERT_TRUE(ex.Execute(q, &s4).ok());
   EXPECT_EQ(s4.plan_cache_hits, 1u);
@@ -363,6 +427,50 @@ TEST(PlanCacheConcurrencyTest, SharedCacheUnderConcurrentReaders) {
   // the same text); the steady state is cache hits.
   EXPECT_GE(es.plan_cache_misses, 2u);
   EXPECT_GT(es.plan_cache_hits, es.plan_cache_misses);
+}
+
+// Two threads sighting each text once: exactly one of them records the
+// second sighting and inserts, so each text leaves one resident entry, and
+// both threads' tables are identical.
+TEST(PlanCacheConcurrencyTest, ConcurrentSightingsAdmitOnce) {
+  rdf::TripleStore store = MakeSmallStore();
+  PlanCache cache;
+  Executor ex(&store, ExecOptions{}, &cache);
+  constexpr size_t kTexts = 64;
+  auto text = [](size_t i) {
+    return "SELECT ?a ?b WHERE { ?a <http://x/q> ?b . ?b <http://x/p> "
+           "<http://x/o" +
+           std::to_string(i % 3) + "> . } LIMIT " + std::to_string(i + 1);
+  };
+  std::vector<ResultTable> tables[2];
+  std::atomic<int> ready{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t]() {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      for (size_t i = 0; i < kTexts; ++i) {
+        auto r = ex.Execute(text(i));
+        if (!r.ok()) {
+          failures.fetch_add(1);
+          tables[t].emplace_back();
+        } else {
+          tables[t].push_back(*std::move(r));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0u);
+  PlanCacheStats cs = cache.stats();
+  EXPECT_EQ(cs.entries, kTexts);
+  EXPECT_EQ(cs.seen, kTexts);
+  EXPECT_EQ(cs.hits + cs.misses, 2 * kTexts);
+  for (size_t i = 0; i < kTexts; ++i) {
+    EXPECT_EQ(tables[0][i], tables[1][i]) << text(i);
+  }
 }
 
 }  // namespace

@@ -522,6 +522,38 @@ TEST_F(SparqlTest, SelectStarProjectsAllVars) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
+TEST_F(SparqlTest, SelectStarGroupByProjectsEveryColumn) {
+  // Each group row fills all projected columns (the group's first row's
+  // bindings), so the table serializes like any other.
+  ResultTable t = Run(std::string(kPrefixes) +
+                      "SELECT * WHERE { ?p foaf:knows ?q . } GROUP BY ?p");
+  ASSERT_EQ(t.num_columns(), 2u);
+  ASSERT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.ToTsv(),
+            "?p\t?q\n<http://x/alice>\t<http://x/bob>\n"
+            "<http://x/bob>\t<http://x/carol>\n");
+}
+
+TEST_F(SparqlTest, DistinctLimitKeepsFirstDistinctRows) {
+  // Emission stops once OFFSET+LIMIT distinct rows exist; the slice must
+  // be the one a full emission would have cut.
+  const std::string select = std::string(kPrefixes) +
+                             "SELECT DISTINCT ?c WHERE { ?s ex:livesIn ?c . "
+                             "?s foaf:knows ?o . }";
+  ResultTable all = Run(select);
+  ASSERT_EQ(all.num_rows(), 1u);
+  ResultTable limited = Run(select + " LIMIT 1");
+  EXPECT_EQ(limited, all);
+  EXPECT_EQ(Run(select + " LIMIT 1 OFFSET 1").num_rows(), 0u);
+  const std::string names =
+      std::string(kPrefixes) + "SELECT ?n WHERE { ?s foaf:name ?n . } ";
+  ResultTable full = Run(names);
+  ResultTable cut = Run(names + "LIMIT 2 OFFSET 1");
+  ASSERT_EQ(cut.num_rows(), 2u);
+  EXPECT_EQ(*cut.TermAt(0, 0), *full.TermAt(1, 0));
+  EXPECT_EQ(*cut.TermAt(1, 0), *full.TermAt(2, 0));
+}
+
 TEST_F(SparqlTest, SharedVariableWithinPattern) {
   // ?x ?p ?x — nothing is self-linked in the fixture.
   ResultTable t = Run("SELECT ?x WHERE { ?x ?p ?x . }");
@@ -626,7 +658,8 @@ ex:d a ex:Robot ; ex:score "x1" .
   };
   ExecOptions no_pushdown;
   no_pushdown.aggregate_pushdown = false;
-  const Executor executors[] = {Executor(&store), Executor(&store, no_pushdown)};
+  const Executor executors[] = {Executor(&store),
+                                Executor(&store, no_pushdown)};
   for (const Pin& pin : pins) {
     std::string bytes[2];
     for (int e = 0; e < 2; ++e) {
@@ -639,20 +672,46 @@ ex:d a ex:Robot ; ex:score "x1" .
   }
 }
 
-TEST(ResultTableTest, TruncateAndScalar) {
-  ResultTable t({"n"});
-  t.AddRow({Term::IntLiteral(9)});
-  t.AddRow({Term::IntLiteral(8)});
-  t.Truncate(1);
-  EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.ScalarInt("n"), 9);
+TEST(ResultTableTest, SliceAndScalar) {
+  ResultTable t({"n"}, {ResultTable::ColumnType::kInt});
+  for (int64_t v : {9, 8, 7}) t.SetInt(t.AppendRow(), 0, v);
+  t.Slice(1, 1);
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.ScalarInt("n"), 8);
+  EXPECT_EQ(t.Cell(0, "n"), Term::IntLiteral(8));
+  EXPECT_EQ(t.TermAt(0, 0), nullptr) << "an integer cell is not a term";
   EXPECT_FALSE(t.ScalarInt("missing").has_value());
+  t.Slice(5, 1);
+  EXPECT_EQ(t.num_rows(), 0u);
 }
 
-TEST(ResultTableTest, ScalarIntRejectsNonNumeric) {
-  ResultTable t({"n"});
-  t.AddRow({Term::Literal("abc")});
+TEST(ResultTableTest, ScalarIntParsesTermCells) {
+  ResultTable t({"n", "m"});
+  const size_t r = t.AppendRow();
+  t.SetTerm(r, 0, Term::Literal("abc"));
+  t.SetTerm(r, 1, Term::IntLiteral(42));
   EXPECT_FALSE(t.ScalarInt("n").has_value());
+  EXPECT_EQ(t.ScalarInt("m"), 42);
+}
+
+TEST(ResultTableTest, TypedColumnLookupAndGather) {
+  ResultTable t({"s", "n"}, {ResultTable::ColumnType::kTerm,
+                             ResultTable::ColumnType::kInt});
+  EXPECT_EQ(t.ColumnIndex("n", ResultTable::ColumnType::kInt), 1);
+  EXPECT_EQ(t.ColumnIndex("n", ResultTable::ColumnType::kTerm), -1);
+  EXPECT_EQ(t.ColumnIndex("s", ResultTable::ColumnType::kTerm), 0);
+  for (int i = 0; i < 3; ++i) {
+    const size_t r = t.AppendRow();
+    if (i != 1) t.SetTerm(r, 0, Term::Iri("http://x/" + std::to_string(i)));
+    t.SetInt(r, 1, i * 10);
+  }
+  t.Gather({2, 1});
+  ASSERT_EQ(t.num_rows(), 2u);
+  ASSERT_NE(t.TermAt(0, 0), nullptr);
+  EXPECT_EQ(t.TermAt(0, 0)->lexical(), "http://x/2");
+  EXPECT_EQ(t.IntAt(0, 1), 20);
+  EXPECT_EQ(t.TermAt(1, 0), nullptr) << "absent cell stays absent";
+  EXPECT_EQ(t.IntAt(1, 1), 10);
 }
 
 // ---------------------------------------------------------------- Builder
