@@ -720,8 +720,8 @@ ResultTable ProjectionTable(const SelectQuery& q) {
 /// semantics: unbound cells first, numeric comparison when both keys parse
 /// as numbers and differ, lexical comparison otherwise. An integer cell is
 /// the number it holds; its lexical form (for ties between distinct
-/// integers with one double value) is its decimal text, as when it was an
-/// xsd:integer literal.
+/// integers with one double value) is its decimal text, the lexical form of
+/// the xsd:integer literal it serializes as.
 void ApplyOrderAndSlice(const SelectQuery& q, ResultTable* table) {
   const size_t offset = q.offset.value_or(0);
   const size_t limit = q.limit.value_or(kNoCap);
@@ -1219,14 +1219,14 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
 
   const bool grouping = !q.group_by.empty() || !q.aggregates.empty();
 
-  // LIMIT pushdown: when nothing downstream (grouping, DISTINCT, ORDER BY,
-  // filters, optionals, unions) can change which rows survive, the join
-  // loop may stop at OFFSET+LIMIT rows. ASK stops at the first solution.
   // OFFSET+LIMIT (saturating): no slice keeps a row past it.
   size_t slice_end = kNoCap;
   if (q.limit.has_value() && q.offset.value_or(0) + *q.limit >= *q.limit) {
     slice_end = q.offset.value_or(0) + *q.limit;
   }
+  // LIMIT pushdown: when nothing downstream (grouping, DISTINCT, ORDER BY,
+  // filters, optionals, unions) can change which rows survive, the join
+  // loop may stop at OFFSET+LIMIT rows. ASK stops at the first solution.
   size_t row_cap = kNoCap;
   if (options_.limit_pushdown && !grouping && !q.distinct &&
       q.order_by.empty() && q.where.filters.empty() &&
@@ -1263,7 +1263,8 @@ Result<ResultTable> Executor::ExecutePlanned(const SelectQuery& q,
   auto emit_vars = [&](const RowIds& row) {
     const size_t r = table.AppendRow();
     for (size_t c = 0; c < slots.size(); ++c) {
-      const TermId id = slots[c] < 0 ? kInvalidTermId : row[slots[c]];
+      const TermId id =
+          slots[c] < 0 ? kInvalidTermId : row[static_cast<size_t>(slots[c])];
       if (id != kInvalidTermId) table.SetTerm(r, c, dict.Get(id));
     }
     return r;

@@ -611,8 +611,8 @@ TEST_F(SparqlTest, ResultTableTsvHasHeader) {
 }
 
 /// FNV-64 of every serialization (JSON, CSV, TSV) of each query's result,
-/// with and without the count pushdown. Recorded before the result table
-/// became column-major with integer aggregate cells; any change to the
+/// with and without the count pushdown. The values were recorded with a
+/// table that stored COUNT cells as xsd:integer literals; any change to the
 /// serialized bytes of IRIs, blank nodes, typed and language-tagged
 /// literals, absent OPTIONAL cells, COUNT cells or ordered slices fails
 /// here.
