@@ -6,15 +6,19 @@
 
 namespace hbold {
 
+/// FNV-1a 64 offset basis: the running state of a hash over no bytes.
+inline constexpr uint64_t kFnv64Basis = 1469598103934665603ULL;
+
 /// FNV-1a 64-bit hash — stable across runs/platforms, used for content
 /// fingerprints (e.g. detecting an unchanged Schema Summary, §3.2).
-inline uint64_t Fnv64(std::string_view data) {
-  uint64_t h = 1469598103934665603ULL;
+/// `state` continues a running hash, so hashing pieces in order gives the
+/// hash of their concatenation: Fnv64(b, Fnv64(a)) == Fnv64(a + b).
+inline uint64_t Fnv64(std::string_view data, uint64_t state = kFnv64Basis) {
   for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ULL;
+    state ^= c;
+    state *= 1099511628211ULL;
   }
-  return h;
+  return state;
 }
 
 }  // namespace hbold

@@ -38,22 +38,26 @@ Status FsyncDirectory(const std::string& dir) {
   return Status::OK();
 }
 
-Status WriteFileDurable(const std::string& path, std::string_view data) {
+Status WriteFileDurable(const std::string& path,
+                        const std::vector<std::string_view>& pieces) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("cannot open", tmp);
-  const char* p = data.data();
-  size_t left = data.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return ErrnoStatus("write failed for", tmp);
+  for (const std::string_view piece : pieces) {
+    const char* p = piece.data();
+    size_t left = piece.size();
+    while (left > 0) {
+      ssize_t n = ::write(fd, p, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        Status st = ErrnoStatus("write failed for", tmp);
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return st;
+      }
+      p += n;
+      left -= static_cast<size_t>(n);
     }
-    p += n;
-    left -= static_cast<size_t>(n);
   }
   // The content must be on stable storage *before* the rename publishes it:
   // rename-then-crash may otherwise expose a zero-length or partial file

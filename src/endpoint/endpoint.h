@@ -111,6 +111,12 @@ class SparqlEndpoint {
   /// every day up to and including `day`, exactly once per day regardless
   /// of how often this is called. Static endpoints ignore it. Write-side
   /// call: must not overlap Query()/ProbeChanges().
+  ///
+  /// Concurrency contract: endpoints over distinct stores may advance
+  /// concurrently (a server advances all of its endpoints side by side);
+  /// a day's mutation reads and writes only the endpoint's own store and
+  /// state. Two mutating endpoints must therefore never share one store,
+  /// and one endpoint must not be attached under two URLs.
   virtual void AdvanceDataDay(int64_t day) { (void)day; }
 
   /// Batched change-detection probe (one round-trip). Default: the

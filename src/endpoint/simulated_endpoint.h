@@ -235,7 +235,8 @@ class SimulatedRemoteEndpoint : public SparqlEndpoint {
   ProbeFaultModel probe_faults_;
   /// Per-class change counters backing ProbeChanges(): bumped for every
   /// class whose instance data changed on a mutation day. Written only by
-  /// AdvanceDataDay (sequential phase), read concurrently by probes.
+  /// AdvanceDataDay (the cycle's data-day phase, which precedes every
+  /// query), read concurrently by probes.
   std::map<std::string, uint64_t> class_versions_;
   /// Previous version of each class fingerprint, kept so a lying probe can
   /// report the value from before the last change.

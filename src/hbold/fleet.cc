@@ -88,14 +88,16 @@ Fleet::Fleet(sim::EventLoop* loop, const FleetOptions& options)
         static_cast<size_t>(options_.num_shards) *
         static_cast<size_t>(std::max(1, options_.server.parallelism));
   }
+  // The pool comes first: every shard's database saves on it.
+  if (options_.fleet_workers > 1) pool_.emplace(options_.fleet_workers);
+  ThreadPool* pool = pool_ ? &*pool_ : nullptr;
   dbs_.reserve(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (int s = 0; s < options_.num_shards; ++s) {
-    dbs_.push_back(std::make_unique<store::Database>());
+    dbs_.push_back(std::make_unique<store::Database>(pool));
     shards_.push_back(std::make_unique<Server>(
         dbs_.back().get(), loop_, options_.server));
   }
-  if (options_.fleet_workers > 1) pool_.emplace(options_.fleet_workers);
 }
 
 size_t Fleet::ShardOf(const std::string& url) const {
@@ -210,10 +212,11 @@ void Fleet::RunCycleBody() {
 
   Stopwatch wall;
   ThreadPool* pool = pool_ ? &*pool_ : nullptr;
-  // Shards begin side by side: each advances its own endpoints' data day.
+  // Shards begin side by side, and each advances its own endpoints' data
+  // day on the same pool.
   std::vector<Server::Cycle> cycles(shards_.size());
   ThreadPool::ParallelFor(pool, shards_.size(), [&](size_t s) {
-    cycles[s] = shards_[s]->BeginCycle(options_.server.parallelism);
+    cycles[s] = shards_[s]->BeginCycle(options_.server.parallelism, pool);
   });
   // One claim list over every shard's due entries, in global registration
   // order: a shard's due list is the registration order restricted to

@@ -94,6 +94,8 @@ struct FleetOptions {
   /// Workers in the one pool shared by every layer: one claim loop runs
   /// every shard's due pipelines over it, and each pipeline's query
   /// batches fan out over it (the nested claim loops stay deadlock-free).
+  /// Endpoints advance their data day on it, and the shard databases
+  /// encode and write their snapshots on it.
   /// 0 sizes it to num_shards * server.parallelism; 1 runs the whole
   /// simulation inline on the caller's thread — the sequential baseline
   /// the determinism contract is anchored to.
@@ -282,11 +284,12 @@ class Fleet {
 
   sim::EventLoop* loop_;
   FleetOptions options_;
+  /// The one pool all layers share, snapshot saves included; absent when
+  /// fleet_workers <= 1 (fully inline simulation). Declared before the
+  /// databases that hold it, so it outlives them.
+  std::optional<ThreadPool> pool_;
   std::vector<std::unique_ptr<store::Database>> dbs_;
   std::vector<std::unique_ptr<Server>> shards_;
-  /// The one pool all layers share; absent when fleet_workers <= 1
-  /// (fully inline simulation).
-  std::optional<ThreadPool> pool_;
   ChurnModel churn_;
   std::vector<std::string> registration_order_;
   /// Live routes, for the death lottery (url-sorted: deterministic).

@@ -624,8 +624,9 @@ DailyReport Server::RunDailyUpdate() {
   // batches alike, so total threads honor the ServerOptions contract. With
   // at most one pipeline due no pool is built: spawning workers for zero
   // overlap is pure overhead on quiet days, and the simulated figures
-  // come from the batch width either way.
-  Cycle cycle = BeginCycle(options_.parallelism);
+  // come from the batch width either way. The data days advance inline,
+  // before the due list that sizes the pool exists.
+  Cycle cycle = BeginCycle(options_.parallelism, nullptr);
   std::optional<ThreadPool> pool;
   if (cycle.report.parallelism > 1 && cycle.due.size() > 1) {
     pool.emplace(static_cast<size_t>(cycle.report.parallelism));
@@ -637,7 +638,7 @@ DailyReport Server::RunDailyUpdate() {
 }
 
 DailyReport Server::RunDailyCycleOn(ThreadPool* pool, int parallelism) {
-  Cycle cycle = BeginCycle(parallelism);
+  Cycle cycle = BeginCycle(parallelism, parallelism > 1 ? pool : nullptr);
   ThreadPool::ParallelFor(cycle.report.parallelism > 1 ? pool : nullptr,
                           cycle.due.size(),
                           [&](size_t i) { RunDue(&cycle, i, pool); });
@@ -652,18 +653,25 @@ endpoint::QueryEngineStats Server::SumEngineStats() const {
   return total;
 }
 
-Server::Cycle Server::BeginCycle(int parallelism) {
+Server::Cycle Server::BeginCycle(int parallelism, ThreadPool* pool) {
   Cycle cycle;
   cycle.report.day = loop_->NowDay();
   cycle.report.parallelism = std::max(1, parallelism);
 
   // Data evolves first: every attached endpoint applies its seeded
-  // mutation days up to today — sequentially, in URL order, before the
-  // due snapshot — so the whole cycle observes one fixed world state.
-  // Endpoints without a mutation model no-op.
-  for (auto& [ep_url, ep] : network_) {
-    if (ep != nullptr) ep->AdvanceDataDay(cycle.report.day);
+  // mutation days up to today, all of them before the due snapshot, so the
+  // whole cycle observes one fixed world state. A day's mutation depends
+  // only on (seed, day, the endpoint's own store), so the endpoints
+  // advance side by side on the pool. Endpoints without a mutation model
+  // no-op.
+  std::vector<endpoint::SparqlEndpoint*> attached;
+  attached.reserve(network_.size());
+  for (const auto& [ep_url, ep] : network_) {
+    if (ep != nullptr) attached.push_back(ep);
   }
+  ThreadPool::ParallelFor(pool, attached.size(), [&](size_t i) {
+    attached[i]->AdvanceDataDay(cycle.report.day);
+  });
 
   cycle.engine_before = SumEngineStats();
 

@@ -311,9 +311,10 @@ class Server {
     Stopwatch wall;
   };
 
-  /// Advances every attached endpoint's data to today, fixes the due list
-  /// from a registry snapshot, and takes the engine-stats baseline.
-  Cycle BeginCycle(int parallelism);
+  /// Advances every attached endpoint's data to today (over `pool`; null
+  /// runs them inline), then fixes the due list from a registry snapshot
+  /// and takes the engine-stats baseline.
+  Cycle BeginCycle(int parallelism, ThreadPool* pool);
 
   /// Runs due entry `i`; safe concurrently for distinct `i`. Query batches
   /// use `pool` only when the cycle's parallelism is > 1.

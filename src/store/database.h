@@ -10,6 +10,10 @@
 #include "common/status.h"
 #include "store/collection.h"
 
+namespace hbold {
+class ThreadPool;
+}  // namespace hbold
+
 namespace hbold::store {
 
 /// A named set of collections with optional directory persistence — the
@@ -23,7 +27,11 @@ namespace hbold::store {
 /// instance.
 class Database {
  public:
-  Database() = default;
+  /// `pool` (optional, must outlive the database) is its owner's worker
+  /// pool: SaveToDirectory encodes and writes on it. Without one, saves
+  /// run inline on the caller's thread. The bytes written are the same
+  /// either way.
+  explicit Database(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -47,6 +55,13 @@ class Database {
   /// crash at any point leaves either the previous complete file or the
   /// new one under the final name, never a truncated file, and the rename
   /// survives power loss.
+  ///
+  /// Each collection is saved as of one point in time (its Snapshot()
+  /// handles); writers may run during the save. With a pool, documents are
+  /// encoded in contiguous `_id`-ordered chunks across the workers and the
+  /// files are written side by side. When files fail, the first failure
+  /// in collection-name order is returned; the other files are still
+  /// written.
   Status SaveToDirectory(const std::string& dir) const;
 
   /// Loads every `*.hbsnap` snapshot in `dir` as a collection, plus any
@@ -62,6 +77,7 @@ class Database {
   std::string CanonicalDump() const;
 
  private:
+  ThreadPool* pool_;
   mutable std::shared_mutex mu_;
   std::map<std::string, std::unique_ptr<Collection>> collections_;
 };

@@ -40,22 +40,22 @@ int HexValue(char c) {
 
 }  // namespace
 
-void BeginSnapshot(const std::string& name, std::string* out) {
-  out->assign(kHeaderBytes, '\0');
-  std::memcpy(out->data(), kMagic, sizeof(kMagic));
-  WriteU32(out->data() + 8, kVersion);
-  WriteU32(out->data() + 12, static_cast<uint32_t>(name.size()));
-  out->append(name);
-}
-
-void FinishSnapshot(std::string* out) {
-  const uint64_t name_len = ReadU32(out->data() + 12);
-  const std::string_view content =
-      std::string_view(*out).substr(kHeaderBytes);
-  // The checksum covers name + payload, which sit contiguously after the
-  // header.
-  WriteU64(out->data() + 16, content.size() - name_len);
-  WriteU64(out->data() + 24, Fnv64(content));
+std::string SnapshotHead(const std::string& name,
+                         const std::vector<std::string_view>& payload) {
+  std::string head(kHeaderBytes, '\0');
+  head.append(name);
+  uint64_t payload_len = 0;
+  uint64_t checksum = Fnv64(name);
+  for (const std::string_view piece : payload) {
+    payload_len += piece.size();
+    checksum = Fnv64(piece, checksum);
+  }
+  std::memcpy(head.data(), kMagic, sizeof(kMagic));
+  WriteU32(head.data() + 8, kVersion);
+  WriteU32(head.data() + 12, static_cast<uint32_t>(name.size()));
+  WriteU64(head.data() + 16, payload_len);
+  WriteU64(head.data() + 24, checksum);
+  return head;
 }
 
 Status DecodeSnapshot(std::string_view data, std::string_view* name,
@@ -82,11 +82,13 @@ Status DecodeSnapshot(std::string_view data, std::string_view* name,
         " bytes, header claims " +
         std::to_string(kHeaderBytes + name_len + payload_len));
   }
-  if (Fnv64(data.substr(kHeaderBytes)) != checksum) {
+  const std::string_view name_bytes = data.substr(kHeaderBytes, name_len);
+  const std::string_view payload_bytes = data.substr(kHeaderBytes + name_len);
+  if (Fnv64(payload_bytes, Fnv64(name_bytes)) != checksum) {
     return Status::ParseError("snapshot checksum mismatch (corrupt content)");
   }
-  *name = data.substr(kHeaderBytes, name_len);
-  *payload = data.substr(kHeaderBytes + name_len);
+  *name = name_bytes;
+  *payload = payload_bytes;
   return Status::OK();
 }
 

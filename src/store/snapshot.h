@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -28,14 +29,13 @@ namespace hbold::store {
 /// colliding) in filenames all survive. The filename is only a
 /// filesystem-safe handle, produced by EncodeSnapshotFilename.
 
-/// Starts a snapshot in `out` (cleared first): reserves the header and
-/// writes the name. Append the payload straight after it, then call
-/// FinishSnapshot — the file is built in one buffer, never copied.
-void BeginSnapshot(const std::string& name, std::string* out);
-
-/// Fills in the payload length and checksum of a snapshot started with
-/// BeginSnapshot; everything after the name is the payload.
-void FinishSnapshot(std::string* out);
+/// Returns the bytes that open a snapshot of collection `name` whose
+/// payload is the concatenation of `payload`: the header (with the payload
+/// length and the checksum over name + payload filled in) followed by the
+/// name. The file is these bytes followed by the pieces in order; the
+/// pieces are never joined into one buffer.
+std::string SnapshotHead(const std::string& name,
+                         const std::vector<std::string_view>& payload);
 
 /// Parses a snapshot; fails with a descriptive Status on a truncated file,
 /// bad magic, unsupported version, or checksum mismatch. Never crashes on

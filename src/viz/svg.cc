@@ -130,7 +130,8 @@ std::string SvgDocument::ToString() const {
 }
 
 Status SvgDocument::WriteFile(const std::string& path) const {
-  return io::WriteFileDurable(path, ToString());
+  const std::string doc = ToString();
+  return io::WriteFileDurable(path, {doc});
 }
 
 }  // namespace hbold::viz

@@ -308,6 +308,116 @@ TEST_F(FleetSimulationTest, RepeatedRunsBitIdenticalIncludingDurations) {
   }
 }
 
+// ------------------------------------------- parallel data-day advance
+
+/// A churning 2-shard world with stores of its own: its endpoints mutate
+/// their data every day (triples, class births, class retirements), so
+/// each run needs fresh stores.
+class ChurningWorld {
+ public:
+  static constexpr size_t kEndpoints = 10;
+
+  explicit ChurningWorld(size_t fleet_workers) {
+    FleetOptions options;
+    options.num_shards = 2;
+    options.server.parallelism = 2;
+    options.server.refresh_age_days = 1;
+    options.server.incremental.mode = IncrementalMode::kBounded;
+    options.fleet_workers = fleet_workers;
+    fleet_ = std::make_unique<Fleet>(&loop_, options);
+    for (size_t i = 0; i < kEndpoints; ++i) {
+      const std::string url =
+          "http://churn" + std::to_string(i) + ".example.org/sparql";
+      auto store = std::make_unique<rdf::TripleStore>();
+      workload::SyntheticLdConfig config;
+      config.namespace_iri = url.substr(0, url.size() - 6);
+      config.num_classes = 4 + i;
+      config.max_instances_per_class = 15;
+      config.seed = 3100 + i;
+      workload::GenerateSyntheticLd(config, store.get());
+      endpoint::MutationModel mutation;
+      mutation.daily_churn_fraction = 0.05;
+      mutation.class_birth_probability = 0.3;
+      mutation.class_retire_probability = 0.2;
+      mutation.seed = 4100 + i * 7919;
+      endpoints_.push_back(std::make_unique<SimulatedRemoteEndpoint>(
+          url, "Churn " + std::to_string(i), store.get(), loop_.clock(),
+          Dialect::Full(), AvailabilityModel{}, endpoint::LatencyModel{},
+          mutation));
+      stores_.push_back(std::move(store));
+      EndpointRecord record;
+      record.url = url;
+      record.name = endpoints_.back()->name();
+      fleet_->RegisterEndpoint(record);
+      fleet_->AttachEndpoint(url, endpoints_.back().get());
+    }
+  }
+
+  Fleet& fleet() { return *fleet_; }
+
+  std::vector<uint64_t> Generations() const {
+    std::vector<uint64_t> out;
+    for (const auto& store : stores_) out.push_back(store->generation());
+    return out;
+  }
+
+ private:
+  sim::EventLoop loop_;
+  std::vector<std::unique_ptr<rdf::TripleStore>> stores_;
+  std::vector<std::unique_ptr<SimulatedRemoteEndpoint>> endpoints_;
+  std::unique_ptr<Fleet> fleet_;
+};
+
+/// A shard database's content with the `_id`s normalized away: pipelines
+/// that finish in a different order insert their documents in a different
+/// order, so only the ids may differ across pool sizes. Collection name ->
+/// sorted document dumps.
+std::map<std::string, std::vector<std::string>> ShardContent(
+    const store::Database& db) {
+  std::map<std::string, std::vector<std::string>> content;
+  for (const std::string& name : db.CollectionNames()) {
+    std::vector<std::string>& docs = content[name];
+    for (const store::DocHandle& stored :
+         db.FindCollection(name)->Snapshot()) {
+      store::Document doc = *stored;
+      doc.Set("_id", 0);
+      docs.push_back(doc.Dump());
+    }
+    std::sort(docs.begin(), docs.end());
+  }
+  return content;
+}
+
+TEST(FleetDataDayTest, ParallelAdvanceMatchesInlineRun) {
+  constexpr int64_t kDays = 6;
+  ChurningWorld inline_world(/*fleet_workers=*/1);
+  ChurningWorld pooled_world(/*fleet_workers=*/4);
+  const std::vector<uint64_t> initial = inline_world.Generations();
+  const FleetReport inline_report = inline_world.fleet().RunSimulation(kDays);
+  const FleetReport pooled_report = pooled_world.fleet().RunSimulation(kDays);
+
+  EXPECT_EQ(pooled_report.Fingerprint(), inline_report.Fingerprint());
+  EXPECT_EQ(pooled_report.CanonicalDump(), inline_report.CanonicalDump());
+  EXPECT_EQ(pooled_world.Generations(), inline_world.Generations());
+  bool class_born = false;
+  for (size_t s = 0; s < 2; ++s) {
+    const auto content = ShardContent(inline_world.fleet().shard_db(s));
+    EXPECT_EQ(ShardContent(pooled_world.fleet().shard_db(s)), content)
+        << "shard " << s;
+    for (const std::string& doc : content.at(kClustersCollection)) {
+      class_born = class_born || doc.find("class-born-d") != std::string::npos;
+    }
+  }
+  // The world must actually churn, births included.
+  const std::vector<uint64_t> final_generations = inline_world.Generations();
+  size_t moved = 0;
+  for (size_t i = 0; i < initial.size(); ++i) {
+    if (final_generations[i] != initial[i]) ++moved;
+  }
+  EXPECT_EQ(moved, ChurningWorld::kEndpoints);
+  EXPECT_TRUE(class_born);
+}
+
 // ------------------------------------------------- claim order, counters
 
 TEST_F(FleetSimulationTest, InlineFleetRunsPipelinesInRegistrationOrder) {

@@ -18,6 +18,9 @@ TEST(HashTest, Fnv64IsStableAndSensitive) {
   EXPECT_EQ(Fnv64("abc"), Fnv64("abc"));
   EXPECT_NE(Fnv64("abc"), Fnv64("abd"));
   EXPECT_NE(Fnv64(""), Fnv64("a"));
+  // The running form: hashing pieces in order hashes their concatenation.
+  EXPECT_EQ(Fnv64("def", Fnv64("abc")), Fnv64("abcdef"));
+  EXPECT_EQ(Fnv64("", Fnv64("abc")), Fnv64("abc"));
 }
 
 class ReuseTest : public ::testing::Test {

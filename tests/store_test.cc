@@ -16,6 +16,7 @@
 #include "common/hash.h"
 #include "common/io_util.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "store/collection.h"
 #include "store/database.h"
 #include "store/snapshot.h"
@@ -325,10 +326,9 @@ TEST(DatabaseTest, LegacyJsonlMigratesToBinary) {
                   .ok());
   // Legacy plain `<name>.jsonl` layout, written the way older builds did.
   fs::create_directories(dir);
-  ASSERT_TRUE(io::WriteFileDurable((dir / "summaries.jsonl").string(),
-                                   legacy.FindCollection("summaries")
-                                       ->DumpJsonl())
-                  .ok());
+  const std::string jsonl = legacy.FindCollection("summaries")->DumpJsonl();
+  ASSERT_TRUE(
+      io::WriteFileDurable((dir / "summaries.jsonl").string(), {jsonl}).ok());
   ASSERT_TRUE(fs::exists(dir / "summaries.jsonl"));
 
   // A database saved as JSONL loads transparently...
@@ -452,35 +452,184 @@ void FillPinnedDatabase(Database* db) {
   db->GetCollection("empty");
 }
 
+/// Every file in `dir`, by file name.
+std::map<std::string, std::string> ReadFiles(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    auto bytes = io::ReadFile(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << entry.path();
+    files[entry.path().filename().string()] = bytes.ok() ? *bytes : "";
+  }
+  return files;
+}
+
 TEST(DatabaseTest, SnapshotBytesArePinned) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "hbold_store_pinned";
-  fs::remove_all(dir);
-  Database db;
-  FillPinnedDatabase(&db);
-  ASSERT_TRUE(db.SaveToDirectory(dir.string()).ok());
   // File sizes and FNV-1a 64 of the bytes every earlier save wrote for
-  // this database.
+  // this database, whether it saves inline or on a pool.
   const std::map<std::string, std::pair<size_t, uint64_t>> expected = {
       {"schema_summaries.hbsnap", {2598, 0xe5447ee66991efa4ull}},
       {"%4Fdd%2E%4Eame%2Fx.hbsnap", {92, 0x3b3979859b1473a0ull}},
       {"empty.hbsnap", {37, 0x469b1d6383312987ull}}};
-  size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    auto bytes = io::ReadFile(entry.path().string());
-    ASSERT_TRUE(bytes.ok()) << name;
-    auto want = expected.find(name);
-    ASSERT_NE(want, expected.end()) << name;
-    EXPECT_EQ(bytes->size(), want->second.first) << name;
-    EXPECT_EQ(Fnv64(*bytes), want->second.second) << name;
-    ++files;
+  ThreadPool pool(4);
+  for (ThreadPool* owner_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(owner_pool == nullptr ? "inline" : "pooled");
+    fs::remove_all(dir);
+    Database db(owner_pool);
+    FillPinnedDatabase(&db);
+    ASSERT_TRUE(db.SaveToDirectory(dir.string()).ok());
+    const std::map<std::string, std::string> files = ReadFiles(dir);
+    for (const auto& [name, bytes] : files) {
+      auto want = expected.find(name);
+      ASSERT_NE(want, expected.end()) << name;
+      EXPECT_EQ(bytes.size(), want->second.first) << name;
+      EXPECT_EQ(Fnv64(bytes), want->second.second) << name;
+    }
+    EXPECT_EQ(files.size(), expected.size());
+    EXPECT_EQ(Fnv64(db.CanonicalDump()), 0x6ed12721ec6f712dull);
+    Database loaded;
+    ASSERT_TRUE(loaded.LoadFromDirectory(dir.string()).ok());
+    EXPECT_EQ(loaded.CanonicalDump(), db.CanonicalDump());
   }
-  EXPECT_EQ(files, expected.size());
-  EXPECT_EQ(Fnv64(db.CanonicalDump()), 0x6ed12721ec6f712dull);
+  fs::remove_all(dir);
+}
+
+// An empty collection, a one-document collection and 1,200 documents of
+// mixed sizes with escapes and non-ASCII text.
+void FillMixedDatabase(Database* db) {
+  db->GetCollection("empty");
+  ASSERT_TRUE(db->GetCollection("one")->Insert(Obj(R"({"k":"v"})")).ok());
+  Collection* many = db->GetCollection("many");
+  for (int i = 0; i < 1200; ++i) {
+    Json doc = Json::MakeObject();
+    doc.Set("seq", i);
+    doc.Set("text", "esc \"q\" \\ \t\n\x02 caf\xc3\xa9 \xe6\x97\xa5 " +
+                        std::string(static_cast<size_t>(i % 97) * 13, 'x'));
+    if (i % 5 == 0) {
+      Json nested = Json::MakeArray();
+      for (int n = 0; n < i % 23; ++n) nested.Append(n * 0.25);
+      doc.Set("nested", std::move(nested));
+    }
+    ASSERT_TRUE(many->Insert(std::move(doc)).ok());
+  }
+}
+
+TEST(DatabaseTest, PooledSaveMatchesInlineBytes) {
+  namespace fs = std::filesystem;
+  const fs::path inline_dir = fs::temp_directory_path() / "hbold_save_inline";
+  const fs::path pooled_dir = fs::temp_directory_path() / "hbold_save_pooled";
+  fs::remove_all(inline_dir);
+  fs::remove_all(pooled_dir);
+  ThreadPool pool(4);
+  Database inline_db;
+  Database pooled_db(&pool);
+  FillMixedDatabase(&inline_db);
+  FillMixedDatabase(&pooled_db);
+  ASSERT_TRUE(inline_db.SaveToDirectory(inline_dir.string()).ok());
+  ASSERT_TRUE(pooled_db.SaveToDirectory(pooled_dir.string()).ok());
+  const std::map<std::string, std::string> inline_files = ReadFiles(inline_dir);
+  EXPECT_EQ(inline_files.size(), 3u);
+  EXPECT_EQ(ReadFiles(pooled_dir), inline_files);
+  Database loaded;
+  ASSERT_TRUE(loaded.LoadFromDirectory(pooled_dir.string()).ok());
+  EXPECT_EQ(loaded.CanonicalDump(), inline_db.CanonicalDump());
+  fs::remove_all(inline_dir);
+  fs::remove_all(pooled_dir);
+}
+
+TEST(DatabaseTest, FailedPooledSaveKeepsPreviousFiles) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hbold_save_failed";
+  fs::remove_all(dir);
+  ThreadPool pool(4);
+  Database db(&pool);
+  for (const char* name : {"alpha", "beta", "gamma"}) {
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(db.GetCollection(name)
+                      ->Insert(Obj(R"({"round":1,"i":)" + std::to_string(i) +
+                                   "}"))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db.SaveToDirectory(dir.string()).ok());
+  const std::map<std::string, std::string> before = ReadFiles(dir);
+  for (const char* name : {"alpha", "beta", "gamma"}) {
+    ASSERT_TRUE(db.GetCollection(name)->Insert(Obj(R"({"round":2})")).ok());
+  }
+  // A directory where a temp file belongs makes open() fail with EISDIR.
+  // Two collections fail; the first in name order is reported.
+  fs::create_directory(dir / "beta.hbsnap.tmp");
+  fs::create_directory(dir / "gamma.hbsnap.tmp");
+  const Status st = db.SaveToDirectory(dir.string());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.message().find("beta.hbsnap"), std::string::npos)
+      << st.message();
+  const std::map<std::string, std::string> after = ReadFiles(dir);
+  EXPECT_EQ(after.at("beta.hbsnap"), before.at("beta.hbsnap"));
+  EXPECT_EQ(after.at("gamma.hbsnap"), before.at("gamma.hbsnap"));
+  EXPECT_NE(after.at("alpha.hbsnap"), before.at("alpha.hbsnap"));
+
   Database loaded;
   ASSERT_TRUE(loaded.LoadFromDirectory(dir.string()).ok());
-  EXPECT_EQ(loaded.CanonicalDump(), db.CanonicalDump());
+  EXPECT_FALSE(fs::exists(dir / "beta.hbsnap.tmp"));
+  EXPECT_FALSE(fs::exists(dir / "gamma.hbsnap.tmp"));
+  EXPECT_EQ(loaded.CollectionNames(),
+            (std::vector<std::string>{"alpha", "beta", "gamma"}));
+  EXPECT_EQ(loaded.FindCollection("alpha")->size(), 41u);
+  EXPECT_EQ(loaded.FindCollection("beta")->size(), 40u);
+  EXPECT_EQ(loaded.FindCollection("gamma")->size(), 40u);
+  fs::remove_all(dir);
+}
+
+TEST(DatabaseTest, PooledSaveDuringReplaceLoads) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hbold_save_concurrent";
+  fs::remove_all(dir);
+  ThreadPool pool(4);
+  Database db(&pool);
+  constexpr int kUrls = 8;
+  Collection* replaced = db.GetCollection("replaced");
+  replaced->CreateIndex("url");
+  for (int u = 0; u < kUrls; ++u) {
+    Json doc = Json::MakeObject();
+    doc.Set("url", "u" + std::to_string(u));
+    doc.Set("version", 0);
+    doc.Set("payload", std::string(256, 'p'));
+    ASSERT_TRUE(replaced->Insert(std::move(doc)).ok());
+  }
+  Collection* steady = db.GetCollection("steady");
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(steady->Insert(Obj(R"({"i":)" + std::to_string(i) + "}")).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::thread writer([replaced, &stop] {
+    for (int round = 1; !stop; ++round) {
+      Json filter = Json::MakeObject();
+      filter.Set("url", "u" + std::to_string(round % kUrls));
+      Json doc = filter;
+      doc.Set("version", round);
+      doc.Set("payload", std::string(256 + round % 7, 'p'));
+      ASSERT_TRUE(replaced->Replace(filter, std::move(doc)).ok());
+    }
+  });
+  for (int save = 0; save < 20; ++save) {
+    ASSERT_TRUE(db.SaveToDirectory(dir.string()).ok());
+    Database loaded;
+    ASSERT_TRUE(loaded.LoadFromDirectory(dir.string()).ok());
+    const Collection* got = loaded.FindCollection("replaced");
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->size(), static_cast<size_t>(kUrls));
+    for (const DocHandle& doc : got->Snapshot()) {
+      EXPECT_EQ(doc->GetString("payload").size(),
+                static_cast<size_t>(256 + doc->GetInt("version") % 7));
+    }
+    EXPECT_EQ(loaded.FindCollection("steady")->size(), 300u);
+  }
+  stop = true;
+  writer.join();
   fs::remove_all(dir);
 }
 
