@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace hbold::viz {
@@ -170,11 +171,38 @@ Circle EncloseCircles(const std::vector<Circle>& circles) {
   cx /= static_cast<double>(circles.size());
   cy /= static_cast<double>(circles.size());
 
+  // Each pass picks the first circle whose far edge, std::hypot(dx, dy) + r,
+  // is largest. sqrt(dx*dx + dy*dy) is within a few ulps of std::hypot
+  // unless the squares underflow (at most ~1e-154 absolute) or overflow
+  // (not finite), so every circle within the slack of the cheap maximum is
+  // rescored with std::hypot in input order, and the others cannot reach
+  // it: the same circle wins as when every circle is scored exactly.
+  constexpr double kRelSlack = 1e-12;
+  constexpr double kAbsSlack = 1e-150;
+  std::vector<double> reach(circles.size());
   double step = 0.5;
   for (int iter = 0; iter < 200; ++iter) {
+    double reach_max = -std::numeric_limits<double>::infinity();
+    double scale = 0;
+    bool finite = true;
+    for (size_t i = 0; i < circles.size(); ++i) {
+      const Circle& c = circles[i];
+      double dx = c.x - cx, dy = c.y - cy;
+      double s = std::sqrt(dx * dx + dy * dy);
+      reach[i] = s + c.r;
+      finite &= std::isfinite(reach[i]);
+      reach_max = std::max(reach_max, reach[i]);
+      scale = std::max(scale, s + std::fabs(c.r));
+    }
+    // A non-finite cheap score says nothing: then rescore every circle.
+    const double cutoff =
+        finite ? reach_max - (scale * kRelSlack + kAbsSlack)
+               : -std::numeric_limits<double>::infinity();
     const Circle* far = nullptr;
     double far_dist = -1;
-    for (const Circle& c : circles) {
+    for (size_t i = 0; i < circles.size(); ++i) {
+      if (reach[i] < cutoff) continue;
+      const Circle& c = circles[i];
       double d = std::hypot(c.x - cx, c.y - cy) + c.r;
       if (d > far_dist) {
         far_dist = d;

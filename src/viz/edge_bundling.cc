@@ -32,32 +32,39 @@ double EdgeBundlingLayout::StraightInk() const {
 std::vector<Point> SampleBSpline(const std::vector<Point>& control,
                                  size_t samples_per_segment) {
   if (control.size() < 2) return control;
-  // Clamp the spline to its endpoints by tripling them (standard trick for
-  // endpoint interpolation with uniform cubic B-splines).
-  std::vector<Point> pts;
-  pts.push_back(control.front());
-  pts.push_back(control.front());
-  pts.insert(pts.end(), control.begin(), control.end());
-  pts.push_back(control.back());
-  pts.push_back(control.back());
+  // Uniform cubic B-spline basis at each sample parameter; every segment
+  // samples at the same parameters.
+  struct Basis {
+    double b0, b1, b2, b3;
+  };
+  std::vector<Basis> basis(samples_per_segment);
+  for (size_t s = 0; s < samples_per_segment; ++s) {
+    double t = static_cast<double>(s) / static_cast<double>(samples_per_segment);
+    double t2 = t * t, t3 = t2 * t;
+    basis[s] = Basis{(1 - 3 * t + 3 * t2 - t3) / 6, (4 - 6 * t2 + 3 * t3) / 6,
+                     (1 + 3 * t + 3 * t2 - 3 * t3) / 6, t3 / 6};
+  }
 
+  // Clamp the spline to its endpoints by tripling them (standard trick for
+  // endpoint interpolation with uniform cubic B-splines): padded point j is
+  // control[j - 2], clamped to the ends, and segment `seg` reads padded
+  // points seg..seg+3.
+  const size_t n = control.size();
+  auto padded = [&](size_t j) -> const Point& {
+    return control[std::min(std::max(j, size_t{2}) - 2, n - 1)];
+  };
+  const size_t segments = n + 1;
   std::vector<Point> out;
-  const size_t segments = pts.size() - 3;
+  out.reserve(segments * samples_per_segment + 1);
   for (size_t seg = 0; seg < segments; ++seg) {
-    const Point& p0 = pts[seg];
-    const Point& p1 = pts[seg + 1];
-    const Point& p2 = pts[seg + 2];
-    const Point& p3 = pts[seg + 3];
-    for (size_t s = 0; s < samples_per_segment; ++s) {
-      double t = static_cast<double>(s) / static_cast<double>(samples_per_segment);
-      double t2 = t * t, t3 = t2 * t;
-      // Uniform cubic B-spline basis.
-      double b0 = (1 - 3 * t + 3 * t2 - t3) / 6;
-      double b1 = (4 - 6 * t2 + 3 * t3) / 6;
-      double b2 = (1 + 3 * t + 3 * t2 - 3 * t3) / 6;
-      double b3 = t3 / 6;
-      out.push_back(Point{b0 * p0.x + b1 * p1.x + b2 * p2.x + b3 * p3.x,
-                          b0 * p0.y + b1 * p1.y + b2 * p2.y + b3 * p3.y});
+    const Point& p0 = padded(seg);
+    const Point& p1 = padded(seg + 1);
+    const Point& p2 = padded(seg + 2);
+    const Point& p3 = padded(seg + 3);
+    for (const Basis& b : basis) {
+      out.push_back(
+          Point{b.b0 * p0.x + b.b1 * p1.x + b.b2 * p2.x + b.b3 * p3.x,
+                b.b0 * p0.y + b.b1 * p1.y + b.b2 * p2.y + b.b3 * p3.y});
     }
   }
   out.push_back(control.back());
@@ -87,6 +94,7 @@ EdgeBundlingLayout BundleSchemaSummary(const schema::SchemaSummary& summary,
   }
 
   std::vector<size_t> leaf_of_node(n, 0);
+  layout.leaves.reserve(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
     size_t node = order[i];
     BundleLeaf leaf;
@@ -122,6 +130,9 @@ EdgeBundlingLayout BundleSchemaSummary(const schema::SchemaSummary& summary,
     }
   }
 
+  layout.edges.reserve(summary.arcs().size());
+  std::vector<Point> control;  // reused: at most five control points
+  control.reserve(5);
   for (const schema::PropertyArc& arc : summary.arcs()) {
     BundledEdge edge;
     edge.src_leaf = leaf_of_node[arc.src];
@@ -133,7 +144,7 @@ EdgeBundlingLayout BundleSchemaSummary(const schema::SchemaSummary& summary,
     const BundleLeaf& dst = layout.leaves[edge.dst_leaf];
 
     // Control path through the hierarchy.
-    std::vector<Point> control;
+    control.clear();
     control.push_back(src.position);
     if (arc.src == arc.dst) {
       // Self-loop: bow out through the cluster point.

@@ -14,7 +14,6 @@ namespace {
 /// struct padding and float endianness.
 void Fold(std::ostringstream* os, double v) { *os << v << '|'; }
 void Fold(std::ostringstream* os, size_t v) { *os << v << '|'; }
-void Fold(std::ostringstream* os, int v) { *os << v << '|'; }
 
 uint64_t FoldSvg(uint64_t h, const std::string& svg) {
   // FNV-1a continuation over the SVG bytes plus a separator so that
@@ -37,7 +36,6 @@ uint64_t LayoutSetOptions::Fingerprint() const {
   Fold(&os, treemap_height);
   Fold(&os, treemap.padding);
   Fold(&os, treemap.header);
-  Fold(&os, static_cast<int>(treemap.algorithm));
   Fold(&os, sunburst.radius);
   Fold(&os, sunburst.inner_hole);
   Fold(&os, sunburst.ring_gap);

@@ -115,14 +115,14 @@ SvgDocument RenderEdgeBundling(const EdgeBundlingLayout& layout, double radius,
     }
   }
 
+  const Style focus_edge = Style::Stroke(Color{200, 60, 40}, 1.6, 0.85);
+  const Style plain_edge = Style::Stroke(Color{120, 140, 190}, 0.9, 0.4);
   for (const BundledEdge& e : layout.edges) {
     bool touches_focus =
         focus_leaf >= 0 && (static_cast<int>(e.src_leaf) == focus_leaf ||
                             static_cast<int>(e.dst_leaf) == focus_leaf);
-    Style s = touches_focus
-                  ? Style::Stroke(Color{200, 60, 40}, 1.6, 0.85)
-                  : Style::Stroke(Color{120, 140, 190}, 0.9, 0.4);
-    doc.AddPolyline(e.polyline, s, center);
+    doc.AddPolyline(e.polyline, touches_focus ? focus_edge : plain_edge,
+                    center);
   }
 
   for (size_t i = 0; i < layout.leaves.size(); ++i) {

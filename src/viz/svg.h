@@ -35,9 +35,9 @@ struct Style {
 };
 
 /// Minimal SVG document builder. Coordinates are in user units; the
-/// document carries width/height and an equal viewBox. Every `Add*` call
-/// appends its element straight into one buffer, with numbers printed as
-/// "%.2f" would print them.
+/// document carries width/height and an equal viewBox. The constructor
+/// writes the header and every `Add*` call appends its element straight
+/// into one buffer, with numbers printed as "%.2f" would print them.
 class SvgDocument {
  public:
   SvgDocument(double width, double height);
@@ -63,8 +63,10 @@ class SvgDocument {
   /// Number of elements added so far.
   size_t ElementCount() const { return element_count_; }
 
-  /// Serializes the document.
-  std::string ToString() const;
+  /// Serializes the document. The rvalue form hands over the buffer
+  /// without copying it.
+  std::string ToString() const&;
+  std::string ToString() &&;
 
   /// Durably replaces `path` with the document (see io::WriteFileDurable).
   Status WriteFile(const std::string& path) const;
@@ -75,7 +77,7 @@ class SvgDocument {
 
   double width_;
   double height_;
-  std::string body_;  // every element so far, one per line
+  std::string text_;  // the header, then every element so far, one per line
   size_t element_count_ = 0;
 };
 

@@ -81,30 +81,6 @@ void Squarify(const std::vector<double>& areas, Rect bounds,
   }
 }
 
-/// Slice-and-dice: children laid out in one strip, direction alternating
-/// with depth. Trivially correct, terrible aspect ratios on skewed data —
-/// the baseline squarified treemaps were invented to beat.
-void SliceDice(const std::vector<double>& areas, Rect bounds, size_t depth,
-               std::vector<Rect>* out) {
-  out->assign(areas.size(), Rect{});
-  double total = std::accumulate(areas.begin(), areas.end(), 0.0);
-  if (total <= 0) return;
-  bool horizontal = depth % 2 == 0;
-  double along = 0;
-  for (size_t i = 0; i < areas.size(); ++i) {
-    double share = areas[i] / total;
-    if (horizontal) {
-      double w = bounds.w * share;
-      (*out)[i] = Rect{bounds.x + along, bounds.y, w, bounds.h};
-      along += w;
-    } else {
-      double h = bounds.h * share;
-      (*out)[i] = Rect{bounds.x, bounds.y + along, bounds.w, h};
-      along += h;
-    }
-  }
-}
-
 void LayoutNode(const Hierarchy& node, const Rect& rect, size_t depth,
                 size_t group, const TreemapOptions& opt,
                 std::vector<TreemapCell>* out) {
@@ -132,11 +108,7 @@ void LayoutNode(const Hierarchy& node, const Rect& rect, size_t depth,
     areas[i] = values[i] / total * inner.Area();
   }
   std::vector<Rect> rects;
-  if (opt.algorithm == TreemapAlgorithm::kSliceDice) {
-    SliceDice(areas, inner, depth, &rects);
-  } else {
-    Squarify(areas, inner, &rects);
-  }
+  Squarify(areas, inner, &rects);
   for (size_t i = 0; i < node.children.size(); ++i) {
     Rect child_rect = rects[i].Inset(depth == 0 ? 0 : opt.padding / 2);
     size_t child_group = depth == 0 ? i : group;
@@ -152,20 +124,6 @@ std::vector<TreemapCell> TreemapLayout(const Hierarchy& root,
   std::vector<TreemapCell> out;
   LayoutNode(root, bounds, 0, 0, options, &out);
   return out;
-}
-
-double MeanLeafAspectRatio(const std::vector<TreemapCell>& cells) {
-  double sum = 0;
-  size_t leaves = 0;
-  size_t max_depth = 0;
-  for (const TreemapCell& c : cells) max_depth = std::max(max_depth, c.depth);
-  for (const TreemapCell& c : cells) {
-    if (c.depth != max_depth) continue;
-    if (c.rect.w <= 0 || c.rect.h <= 0) continue;
-    sum += std::max(c.rect.w / c.rect.h, c.rect.h / c.rect.w);
-    ++leaves;
-  }
-  return leaves == 0 ? 0 : sum / static_cast<double>(leaves);
 }
 
 }  // namespace hbold::viz

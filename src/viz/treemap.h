@@ -20,17 +20,11 @@ struct TreemapCell {
   Rect rect;
 };
 
-/// Tiling algorithm. Squarified is what the figure uses; slice-dice is the
-/// classic alternating-direction baseline kept for the aspect-ratio
-/// ablation (bench_ablation_treemap).
-enum class TreemapAlgorithm { kSquarified, kSliceDice };
-
 struct TreemapOptions {
   /// Padding between a parent cell and its children, and between siblings.
   double padding = 2.0;
   /// Extra top inset inside cluster cells for the label strip.
   double header = 14.0;
-  TreemapAlgorithm algorithm = TreemapAlgorithm::kSquarified;
 };
 
 /// Squarified treemap (Bruls, Huizing, van Wijk 2000): recursively lays out
@@ -40,10 +34,6 @@ struct TreemapOptions {
 std::vector<TreemapCell> TreemapLayout(const Hierarchy& root,
                                        const Rect& bounds,
                                        const TreemapOptions& options = {});
-
-/// Mean aspect ratio (long side / short side, >= 1) over leaf cells — the
-/// readability metric squarified treemaps optimize.
-double MeanLeafAspectRatio(const std::vector<TreemapCell>& cells);
 
 }  // namespace hbold::viz
 

@@ -1,7 +1,6 @@
 // Tests for the extension features: Turtle writer, store hash indexes,
-// executor join-order options, cluster label policies, slice-dice treemap
-// baseline, metadata-repository discovery, and the effectiveness (user
-// task) simulator.
+// executor join-order options, cluster label policies, metadata-repository
+// discovery, and the effectiveness (user task) simulator.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "store/collection.h"
-#include "viz/treemap.h"
 #include "workload/ld_generator.h"
 #include "workload/metadata_repo.h"
 
@@ -300,49 +298,6 @@ TEST(LabelPolicyTest, DefaultIsDegreeBased) {
   cluster::Partition all_one(s.NodeCount(), 0);
   auto def = cluster::ClusterSchema::FromPartition(s, all_one);
   EXPECT_EQ(def.clusters()[0].label, "hub");
-}
-
-// ---------------------------------------------------------------- slice-dice
-
-TEST(SliceDiceTest, AreasStillProportionalButRatiosWorse) {
-  // Skewed values make slice-dice produce slivers.
-  viz::Hierarchy root{"r", 0, {}};
-  viz::Hierarchy cluster{"c", 0, {}};
-  for (int i = 0; i < 12; ++i) {
-    cluster.children.push_back(
-        viz::Hierarchy{"leaf" + std::to_string(i),
-                       i == 0 ? 1000.0 : 5.0,
-                       {}});
-  }
-  root.children.push_back(cluster);
-
-  viz::TreemapOptions squarified;
-  squarified.padding = 0;
-  squarified.header = 0;
-  viz::TreemapOptions slicedice = squarified;
-  slicedice.algorithm = viz::TreemapAlgorithm::kSliceDice;
-
-  viz::Rect bounds{0, 0, 600, 400};
-  auto sq = viz::TreemapLayout(root, bounds, squarified);
-  auto sd = viz::TreemapLayout(root, bounds, slicedice);
-
-  // Both algorithms keep area proportionality.
-  double sq_total = 0, sd_total = 0;
-  for (const auto& c : sq) {
-    if (c.depth == 2) sq_total += c.rect.Area();
-  }
-  for (const auto& c : sd) {
-    if (c.depth == 2) sd_total += c.rect.Area();
-  }
-  EXPECT_NEAR(sq_total, bounds.Area(), 1.0);
-  EXPECT_NEAR(sd_total, bounds.Area(), 1.0);
-
-  // Squarified is markedly better on aspect ratio.
-  EXPECT_LT(viz::MeanLeafAspectRatio(sq), viz::MeanLeafAspectRatio(sd) / 2);
-}
-
-TEST(SliceDiceTest, MeanAspectRatioOfEmpty) {
-  EXPECT_DOUBLE_EQ(viz::MeanLeafAspectRatio({}), 0.0);
 }
 
 // ---------------------------------------------------------------- metadata repo

@@ -6,22 +6,31 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
 
+#include "cluster/cluster_schema.h"
+#include "cluster/louvain.h"
+#include "common/clock.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "endpoint/simulated_endpoint.h"
+#include "extraction/extractor.h"
+#include "rdf/graph.h"
 #include "viz/circle_pack.h"
 #include "viz/color.h"
 #include "viz/edge_bundling.h"
 #include "viz/force_layout.h"
 #include "viz/hierarchy.h"
+#include "viz/layout_cache.h"
 #include "viz/render.h"
 #include "viz/sunburst.h"
 #include "viz/svg.h"
 #include "viz/treemap.h"
+#include "workload/ld_generator.h"
 
 namespace hbold::viz {
 namespace {
@@ -361,6 +370,115 @@ TEST(CirclePackTest, LeafAreasProportionalWithinCluster) {
               1e-6);
 }
 
+/// Bit pattern of a double, so equality checks tell -0.0 from 0.0.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// EncloseCircles as first written: every pass scores every circle with
+/// std::hypot. The library version must agree with it bit for bit.
+Circle ReferenceEncloseCircles(const std::vector<Circle>& circles) {
+  if (circles.empty()) return Circle{0, 0, 0};
+  double cx = 0, cy = 0;
+  for (const Circle& c : circles) {
+    cx += c.x;
+    cy += c.y;
+  }
+  cx /= static_cast<double>(circles.size());
+  cy /= static_cast<double>(circles.size());
+  double step = 0.5;
+  for (int iter = 0; iter < 200; ++iter) {
+    const Circle* far = nullptr;
+    double far_dist = -1;
+    for (const Circle& c : circles) {
+      double d = std::hypot(c.x - cx, c.y - cy) + c.r;
+      if (d > far_dist) {
+        far_dist = d;
+        far = &c;
+      }
+    }
+    double dx = far->x - cx, dy = far->y - cy;
+    cx += dx * step * 0.2;
+    cy += dy * step * 0.2;
+    step *= 0.98;
+  }
+  double radius = 0;
+  for (const Circle& c : circles) {
+    radius = std::max(radius, std::hypot(c.x - cx, c.y - cy) + c.r);
+  }
+  return Circle{cx, cy, radius * (1 + 1e-9) + 1e-9};
+}
+
+TEST(CirclePackTest, EncloseCirclesMatchesReference) {
+  std::vector<std::vector<Circle>> inputs;
+  Rng rng(41);
+  for (size_t n = 1; n <= 300; n += 1 + n / 8) {
+    // Random circles at mixed scales.
+    const double scale = std::pow(10.0, -2 + 6 * rng.NextDouble());
+    std::vector<Circle> cs;
+    for (size_t i = 0; i < n; ++i) {
+      cs.push_back(Circle{scale * (rng.NextDouble() - 0.5),
+                          scale * (rng.NextDouble() - 0.5),
+                          scale * 0.1 * rng.NextDouble()});
+    }
+    inputs.push_back(cs);
+    // The same circles with duplicates mixed in.
+    for (size_t i = 0; i < n; i += 3) cs.push_back(cs[i]);
+    inputs.push_back(cs);
+    // The packed layout of random radii, as CirclePackLayout encloses them.
+    std::vector<double> radii;
+    for (size_t i = 0; i < n; ++i) radii.push_back(0.5 + rng.NextDouble() * 30);
+    std::vector<Point> centers = PackSiblings(radii);
+    std::vector<Circle> packed;
+    for (size_t i = 0; i < n; ++i) {
+      packed.push_back(Circle{centers[i].x, centers[i].y, radii[i]});
+    }
+    inputs.push_back(packed);
+  }
+  // Symmetric rings: equal circles placed so that several tie for
+  // farthest from a centroid that is exactly the origin.
+  for (double a : {1.0, 3.5, 1e-3, 1e6}) {
+    inputs.push_back({{a, 0, 1}, {-a, 0, 1}, {0, a, 1}, {0, -a, 1}});
+    inputs.push_back({{a, a, 2}, {-a, a, 2}, {a, -a, 2}, {-a, -a, 2},
+                      {2 * a, a, 1}, {-2 * a, a, 1}, {2 * a, -a, 1},
+                      {-2 * a, -a, 1}});
+    std::vector<Circle> ring;
+    for (int i = 0; i < 12; ++i) {
+      const double t = 2 * kPi * i / 12;
+      ring.push_back(Circle{a * std::cos(t), a * std::sin(t), 0.5});
+    }
+    inputs.push_back(ring);
+  }
+  // Pairs whose distances from the origin differ by one ulp, with
+  // std::hypot and sqrt(dx*dx + dy*dy) ordering them oppositely. Each
+  // comes with its mirror image, so the first centroid is exactly 0.
+  const std::vector<std::pair<Point, Point>> close_pairs{
+      {{0x1.edf12a0a4fec5p+0, 0x1.00d8b6f71da74p+0},
+       {0x1.be872e0181069p-1, 0x1.fe0084e9c51c8p+0}},
+      {{0x1.56ba6b0fce59ep-1, 0x1.8512e0ed6042cp+0},
+       {0x1.567d732560149p+0, 0x1.f7c3a65289478p-1}},
+      {{0x1.3f4d44018d34bp+0, 0x1.4b63e3493ab08p+0},
+       {0x1.b8ee65f2407cbp+0, 0x1.0775ab6d9b114p-1}},
+  };
+  for (const auto& [p, q] : close_pairs) {
+    inputs.push_back({{p.x, p.y, 0}, {-p.x, -p.y, 0}, {q.x, q.y, 0},
+                      {-q.x, -q.y, 0}});
+    inputs.push_back({{q.x, q.y, 0}, {-q.x, -q.y, 0}, {p.x, p.y, 0},
+                      {-p.x, -p.y, 0}});
+  }
+  inputs.push_back({{5, 5, 0}});
+  inputs.push_back(std::vector<Circle>(7, Circle{1, 2, 3}));
+  for (const std::vector<Circle>& cs : inputs) {
+    const Circle want = ReferenceEncloseCircles(cs);
+    const Circle got = EncloseCircles(cs);
+    EXPECT_EQ(Bits(got.x), Bits(want.x)) << cs.size() << " circles";
+    EXPECT_EQ(Bits(got.y), Bits(want.y)) << cs.size() << " circles";
+    EXPECT_EQ(Bits(got.r), Bits(want.r)) << cs.size() << " circles";
+  }
+}
+
 // ---------------------------------------------------------------- Bundling
 
 TEST(BSplineTest, EndpointsInterpolated) {
@@ -471,6 +589,64 @@ TEST(EdgeBundlingTest, BundlingCurvesCrossClusterEdges) {
   mid.beta = 0.5;
   auto half = BundleSchemaSummary(f.summary, f.clusters, mid);
   EXPECT_LT(half.TotalInk(), bundled.TotalInk() + 1e-9);
+}
+
+/// SampleBSpline as first written: pads the control points by tripling the
+/// endpoints and evaluates the basis afresh for every sample.
+std::vector<Point> ReferenceSampleBSpline(const std::vector<Point>& control,
+                                          size_t samples_per_segment) {
+  if (control.size() < 2) return control;
+  std::vector<Point> pts;
+  pts.push_back(control.front());
+  pts.push_back(control.front());
+  pts.insert(pts.end(), control.begin(), control.end());
+  pts.push_back(control.back());
+  pts.push_back(control.back());
+  std::vector<Point> out;
+  const size_t segments = pts.size() - 3;
+  for (size_t seg = 0; seg < segments; ++seg) {
+    const Point& p0 = pts[seg];
+    const Point& p1 = pts[seg + 1];
+    const Point& p2 = pts[seg + 2];
+    const Point& p3 = pts[seg + 3];
+    for (size_t s = 0; s < samples_per_segment; ++s) {
+      double t =
+          static_cast<double>(s) / static_cast<double>(samples_per_segment);
+      double t2 = t * t, t3 = t2 * t;
+      double b0 = (1 - 3 * t + 3 * t2 - t3) / 6;
+      double b1 = (4 - 6 * t2 + 3 * t3) / 6;
+      double b2 = (1 + 3 * t + 3 * t2 - 3 * t3) / 6;
+      double b3 = t3 / 6;
+      out.push_back(Point{b0 * p0.x + b1 * p1.x + b2 * p2.x + b3 * p3.x,
+                          b0 * p0.y + b1 * p1.y + b2 * p2.y + b3 * p3.y});
+    }
+  }
+  out.push_back(control.back());
+  return out;
+}
+
+TEST(EdgeBundlingTest, SampleBSplineMatchesReference) {
+  Rng rng(43);
+  for (size_t points = 0; points <= 6; ++points) {
+    for (size_t samples = 0; samples <= 64; ++samples) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<Point> control;
+        for (size_t i = 0; i < points; ++i) {
+          control.push_back(Point{600 * rng.NextDouble() - 300,
+                                  600 * rng.NextDouble() - 300});
+        }
+        const std::vector<Point> want = ReferenceSampleBSpline(control, samples);
+        const std::vector<Point> got = SampleBSpline(control, samples);
+        ASSERT_EQ(got.size(), want.size()) << points << " x " << samples;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(Bits(got[i].x), Bits(want[i].x))
+              << points << " x " << samples << " at " << i;
+          EXPECT_EQ(Bits(got[i].y), Bits(want[i].y))
+              << points << " x " << samples << " at " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(EdgeBundlingTest, EmptySummary) {
@@ -612,11 +788,64 @@ std::string PrintfFixed2(double v) {
   return buf;
 }
 
+/// Checks that every value in `values` prints through AddCircle exactly as
+/// `%.2f` does. Values go into one document per batch, and a batch that
+/// differs is rechecked value by value to name the culprits.
+void ExpectCirclesPrintLikePrintf(const std::vector<double>& values) {
+  const std::string footer = "</svg>\n";
+  const std::string header = [&] {
+    std::string empty = SvgDocument(10, 10).ToString();
+    return empty.substr(0, empty.size() - footer.size());
+  }();
+  auto append_line = [](std::string* out, double v) {
+    char num[512];
+    *out += "<circle cx=\"";
+    out->append(num, static_cast<size_t>(
+                         std::snprintf(num, sizeof(num), "%.2f", v)));
+    *out += "\" cy=\"0.00\" r=\"1.00\" fill=\"none\"/>\n";
+  };
+  constexpr size_t kBatch = 4096;
+  size_t mismatches = 0;
+  std::string expected;
+  for (size_t start = 0; start < values.size(); start += kBatch) {
+    const size_t end = std::min(values.size(), start + kBatch);
+    SvgDocument doc(10, 10);
+    expected = header;
+    for (size_t i = start; i < end; ++i) {
+      doc.AddCircle(Circle{values[i], 0, 1}, Style{});
+      append_line(&expected, values[i]);
+    }
+    expected += footer;
+    if (std::move(doc).ToString() == expected) continue;
+    for (size_t i = start; i < end && mismatches < 20; ++i) {
+      SvgDocument one(10, 10);
+      one.AddCircle(Circle{values[i], 0, 1}, Style{});
+      std::string want = header;
+      append_line(&want, values[i]);
+      if (std::move(one).ToString() != want + footer) {
+        ++mismatches;
+        ADD_FAILURE() << "value " << std::hexfloat << values[i]
+                      << " should print as " << PrintfFixed2(values[i]);
+      }
+    }
+  }
+}
+
 TEST(SvgTest, NumbersMatchPrintfFixed2InFull) {
-  double inf = std::numeric_limits<double>::infinity();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double dmax = std::numeric_limits<double>::max();
   std::vector<double> values{0.0,   -0.0,  -0.004, 0.005,        0.125,
                              2.675, 1e15,  1e300,  -1e300,       inf,
-                             -inf,  std::nan(""),  -std::nan("")};
+                             -inf,  std::nan(""),  -std::nan(""), dmax,
+                             -dmax, 1e9,   -1e9,   1e11,         4.5e15,
+                             9007199254740992.0, 9007199254740993.0};
+  // Subnormals and the smallest normals.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double dmin = std::numeric_limits<double>::min();
+  for (double v : {denorm, 2 * denorm, dmin / 2, dmin, dmin * 3}) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
   Rng rng(17);
   for (int i = 0; i < 4000; ++i) {
     // Magnitudes 1e-3 .. 1e20, both signs.
@@ -626,13 +855,63 @@ TEST(SvgTest, NumbersMatchPrintfFixed2InFull) {
     values.push_back(static_cast<double>(rng.Uniform(1 << 20)) +
                      0.125 * static_cast<double>(1 + 2 * rng.Uniform(4)));
   }
-  for (double v : values) {
-    SvgDocument doc(10, 10);
-    doc.AddCircle(Circle{v, 0, 1}, Style{});
-    std::string expected = "<circle cx=\"" + PrintfFixed2(v) + "\" cy=";
-    EXPECT_NE(doc.ToString().find(expected), std::string::npos)
-        << "expected " << PrintfFixed2(v);
+  // A million seeded values over 1e-3 .. 1e15, both signs.
+  Rng wide(29);
+  for (int i = 0; i < 1000000; ++i) {
+    double v = std::pow(10.0, -3 + 18 * wide.NextDouble());
+    values.push_back(wide.Chance(0.5) ? -v : v);
   }
+  // Every cent up to 10^4 with its neighbours 1..4 ulps away on both sides.
+  auto push_neighbours = [&](double center) {
+    double up = center, down = center;
+    for (int u = 1; u <= 4; ++u) {
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, -inf);
+      values.push_back(up);
+      values.push_back(-down);
+    }
+  };
+  for (int k = 0; k <= 1000000; ++k) push_neighbours(k / 100.0);
+  // Half-cents are where "%.2f" turns from rounding down to rounding up:
+  // every one up to 10^3, then seeded ones up to 2·10^10, each with its
+  // neighbours.
+  for (int k = 0; k <= 100000; ++k) {
+    values.push_back((k + 0.5) / 100.0);
+    push_neighbours((k + 0.5) / 100.0);
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double k = static_cast<double>(
+        wide.Uniform(uint64_t{1} << (17 + wide.Uniform(24))));
+    values.push_back((k + 0.5) / 100.0);
+    push_neighbours((k + 0.5) / 100.0);
+  }
+  // Exact binary ties: the fraction .125/.375/.625/.875 makes v·100 a
+  // half-integer exactly. Small integer parts, then ones up to 2^45.
+  for (int k = 0; k < 20000; ++k) {
+    for (double f : {0.125, 0.375, 0.625, 0.875}) {
+      values.push_back(k + f);
+      values.push_back(-(k + f));
+    }
+  }
+  for (int i = 0; i < 20000; ++i) {
+    double k = static_cast<double>(wide.Uniform(uint64_t{1} << 45));
+    values.push_back(k + 0.125 * static_cast<double>(1 + 2 * wide.Uniform(4)));
+  }
+  // Both sides of every power-of-ten magnitude from 1e6 to 1e16 (the
+  // fast path's cutoff among them), walking a few ulps each way.
+  for (double p = 1e6; p <= 1e16; p *= 10) {
+    double up = p, down = p;
+    for (int u = 0; u < 64; ++u) {
+      values.push_back(up);
+      values.push_back(-down);
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, 0.0);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      values.push_back(p * (0.5 + wide.NextDouble()));
+    }
+  }
+  ExpectCirclesPrintLikePrintf(values);
 }
 
 // ---------------------------------------------------------------- Renderers
@@ -699,6 +978,68 @@ TEST(RenderTest, SvgBytesArePinned) {
                   static_cast<unsigned long long>(Fnv64(c.svg)));
     EXPECT_EQ(Fnv64(c.svg), c.fnv) << c.name << " hashes to 0x" << hex;
   }
+}
+
+/// A Cluster Schema the size of an average explore_open dataset: a seeded
+/// 100-class synthetic source, extracted, summarized and Louvain-clustered.
+struct RealisticSchema {
+  schema::SchemaSummary summary;
+  cluster::ClusterSchema clusters;
+};
+
+RealisticSchema MakeRealisticSchema() {
+  rdf::TripleStore store;
+  workload::SyntheticLdConfig config;
+  config.namespace_iri = "http://pinned-ld.example.org/";
+  config.num_classes = 100;
+  config.num_domains = 2 + config.num_classes / 12;
+  config.max_instances_per_class = 30;
+  config.seed = 2020;
+  workload::GenerateSyntheticLd(config, &store);
+  store.FinalizeIndex();
+  SimClock clock;
+  endpoint::SimulatedRemoteEndpoint ep("http://pinned-ld.example.org/sparql",
+                                       "pinned", &store, &clock);
+  auto indexes = extraction::IndexExtractor().Extract(&ep, nullptr);
+  EXPECT_TRUE(indexes.ok());
+  RealisticSchema out;
+  out.summary = schema::SchemaSummary::FromIndexes(*indexes);
+  out.clusters = cluster::ClusterSchema::FromPartition(
+      out.summary, cluster::Louvain(cluster::BuildClassGraph(out.summary)));
+  return out;
+}
+
+TEST(LayoutSetTest, GeometryIsPinned) {
+  RealisticSchema r = MakeRealisticSchema();
+  EXPECT_EQ(r.summary.NodeCount(), 100u);
+  EXPECT_EQ(r.summary.arcs().size(), 177u);
+  EXPECT_EQ(r.clusters.ClusterCount(), 9u);
+  LayoutSet set = ComputeLayoutSet(r.summary, r.clusters, "pinned", {});
+  struct Case {
+    const char* name;
+    const std::string& svg;
+    size_t size;
+    uint64_t fnv;
+  };
+  // Sizes and FNV-64 of the four documents, recorded from the writer that
+  // printed every number with std::to_chars; any changed byte fails.
+  const std::vector<Case> cases{
+      {"treemap", set.treemap_svg, 18695, 0x3620eb581e120b99ULL},
+      {"sunburst", set.sunburst_svg, 20529, 0xa0608f9979e94f39ULL},
+      {"circle_pack", set.circle_pack_svg, 9956, 0xb3d8ea45d7307c49ULL},
+      {"edge_bundling", set.bundling_svg, 119620, 0x2a0c00344a765a8dULL},
+  };
+  for (const Case& c : cases) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(Fnv64(c.svg)));
+    EXPECT_EQ(c.svg.size(), c.size) << c.name;
+    EXPECT_EQ(Fnv64(c.svg), c.fnv) << c.name << " hashes to 0x" << hex;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(set.geometry_fingerprint));
+  EXPECT_EQ(set.geometry_fingerprint, 0xf7c1820c8c3f284fULL) << "0x" << hex;
 }
 
 // ------------------------------------------ degenerate-input properties
