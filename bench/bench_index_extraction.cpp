@@ -169,9 +169,6 @@ int OocChildMain(bool use_disk, size_t n, size_t cap_bytes,
   struct rlimit rl;
   rl.rlim_cur = rl.rlim_max = cap_bytes;
   if (setrlimit(RLIMIT_AS, &rl) != 0) return 2;
-  // Keep executor hash-join builds bounded too: over-budget builds go to
-  // spilled sorted runs instead of in-RAM tables.
-  setenv("HBOLD_HASH_SPILL_BUDGET", "67108864", 1);
   hbold::rdf::TripleStore store;
   if (use_disk) {
     hbold::rdf::DiskBackendOptions options;

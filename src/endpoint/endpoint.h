@@ -22,23 +22,22 @@ struct QueryOutcome {
 };
 
 /// Cumulative query-engine counters of one endpoint: plan-cache
-/// effectiveness and hash-join activity. Deployment figures only — they
-/// describe which machinery answered queries, never how much simulated
-/// work was charged, so they are reported next to wall-clock numbers and
-/// excluded from every canonical accounting contract (concurrent batches
-/// make the hit/miss split timing-dependent). Every field is a monotonic
-/// counter, so the difference of two readings is the activity between them.
+/// effectiveness. Deployment figures only — they describe which machinery
+/// answered queries, never how much simulated work was charged, so they
+/// are reported next to wall-clock numbers and excluded from every
+/// canonical accounting contract (concurrent batches make the hit/miss
+/// split timing-dependent). Every field is a monotonic counter, so the
+/// difference of two readings is the activity between them.
 struct QueryEngineStats {
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_invalidations = 0;
-  uint64_t hash_join_builds = 0;
+  uint64_t hash_join_builds = 0;  // always 0 (no hash join); bench/e2e reads it
 
   QueryEngineStats& operator+=(const QueryEngineStats& o) {
     plan_cache_hits += o.plan_cache_hits;
     plan_cache_misses += o.plan_cache_misses;
     plan_cache_invalidations += o.plan_cache_invalidations;
-    hash_join_builds += o.hash_join_builds;
     return *this;
   }
   QueryEngineStats operator-(const QueryEngineStats& o) const {
@@ -47,7 +46,6 @@ struct QueryEngineStats {
     d.plan_cache_misses = plan_cache_misses - o.plan_cache_misses;
     d.plan_cache_invalidations =
         plan_cache_invalidations - o.plan_cache_invalidations;
-    d.hash_join_builds = hash_join_builds - o.hash_join_builds;
     return d;
   }
 };

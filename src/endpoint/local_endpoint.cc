@@ -68,10 +68,6 @@ Result<QueryOutcome> LocalEndpoint::Execute(const std::string& query_text,
   HBOLD_ASSIGN_OR_RETURN(
       sparql::ResultTable table,
       executor_.Execute(query_text, std::move(parsed), stats));
-  if (stats->hash_join_builds > 0) {
-    hash_join_builds_.fetch_add(stats->hash_join_builds,
-                                std::memory_order_relaxed);
-  }
   QueryOutcome outcome;
   outcome.table = std::move(table);
   outcome.latency_ms = sw.ElapsedMillis();

@@ -84,15 +84,14 @@ class LocalEndpoint : public SparqlEndpoint {
 
   const rdf::TripleStore* store() const { return store_; }
 
-  /// Plan-cache effectiveness + hash-join activity, cumulative. Reads
-  /// atomics / takes the cache's shared lock only — never the query path.
+  /// Plan-cache effectiveness, cumulative. Reads atomics / takes the
+  /// cache's shared lock only — never the query path.
   QueryEngineStats engine_stats() const override {
     sparql::PlanCacheStats cache = plan_cache_.stats();
     QueryEngineStats s;
     s.plan_cache_hits = cache.hits;
     s.plan_cache_misses = cache.misses;
     s.plan_cache_invalidations = cache.invalidations;
-    s.hash_join_builds = hash_join_builds_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -103,7 +102,6 @@ class LocalEndpoint : public SparqlEndpoint {
   /// Declared before executor_: the executor captures its address.
   sparql::PlanCache plan_cache_;
   sparql::Executor executor_;
-  std::atomic<uint64_t> hash_join_builds_{0};
   std::atomic<size_t> queries_served_{0};
 };
 

@@ -191,7 +191,7 @@ class SimulatedRemoteEndpoint : public SparqlEndpoint {
     return queries_served_.load(std::memory_order_relaxed);
   }
 
-  /// The inner local executor's plan-cache / hash-join counters.
+  /// The inner local executor's plan-cache counters.
   QueryEngineStats engine_stats() const override {
     return local_.engine_stats();
   }

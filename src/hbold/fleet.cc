@@ -546,7 +546,6 @@ Json FleetReport::ToJson() const {
     d.Set("overran_day", day.overran_day);
     d.Set("plan_cache_hits", static_cast<int64_t>(day.plan_cache_hits));
     d.Set("plan_cache_misses", static_cast<int64_t>(day.plan_cache_misses));
-    d.Set("hash_join_builds", static_cast<int64_t>(day.hash_join_builds));
     Json shards = Json::MakeArray();
     for (const DailyReport& s : day.shard_reports) {
       Json sj = Json::MakeObject();

@@ -616,7 +616,6 @@ void CycleCounters::Add(const CycleCounters& other) {
   }
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
-  hash_join_builds += other.hash_join_builds;
 }
 
 DailyReport Server::RunDailyUpdate() {
@@ -736,7 +735,6 @@ DailyReport Server::FinishCycle(Cycle cycle) {
       SumEngineStats() - cycle.engine_before;
   daily.plan_cache_hits = engine_delta.plan_cache_hits;
   daily.plan_cache_misses = engine_delta.plan_cache_misses;
-  daily.hash_join_builds = engine_delta.hash_join_builds;
   return daily;
 }
 

@@ -165,13 +165,13 @@ struct CycleCounters {
   /// delta modes (kDelta/kBounded), keeping earlier reports byte-stable.
   std::map<int64_t, size_t> staleness_histogram;
   /// Query-engine deployment counters: the cycle's delta of the attached
-  /// endpoints' plan-cache and hash-join activity (summed in URL order).
+  /// endpoints' plan-cache activity (summed in URL order).
   /// Deployment figures like wall_ms — a concurrent batch can turn one
   /// would-be hit into a second miss, so these are reported next to the
   /// wall clock and excluded from the canonical (bit-identical) content.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t hash_join_builds = 0;
+  uint64_t hash_join_builds = 0;  // always 0 (no hash join); bench/e2e reads it
 
   /// Folds one due entry's result. `staleness` adds a successful run to
   /// staleness_histogram (set under the delta modes only).

@@ -159,8 +159,8 @@ class TripleStore {
   ///   (), (s), (s,p), (s,p,o)  -> SPO order
   ///   (p), (p,o)               -> POS order
   ///   (o), (s,o)               -> OSP order
-  /// Every BGP step of the executor (nested index loop and hash-join build)
-  /// and the count pushdown iterate these spans directly.
+  /// Every BGP step of the executor (a nested index loop) and the count
+  /// pushdown iterate these spans directly.
   TripleSpan Span(const TriplePattern& pattern) const;
 
   /// Number of triples matching `pattern`: Span(pattern).size, O(log n).

@@ -183,9 +183,12 @@ Status MappedTripleRun::Open(const std::string& path) {
     ::close(fd);
     return Status::ParseError("run '" + path + "': header checksum mismatch");
   }
-  const uint64_t expected =
-      kRunHeaderBytes + header.count * sizeof(Triple);
-  if (static_cast<uint64_t>(st.st_size) != expected) {
+  // Divide rather than multiply: `count * 12` wraps for counts past 2^62,
+  // and a wrapped product could match the real size.
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  const uint64_t payload = size - kRunHeaderBytes;
+  if (payload % sizeof(Triple) != 0 ||
+      payload / sizeof(Triple) != header.count) {
     ::close(fd);
     return Status::ParseError(
         "run '" + path + "': size " + std::to_string(st.st_size) +
@@ -194,7 +197,7 @@ Status MappedTripleRun::Open(const std::string& path) {
   count_ = header.count;
   path_ = path;
   if (count_ > 0) {
-    void* base = ::mmap(nullptr, expected, PROT_READ, MAP_PRIVATE, fd, 0);
+    void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (base == MAP_FAILED) {
       ::close(fd);
       count_ = 0;
@@ -202,7 +205,7 @@ Status MappedTripleRun::Open(const std::string& path) {
       return ErrnoStatus("mmap failed for run", path);
     }
     map_ = base;
-    map_len_ = expected;
+    map_len_ = size;
     data_ = reinterpret_cast<const Triple*>(static_cast<char*>(base) +
                                             kRunHeaderBytes);
   }
@@ -463,66 +466,35 @@ bool DeltaChunkReader::Next(Triple* t) {
 
 namespace {
 
-/// Raw fixed-width chunk reader for the generic-comparator sort.
-class RawChunkReader {
- public:
-  ~RawChunkReader() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  Status Open(const std::string& path) {
-    file_ = std::fopen(path.c_str(), "rb");
-    if (file_ == nullptr) return ErrnoStatus("cannot open chunk", path);
-    buf_.reserve(size_t{16} << 10);
-    return Status::OK();
-  }
-  bool Next(Triple* t) {
-    if (pos_ >= buf_.size()) {
-      buf_.resize(size_t{16} << 10);
-      size_t n = std::fread(buf_.data(), sizeof(Triple), buf_.size(), file_);
-      buf_.resize(n);
-      pos_ = 0;
-      if (n == 0) return false;
-    }
-    *t = buf_[pos_++];
-    return true;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::vector<Triple> buf_;
-  size_t pos_ = 0;
-};
-
-template <typename Reader, typename Less>
-Status MergeChunksToRun(std::vector<std::unique_ptr<Reader>>* readers,
-                        const Less& less, RunOrder order,
-                        const std::string& out_path, MappedTripleRun* out) {
+/// K-way merges sorted delta chunks into the run file `out_path`.
+Status MergeChunksToRun(
+    const std::vector<std::unique_ptr<DeltaChunkReader>>& readers,
+    RunOrder order, const std::string& out_path, MappedTripleRun* out) {
   RunWriter writer;
   HBOLD_RETURN_NOT_OK(writer.Open(out_path, order));
   struct HeapItem {
     Triple t;
     size_t src;
   };
-  auto heap_after = [&](const HeapItem& a, const HeapItem& b) {
+  auto heap_after = [order](const HeapItem& a, const HeapItem& b) {
     // priority_queue pops the largest; invert, tie-break on source index
-    // for a deterministic merge of equal triples (generic comparators may
-    // see distinct triples as equivalent).
-    if (less(a.t, b.t)) return false;
-    if (less(b.t, a.t)) return true;
+    // for a deterministic merge.
+    if (RunLess(order, a.t, b.t)) return false;
+    if (RunLess(order, b.t, a.t)) return true;
     return a.src > b.src;
   };
   std::priority_queue<HeapItem, std::vector<HeapItem>, decltype(heap_after)>
       heap(heap_after);
-  for (size_t i = 0; i < readers->size(); ++i) {
+  for (size_t i = 0; i < readers.size(); ++i) {
     Triple t;
-    if ((*readers)[i]->Next(&t)) heap.push(HeapItem{t, i});
+    if (readers[i]->Next(&t)) heap.push(HeapItem{t, i});
   }
   while (!heap.empty()) {
     HeapItem item = heap.top();
     heap.pop();
     HBOLD_RETURN_NOT_OK(writer.Append(item.t));
     Triple t;
-    if ((*readers)[item.src]->Next(&t)) heap.push(HeapItem{t, item.src});
+    if (readers[item.src]->Next(&t)) heap.push(HeapItem{t, item.src});
   }
   return writer.Finish(out);
 }
@@ -577,75 +549,10 @@ Status ExternalSortToRun(TripleSpan source, RunOrder order,
       readers.push_back(std::move(reader));
     }
     if (st.ok()) {
-      st = MergeChunksToRun(
-          &readers,
-          [order](const Triple& a, const Triple& b) {
-            return RunLess(order, a, b);
-          },
-          order, out_path, out);
+      st = MergeChunksToRun(readers, order, out_path, out);
       for (const auto& reader : readers) {
         if (st.ok() && !reader->status().ok()) st = reader->status();
       }
-    }
-  }
-  for (const std::string& path : chunk_paths) ::unlink(path.c_str());
-  return st;
-}
-
-Status ExternalSortToRunBy(
-    TripleSpan source,
-    const std::function<bool(const Triple&, const Triple&)>& less,
-    size_t budget_bytes, const std::string& scratch_dir,
-    const std::string& out_path, MappedTripleRun* out) {
-  const size_t fragment = FragmentCapacity(budget_bytes);
-  if (source.size <= fragment) {
-    std::vector<Triple> sorted(source.begin(), source.end());
-    std::sort(sorted.begin(), sorted.end(), less);
-    RunWriter writer;
-    HBOLD_RETURN_NOT_OK(writer.Open(out_path, RunOrder::kSpo));
-    for (const Triple& t : sorted) HBOLD_RETURN_NOT_OK(writer.Append(t));
-    return writer.Finish(out);
-  }
-  std::vector<std::string> chunk_paths;
-  std::vector<Triple> fragment_buf;
-  fragment_buf.reserve(fragment);
-  Status st = Status::OK();
-  for (size_t i = 0; i < source.size && st.ok(); i += fragment) {
-    const size_t n = std::min(fragment, source.size - i);
-    fragment_buf.assign(source.data + i, source.data + i + n);
-    std::sort(fragment_buf.begin(), fragment_buf.end(), less);
-    std::string path = scratch_dir + "/sort-" +
-                       std::to_string(chunk_paths.size()) + ".chunk";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      st = ErrnoStatus("cannot open chunk", path);
-      break;
-    }
-    if (std::fwrite(fragment_buf.data(), sizeof(Triple), fragment_buf.size(),
-                    f) != fragment_buf.size()) {
-      std::fclose(f);
-      ::unlink(path.c_str());
-      st = ErrnoStatus("chunk write failed for", path);
-      break;
-    }
-    if (std::fclose(f) != 0) {
-      ::unlink(path.c_str());
-      st = ErrnoStatus("chunk close failed for", path);
-      break;
-    }
-    chunk_paths.push_back(std::move(path));
-  }
-  fragment_buf = std::vector<Triple>();
-  if (st.ok()) {
-    std::vector<std::unique_ptr<RawChunkReader>> readers;
-    for (const std::string& path : chunk_paths) {
-      auto reader = std::make_unique<RawChunkReader>();
-      st = reader->Open(path);
-      if (!st.ok()) break;
-      readers.push_back(std::move(reader));
-    }
-    if (st.ok()) {
-      st = MergeChunksToRun(&readers, less, RunOrder::kSpo, out_path, out);
     }
   }
   for (const std::string& path : chunk_paths) ::unlink(path.c_str());

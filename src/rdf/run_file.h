@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -136,16 +135,6 @@ class DeltaChunkReader {
 Status ExternalSortToRun(TripleSpan source, RunOrder order,
                          size_t budget_bytes, const std::string& scratch_dir,
                          const std::string& out_path, MappedTripleRun* out);
-
-/// Like ExternalSortToRun but with an arbitrary strict-weak-order
-/// comparator (the hash-join spill sorts by (join key, probe order), which
-/// is not one of the three index permutations). Fragments spill as raw
-/// fixed-width chunks since delta coding needs a known component
-/// permutation.
-Status ExternalSortToRunBy(
-    TripleSpan source, const std::function<bool(const Triple&, const Triple&)>& less,
-    size_t budget_bytes, const std::string& scratch_dir,
-    const std::string& out_path, MappedTripleRun* out);
 
 }  // namespace hbold::rdf
 

@@ -1,27 +1,17 @@
 #include "sparql/executor.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <charconv>
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
-#include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/logging.h"
 #include "common/string_util.h"
-#include "rdf/run_file.h"
 #include "sparql/parser.h"
 #include "sparql/planner.h"
 
@@ -433,11 +423,7 @@ class GroupEvaluator {
       const PatternConsts& consts = plan.plan->consts[order[k]];
       const bool last = k + 1 == order.size();
       const size_t cap = last ? row_cap : kNoCap;
-      if (plan.plan->ops[k] == JoinOp::kHashJoin) {
-        rows = HashExtendRows(pat, consts, std::move(rows), cap);
-      } else {
-        rows = ExtendRows(pat, consts, std::move(rows), cap);
-      }
+      rows = ExtendRows(pat, consts, rows, cap);
       if (pat.s.is_var) bound.insert(pat.s.var);
       if (pat.p.is_var) bound.insert(pat.p.var);
       if (pat.o.is_var) bound.insert(pat.o.var);
@@ -467,31 +453,22 @@ class GroupEvaluator {
     return kept;
   }
 
+  /// Nested index-loop join step. For each input row in order, the probe
+  /// pattern holds the row's values in the variable slots (unbound =
+  /// wildcard) and the constants elsewhere; the store's Span over it yields
+  /// the triples joining the row. Each triple extends a copy of the row,
+  /// binding the pattern's variable slots. A slot the row (or an earlier
+  /// slot of the same triple, e.g. `?x ?p ?x`) already binds must agree
+  /// with the triple, or the triple is skipped. Stops once `cap` rows are
+  /// out.
   std::vector<RowIds> ExtendRows(const TriplePatternNode& pat,
                                  const PatternConsts& consts,
-                                 std::vector<RowIds> rows, size_t cap) {
+                                 const std::vector<RowIds>& rows, size_t cap) {
     // A constant not present in the dictionary can never match.
     if (consts.missing) return {};
     const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
     const int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
     const int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
-    return ProbeRows(
-        rows, cap, consts, slot_s, slot_p, slot_o,
-        [&](const rdf::TriplePattern& probe) { return store_->Span(probe); });
-  }
-
-  /// The probe-and-emit loop shared by both join operators. For each input
-  /// row in order, the probe pattern holds the row's values in the
-  /// variable slots (unbound = wildcard) and the constants elsewhere;
-  /// `range(probe)` yields the triples joining the row. Each triple extends
-  /// a copy of the row, binding the pattern's variable slots. A slot the
-  /// row (or an earlier slot of the same triple, e.g. `?x ?p ?x`) already
-  /// binds must agree with the triple, or the triple is skipped. Stops
-  /// once `cap` rows are out.
-  template <typename RangeFn>
-  std::vector<RowIds> ProbeRows(const std::vector<RowIds>& rows, size_t cap,
-                                const PatternConsts& consts, int slot_s,
-                                int slot_p, int slot_o, RangeFn range) {
     std::vector<RowIds> out;
     auto value = [](const RowIds& row, int slot, TermId constant) {
       return slot >= 0 ? row[static_cast<size_t>(slot)] : constant;
@@ -507,7 +484,7 @@ class GroupEvaluator {
       const rdf::TriplePattern probe{value(row, slot_s, consts.s),
                                      value(row, slot_p, consts.p),
                                      value(row, slot_o, consts.o)};
-      for (const rdf::Triple& t : range(probe)) {
+      for (const rdf::Triple& t : store_->Span(probe)) {
         RowIds next = row;
         if (!bind(slot_s, t.s, &next) || !bind(slot_p, t.p, &next) ||
             !bind(slot_o, t.o, &next)) {
@@ -521,180 +498,11 @@ class GroupEvaluator {
     return out;
   }
 
-  /// Order-preserving hash join: builds the contiguous index slice matching
-  /// the pattern's constants, sorted by (join key, the iteration order the
-  /// nested index loop's Span would have used), then probes it with the
-  /// input rows in order, finding each row's key range by binary search.
-  /// Output rows, their order, and the charged intermediate_bindings are
-  /// therefore bit-identical to ExtendRows — the operator choice is purely
-  /// physical.
-  ///
-  /// Falls back to ExtendRows when the step is not actually hash-shaped at
-  /// runtime: repeated variables in the pattern, no bound join variable,
-  /// or rows with heterogeneous boundness (OPTIONAL/UNION residue).
-  struct HashBuild;  // defined below (after the join methods)
-
-  std::vector<RowIds> HashExtendRows(const TriplePatternNode& pat,
-                                     const PatternConsts& consts,
-                                     std::vector<RowIds> rows, size_t cap) {
-    if (rows.empty()) return rows;
-    const int slot_s = pat.s.is_var ? vars_->Lookup(pat.s.var) : -1;
-    const int slot_p = pat.p.is_var ? vars_->Lookup(pat.p.var) : -1;
-    const int slot_o = pat.o.is_var ? vars_->Lookup(pat.o.var) : -1;
-    if ((slot_s >= 0 && (slot_s == slot_p || slot_s == slot_o)) ||
-        (slot_p >= 0 && slot_p == slot_o)) {
-      return ExtendRows(pat, consts, std::move(rows), cap);
-    }
-    auto bound_at = [](const RowIds& row, int slot) {
-      return slot >= 0 && row[static_cast<size_t>(slot)] != kInvalidTermId;
-    };
-    const bool key_s = bound_at(rows[0], slot_s);
-    const bool key_p = bound_at(rows[0], slot_p);
-    const bool key_o = bound_at(rows[0], slot_o);
-    if (!key_s && !key_p && !key_o) {
-      return ExtendRows(pat, consts, std::move(rows), cap);
-    }
-    for (const RowIds& row : rows) {
-      if (bound_at(row, slot_s) != key_s || bound_at(row, slot_p) != key_p ||
-          bound_at(row, slot_o) != key_o) {
-        return ExtendRows(pat, consts, std::move(rows), cap);
-      }
-    }
-
-    if (consts.missing) return {};
-
-    // The build depends only on the pattern's resolved constants and the
-    // key-slot mask — not on row values and not on variable names (a
-    // constant slot is exactly a slot with a valid term id, so the consts
-    // triple pins the var/const shape too). Keying on those values rather
-    // than pattern identity means two different steps probing the same
-    // constant span with the same key shape — `?a p ?b . ?c p ?d`-style
-    // repeated predicates, or the same pattern in both UNION branches —
-    // share one build, on top of the original win (OPTIONAL groups
-    // re-evaluate once per outer row without re-sorting the span).
-    const int mask = (key_s ? 1 : 0) | (key_p ? 2 : 0) | (key_o ? 4 : 0);
-    auto build_key = std::make_tuple(consts.s, consts.p, consts.o, mask);
-    // Generic: keys both build triples and probe patterns.
-    auto key_of = [&](const auto& t) {
-      return std::make_tuple(key_s ? t.s : kInvalidTermId,
-                             key_p ? t.p : kInvalidTermId,
-                             key_o ? t.o : kInvalidTermId);
-    };
-    auto bit = hash_builds_.find(build_key);
-    if (bit != hash_builds_.end()) {
-      if (stats_ != nullptr) ++stats_->hash_join_build_reuses;
-    } else {
-      bit = hash_builds_
-                .emplace(build_key, BuildSide(consts, key_s, key_p, key_of))
-                .first;
-    }
-
-    const rdf::TripleSpan build = bit->second.view();
-    auto key_less = [&](const auto& a, const auto& b) {
-      return key_of(a) < key_of(b);
-    };
-    return ProbeRows(rows, cap, consts, slot_s, slot_p, slot_o,
-                     [&](const rdf::TriplePattern& probe) {
-                       auto [lo, hi] = std::equal_range(
-                           build.begin(), build.end(), probe, key_less);
-                       return rdf::TripleSpan{lo,
-                                              static_cast<size_t>(hi - lo)};
-                     });
-  }
-
-  /// Builds one hash-join build side: the slice matching the constants
-  /// alone, sorted by (join key, probe iteration order). The comparator is
-  /// shared by the in-RAM and spilled representations, which is what makes
-  /// the spill bit-identical.
-  template <typename KeyFn>
-  HashBuild BuildSide(const PatternConsts& consts, bool key_s, bool key_p,
-                      KeyFn key_of) {
-    // Probe-side boundness (constants + key variables) decides which index
-    // the nested loop's Span would have walked; each key range must
-    // replicate its iteration order.
-    const bool bs = consts.s != kInvalidTermId || key_s;
-    const bool bp = consts.p != kInvalidTermId || key_p;
-    auto probe_tuple = [&](const rdf::Triple& t) {
-      if (bs) return std::tuple<TermId, TermId, TermId>(t.s, t.p, t.o);
-      if (bp) return std::tuple<TermId, TermId, TermId>(t.p, t.o, t.s);
-      return std::tuple<TermId, TermId, TermId>(t.o, t.s, t.p);
-    };
-    auto build_less = [&](const rdf::Triple& a, const rdf::Triple& b) {
-      auto ka = key_of(a);
-      auto kb = key_of(b);
-      if (ka != kb) return ka < kb;
-      return probe_tuple(a) < probe_tuple(b);
-    };
-    const rdf::TripleSpan span = store_->Span({consts.s, consts.p, consts.o});
-    HashBuild fresh;
-    if (stats_ != nullptr) ++stats_->hash_join_builds;
-    const size_t budget = options_.hash_join_spill_budget_bytes;
-    if (budget > 0 && span.size * sizeof(rdf::Triple) > budget) {
-      Status st = SpillBuildToRun(span, build_less, budget, &fresh);
-      if (st.ok()) {
-        if (stats_ != nullptr) ++stats_->hash_join_spills;
-        return fresh;
-      }
-      HBOLD_LOG(kWarn) << "hash-join spill failed, building in RAM: "
-                       << st.message();
-    }
-    fresh.triples.assign(span.begin(), span.end());
-    std::sort(fresh.triples.begin(), fresh.triples.end(), build_less);
-    return fresh;
-  }
-
-  /// Externally sorts a too-large build span into a temporary run file
-  /// under the system temp directory and maps it into `out->spilled`. The
-  /// scratch directory (and the run file itself) are unlinked immediately —
-  /// the mapping keeps the data alive for the lifetime of the build, and
-  /// nothing leaks if the process dies.
-  Status SpillBuildToRun(
-      rdf::TripleSpan span,
-      const std::function<bool(const rdf::Triple&, const rdf::Triple&)>& less,
-      size_t budget, HashBuild* out) {
-    namespace fs = std::filesystem;
-    static std::atomic<uint64_t> counter{0};
-    std::error_code ec;
-    const fs::path dir =
-        fs::temp_directory_path(ec) /
-        ("hbold-spill-" + std::to_string(static_cast<long>(::getpid())) + "-" +
-         std::to_string(counter.fetch_add(1)));
-    if (ec) return Status::IOError("no temp directory: " + ec.message());
-    fs::create_directories(dir, ec);
-    if (ec) {
-      return Status::IOError("cannot create '" + dir.string() +
-                             "': " + ec.message());
-    }
-    Status st = rdf::ExternalSortToRunBy(span, less, budget, dir.string(),
-                                         (dir / "build.run").string(),
-                                         &out->spilled);
-    fs::remove_all(dir, ec);  // mapping survives the unlink
-    return st;
-  }
-
-  /// One hash-join build: the constant-matched span sorted by (join key,
-  /// probe order). In RAM it is a triple vector; past the spill budget the
-  /// same sorted sequence is a memory-mapped temporary run. Either way it
-  /// is probed by binary search for each row's key range.
-  struct HashBuild {
-    std::vector<rdf::Triple> triples;
-    rdf::MappedTripleRun spilled;  // unmapped (empty view) unless spilled
-
-    rdf::TripleSpan view() const {
-      return triples.empty() ? spilled.view()
-                             : rdf::TripleSpan{triples.data(), triples.size()};
-    }
-  };
-
   const rdf::TripleStore* store_;
   VarRegistry* vars_;
   ExecStats* stats_;
   ExecOptions options_;
   const GroupPlanMap* plan_map_;
-  /// Hash-join builds cached per (resolved constants, key mask) for this
-  /// execution — OPTIONAL re-evaluations and distinct steps probing the
-  /// same constant span with the same key shape reuse one build.
-  std::map<std::tuple<TermId, TermId, TermId, int>, HashBuild> hash_builds_;
 };
 
 // ------------------------------------------------------- result modifiers
@@ -1092,52 +900,11 @@ std::optional<ResultTable> TryCountPushdown(const SelectQuery& q,
   return table;
 }
 
-/// CI sanitizer runs export HBOLD_FORCE_HASH_JOIN=1 to drive every
-/// eligible join step through the hash operator across the whole test
-/// suite — results are bit-identical by construction, so only operator
-/// lifetime/memory bugs can surface. Any other value leaves the cost
-/// model in charge.
-bool ForceHashJoinFromEnv() {
-  const char* env = std::getenv("HBOLD_FORCE_HASH_JOIN");
-  return env != nullptr && std::string_view(env) == "1";
-}
-
-/// HBOLD_HASH_SPILL_BUDGET=<bytes> overrides the hash-join spill threshold
-/// — sanitizer runs set a tiny budget to drive every build through the
-/// spill path (results are bit-identical by construction). Only a full
-/// unsigned decimal is accepted; anything else is reported and ignored.
-bool HashSpillBudgetFromEnv(size_t* budget) {
-  const char* env = std::getenv("HBOLD_HASH_SPILL_BUDGET");
-  if (env == nullptr) return false;
-  const std::string_view text(env);
-  const char* end = text.data() + text.size();
-  size_t value = 0;
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    HBOLD_LOG(kWarn) << "ignoring HBOLD_HASH_SPILL_BUDGET=\"" << text
-                     << "\": expected an unsigned decimal byte count";
-    return false;
-  }
-  *budget = value;
-  return true;
-}
-
 }  // namespace
 
 Executor::Executor(const rdf::TripleStore* store, ExecOptions options,
                    PlanCache* plan_cache)
-    : store_(store), options_(options), plan_cache_(plan_cache) {
-  if (ForceHashJoinFromEnv()) options_.hash_join = HashJoinMode::kForce;
-  size_t budget = 0;
-  if (HashSpillBudgetFromEnv(&budget) &&
-      options_.hash_join_spill_budget_bytes ==
-          ExecOptions{}.hash_join_spill_budget_bytes) {
-    // The env override stands in for the default only: a caller that set
-    // an explicit budget (differential tests pinning spill behavior)
-    // keeps it even under the CI-wide override.
-    options_.hash_join_spill_budget_bytes = budget;
-  }
-}
+    : store_(store), options_(options), plan_cache_(plan_cache) {}
 
 Result<ParsedQuery> Executor::Parse(const std::string& query_text) const {
   ParsedQuery parsed;

@@ -19,15 +19,12 @@ namespace hbold::sparql {
 ///
 /// `intermediate_bindings` is a *modeled* cost: the count pushdown charges
 /// exactly the bindings the materializing path would have produced (the
-/// sizes of the index spans it opens), and the hash join emits exactly
-/// the rows the nested index-loop would have, so simulated endpoint
-/// latencies and work-budget decisions are bit-identical whichever
-/// physical plan ran.
+/// sizes of the index spans it opens), so simulated endpoint latencies and
+/// work-budget decisions are bit-identical whichever path ran.
 ///
-/// The planner counters (`plan_cache_*`, `hash_join_builds`) are
-/// deployment figures: they describe which machinery answered the query,
-/// never how much simulated work it charged, and are excluded from every
-/// canonical accounting contract.
+/// The plan-cache counters are deployment figures: they describe which
+/// machinery answered the query, never how much simulated work it charged,
+/// and are excluded from every canonical accounting contract.
 struct ExecStats {
   size_t intermediate_bindings = 0;  // rows produced across all BGP steps
   size_t result_rows = 0;
@@ -35,13 +32,7 @@ struct ExecStats {
   size_t rows_avoided = 0;    // binding rows never materialized by pushdown
   size_t plan_cache_hits = 0;    // plan served from the cross-query cache
   size_t plan_cache_misses = 0;  // plan computed (and cached) this query
-  size_t hash_join_builds = 0;   // hash tables built by join steps
-  /// Probes served by an already-built hash table: OPTIONAL re-evaluations
-  /// plus distinct steps sharing one (constants, key mask) build.
-  size_t hash_join_build_reuses = 0;
-  /// Hash-join builds that exceeded ExecOptions::hash_join_spill_budget_bytes
-  /// and were externally sorted to a temporary on-disk run.
-  size_t hash_join_spills = 0;
+  size_t hash_join_spills = 0;  // always 0 (no join spills); bench/e2e reads it
 };
 
 /// A query text resolved to its AST: the first of Executor's two query
@@ -65,15 +56,14 @@ class ParsedQuery {
 /// Evaluates SELECT queries against a TripleStore.
 ///
 /// Evaluation strategy: the cost-based planner (sparql/planner.h) fixes a
-/// join order and a physical operator per step. A COUNT over a plain BGP
-/// is answered by the count pushdown: one walk over TripleStore spans in
-/// the planned order that counts solutions per group instead of
-/// materializing them. Otherwise triple
-/// patterns evaluate in planned order — nested index-loops or
-/// order-preserving hash joins — extending a binding table; FILTERs run as
-/// soon as their variables are bound; OPTIONALs are left joins; UNION
-/// concatenates the two sides' solutions. All physical paths produce
-/// bit-identical result tables and ExecStats::intermediate_bindings.
+/// join order. A COUNT over a plain BGP is answered by the count pushdown:
+/// one walk over TripleStore spans in the planned order that counts
+/// solutions per group instead of materializing them. Otherwise triple
+/// patterns evaluate in planned order as nested index-loops over
+/// TripleStore::Span, extending a binding table; FILTERs run as soon as
+/// their variables are bound; OPTIONALs are left joins; UNION concatenates
+/// the two sides' solutions. Both paths produce bit-identical result
+/// tables and ExecStats::intermediate_bindings.
 ///
 /// `plan_cache`, when non-null, memoizes prepared queries (AST + plan) by
 /// exact text, scoped to the store's rebuild generation, admitting a text
@@ -112,8 +102,6 @@ class Executor {
   /// is keyed by query text.
   Result<ResultTable> Execute(const SelectQuery& query,
                               ExecStats* stats = nullptr) const;
-
-  const ExecOptions& options() const { return options_; }
 
  private:
   /// Plans `q`; with a cache attached, counts the miss into it and `stats`.

@@ -1,7 +1,6 @@
 #include "sparql/planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace hbold::sparql {
@@ -27,7 +26,6 @@ PatternConsts ResolveConsts(const TriplePatternNode& t,
 struct PatternFacts {
   int vars[3] = {-1, -1, -1};  // s, p, o: group-local variable id or -1
   bool missing = false;        // a constant is absent: can never match
-  bool repeated_var = false;   // e.g. `?x ?p ?x`: not hash-eligible
   double count = 0;            // range count over the constant slots
   bool has_stats = false;      // constant predicate: `stats` narrows
   rdf::PredicateStats stats;
@@ -50,9 +48,6 @@ PatternFacts ResolveFacts(const TriplePatternNode& t, const PatternConsts& c,
   f.vars[0] = InternVar(t.s, names);
   f.vars[1] = InternVar(t.p, names);
   f.vars[2] = InternVar(t.o, names);
-  f.repeated_var = (f.vars[0] >= 0 && f.vars[0] == f.vars[1]) ||
-                   (f.vars[0] >= 0 && f.vars[0] == f.vars[2]) ||
-                   (f.vars[1] >= 0 && f.vars[1] == f.vars[2]);
   f.missing = c.missing;
   if (f.missing) return f;
   f.count = static_cast<double>(store->Count({c.s, c.p, c.o}));
@@ -98,13 +93,11 @@ GroupPlan PlanGroup(const GroupGraphPattern& group, const ExecOptions& options,
   GroupPlan plan;
   plan.order.resize(n);
   std::iota(plan.order.begin(), plan.order.end(), 0);
-  plan.ops.assign(n, JoinOp::kNestedIndexLoop);
   plan.consts.reserve(n);
   for (const auto& t : triples) {
     plan.consts.push_back(ResolveConsts(t, store->dict()));
   }
-  const bool price = options.hash_join != HashJoinMode::kOff;
-  if (n < 2 || (!options.greedy_join_order && !price)) return plan;
+  if (n < 2 || !options.greedy_join_order) return plan;
 
   std::vector<const std::string*> names;
   std::vector<PatternFacts> facts;
@@ -113,55 +106,28 @@ GroupPlan PlanGroup(const GroupGraphPattern& group, const ExecOptions& options,
     facts.push_back(ResolveFacts(triples[i], plan.consts[i], store, &names));
   }
 
-  // Each step places one pattern — the written next one, or the greedy
-  // pick — and prices it against the running intermediate row estimate:
-  //   nested index-loop ~ rows * (log2 n + 1) probe cost
-  //   hash join         ~ build-side range size + one probe pass
-  // (the 2x on the hash side covers the build sort + probe constants).
-  // kForce skips the pricing — every eligible step hash-joins, which the
-  // sanitizer CI leg uses to flush operator-lifetime bugs.
-  const double log_n =
-      std::log2(static_cast<double>(store->size()) + 2.0) + 1.0;
-  constexpr double kMinProbeRows = 32.0;
   std::vector<char> bound(names.size(), 0);
   bool any_bound = false;
   std::vector<bool> used(n, false);
-  double rows = 1.0;
   for (size_t k = 0; k < n; ++k) {
-    size_t best = k;
+    size_t best = n;
+    bool best_connected = false;
     double best_est = 0;
-    if (options.greedy_join_order) {
-      best = n;
-      bool best_connected = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (used[i]) continue;
-        const bool connected = !any_bound || JoinsBound(facts[i], bound);
-        const double est = Estimate(facts[i], bound);
-        const bool better = best == n || (connected && !best_connected) ||
-                            (connected == best_connected && est < best_est);
-        if (better) {
-          best = i;
-          best_connected = connected;
-          best_est = est;
-        }
-      }
-      used[best] = true;
-      plan.order[k] = best;
-    } else {
-      best_est = Estimate(facts[k], bound);
-    }
-    const PatternFacts& f = facts[best];
-    if (price && k > 0 && JoinsBound(f, bound) && !f.missing &&
-        !f.repeated_var) {
-      const double nested_cost = rows * log_n;
-      const double hash_cost = (f.count + rows) * 2.0;
-      if (options.hash_join == HashJoinMode::kForce ||
-          (rows >= kMinProbeRows && hash_cost < nested_cost)) {
-        plan.ops[k] = JoinOp::kHashJoin;
+    for (size_t i = 0; i < n; ++i) {
+      if (used[i]) continue;
+      const bool connected = !any_bound || JoinsBound(facts[i], bound);
+      const double est = Estimate(facts[i], bound);
+      const bool better = best == n || (connected && !best_connected) ||
+                          (connected == best_connected && est < best_est);
+      if (better) {
+        best = i;
+        best_connected = connected;
+        best_est = est;
       }
     }
-    rows = std::max(0.0, rows * best_est);
-    for (int v : f.vars) {
+    used[best] = true;
+    plan.order[k] = best;
+    for (int v : facts[best].vars) {
       if (v >= 0) {
         bound[v] = 1;
         any_bound = true;

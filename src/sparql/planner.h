@@ -16,15 +16,8 @@
 
 namespace hbold::sparql {
 
-/// How the cost-based planner may use the hash-join operator.
-enum class HashJoinMode {
-  kOff,   // always nested index-loop
-  kCost,  // per-step cost model picks hash build vs index walk
-  kForce, // hash-join every eligible step (sanitizer / differential runs)
-};
-
-/// Execution tuning knobs (exposed for the ablation benchmarks and the
-/// differential test suite; defaults match production behaviour).
+/// Execution tuning knobs (exposed for the differential test suite;
+/// defaults match production behaviour).
 struct ExecOptions {
   /// Reorder triple patterns by estimated cardinality (per-predicate
   /// statistics + index range counts) before evaluation. Off = evaluate in
@@ -42,32 +35,6 @@ struct ExecOptions {
   /// modifier (ORDER BY / DISTINCT / aggregation) could change the slice.
   /// ASK queries stop at the first solution under the same flag.
   bool limit_pushdown = true;
-  /// Physical join operator policy. The hash join builds on the pattern
-  /// side (the constant span sorted by join key, then by the probe
-  /// index's iteration order) and probes it with the binding rows by
-  /// binary search, so its output is bit-identical — rows, order, and
-  /// charged intermediate_bindings — to the nested index-loop it replaces. HBOLD_FORCE_HASH_JOIN=1 in the
-  /// environment makes every Executor use kForce (other values: no
-  /// effect).
-  HashJoinMode hash_join = HashJoinMode::kCost;
-  /// When a hash-join build side exceeds this many bytes of triples, the
-  /// build is externally sorted into a temporary on-disk run (by the same
-  /// (join key, probe order) comparator the in-memory build sorts by) and
-  /// probed by the same binary search over the memory mapping instead of
-  /// an in-RAM vector. Output stays bit-identical; only the memory
-  /// footprint changes.
-  /// 0 disables spilling. The HBOLD_HASH_SPILL_BUDGET environment
-  /// variable (an unsigned decimal byte count; any other value is logged
-  /// and ignored) replaces the *default* only — an explicitly configured
-  /// budget wins over the env, so differential tests pinning spill
-  /// behavior stay pinned under the CI-wide override.
-  size_t hash_join_spill_budget_bytes = size_t{256} << 20;
-};
-
-/// Physical operator for one join step.
-enum class JoinOp : uint8_t {
-  kNestedIndexLoop = 0,
-  kHashJoin = 1,
 };
 
 /// Constant slots of a pattern resolved to term ids. `missing` means some
@@ -80,22 +47,20 @@ struct PatternConsts {
 };
 
 /// The physical plan of one basic graph pattern: the join order (indices
-/// into the group's written triple list) plus the operator chosen for each
-/// step. `ops` parallels `order`; step 0 is always a nested index scan
-/// (there is nothing to probe with yet). `consts` holds each pattern's
-/// constants resolved at planning time, by written position; they stay
-/// valid as long as the plan does, because any store write bumps the
-/// generation that cached plans are keyed on.
+/// into the group's written triple list), each step a nested index-loop
+/// over the store's Span. `consts` holds each pattern's constants resolved
+/// at planning time, by written position; they stay valid as long as the
+/// plan does, because any store write bumps the generation that cached
+/// plans are keyed on.
 struct GroupPlan {
   std::vector<size_t> order;
-  std::vector<JoinOp> ops;
   std::vector<PatternConsts> consts;
 };
 
 /// The physical plan of a whole query: one GroupPlan per group graph
 /// pattern, in pre-order AST traversal (group, then each union's left and
 /// right, then each optional — see ForEachGroup). Plans are purely
-/// structural (indices + operator enums, no variable names); the executor
+/// structural (indices and term ids, no variable names); the executor
 /// pairs each with the AST it was planned from.
 struct QueryPlan {
   std::vector<GroupPlan> groups;
@@ -110,13 +75,10 @@ struct QueryPlan {
 /// connected), then ascending cardinality estimate (the range count
 /// narrowed by the average fan-out of every bound variable slot), ties
 /// broken by written position.
-/// `greedy_join_order = false` keeps the written order. Each chosen step is
-/// priced as it is placed: nested index-loop (est_rows * log n probes)
-/// against hash join (build-side range count + probe pass). A step is
-/// hash-eligible only when it joins through at least one bound variable
-/// and repeats no variable within the pattern. The plan depends only on
-/// the pattern list — not on row values — so the count pushdown walks the
-/// same plan and stays accounting-identical with the materializing path.
+/// `greedy_join_order = false` keeps the written order. The plan depends
+/// only on the pattern list — not on row values — so the count pushdown
+/// walks the same plan and stays accounting-identical with the
+/// materializing path.
 GroupPlan PlanGroup(const GroupGraphPattern& group, const ExecOptions& options,
                     const rdf::TripleStore* store);
 

@@ -474,7 +474,6 @@ TEST_F(FleetSimulationTest, DayCountersAreTheSumOfShardCounters) {
   constexpr uint64_t CycleCounters::*kEngine[] = {
       &CycleCounters::plan_cache_hits,
       &CycleCounters::plan_cache_misses,
-      &CycleCounters::hash_join_builds,
   };
   size_t probes = 0;
   size_t histogram_days = 0;

@@ -158,35 +158,6 @@ TEST(PlanCacheTest, IncrementalLoadInvalidatesByGeneration) {
   EXPECT_EQ(s4.plan_cache_hits, 1u);
 }
 
-// ------------------------------------------------- hash-join build reuse
-
-TEST(HashBuildReuseTest, RepeatedPredicateStepsShareOneBuild) {
-  rdf::TripleStore store = MakeSmallStore();
-  ExecOptions forced;
-  forced.hash_join = HashJoinMode::kForce;
-  Executor hashed(&store, forced);
-  ExecOptions off;
-  off.hash_join = HashJoinMode::kOff;
-  Executor nested(&store, off);
-
-  // A chain over one predicate: after the driving scan, both remaining
-  // steps probe the identical (constants, key mask) span, so the second
-  // hash step reuses the first step's build.
-  const std::string q =
-      "SELECT ?a ?d WHERE { ?a <http://x/q> ?b . ?b <http://x/q> ?c . "
-      "?c <http://x/q> ?d . }";
-  ExecStats hs, ns;
-  auto hr = hashed.Execute(q, &hs);
-  auto nr = nested.Execute(q, &ns);
-  ASSERT_TRUE(hr.ok());
-  ASSERT_TRUE(nr.ok());
-  EXPECT_EQ(hs.hash_join_builds, 1u) << "second step must reuse the build";
-  EXPECT_GE(hs.hash_join_build_reuses, 1u);
-  // The physical sharing is invisible to results and charged accounting.
-  EXPECT_EQ(hr->num_rows(), nr->num_rows());
-  EXPECT_EQ(hs.intermediate_bindings, ns.intermediate_bindings);
-}
-
 // ------------------------------------------------ stale-statistics guard
 
 TEST(StaleStatsTest, JoinOrderFollowsSkewedIncrementalBatch) {
@@ -298,16 +269,11 @@ rdf::TripleStore MakePlannerStore() {
   return store;
 }
 
-/// "order|ops", e.g. "1,0,2|N,N,H".
-std::string FormatPlan(const GroupPlan& plan) {
+/// The join order, e.g. "1,0,2".
+std::string FormatOrder(const GroupPlan& plan) {
   std::string out;
   for (size_t i = 0; i < plan.order.size(); ++i) {
     out += (i > 0 ? "," : "") + std::to_string(plan.order[i]);
-  }
-  out += '|';
-  for (size_t i = 0; i < plan.ops.size(); ++i) {
-    if (i > 0) out += ',';
-    out += plan.ops[i] == JoinOp::kHashJoin ? 'H' : 'N';
   }
   return out;
 }
@@ -315,47 +281,43 @@ std::string FormatPlan(const GroupPlan& plan) {
 TEST(PlannerGoldenTest, PlanGroupOutputIsPinned) {
   rdf::TripleStore store = MakePlannerStore();
   ExecOptions cost;
-  ExecOptions off;
-  off.hash_join = HashJoinMode::kOff;
-  ExecOptions force;
-  force.hash_join = HashJoinMode::kForce;
   ExecOptions written;
   written.greedy_join_order = false;
 
   struct Case {
     const char* name;
     const char* where;
-    // Expected plans under cost, off, force and written, in that order.
-    const char* expected[4];
+    // Expected join orders under cost and written, in that order.
+    const char* expected[2];
   };
   const Case cases[] = {
       {"fully ground first",
        "?a <http://x/type> <http://x/C> . "
        "<http://x/e0> <http://x/knows> <http://x/e1> . "
        "?a <http://x/name> ?n .",
-       {"1,0,2|N,N,H", "1,0,2|N,N,N", "1,0,2|N,N,H", "0,1,2|N,N,H"}},
+       {"1,0,2", "0,1,2"}},
       {"constant missing from the dictionary",
        "?a <http://x/type> <http://x/C> . ?a <http://x/knows> ?b . "
        "?b <http://x/nosuch> ?c .",
-       {"2,1,0|N,N,N", "2,1,0|N,N,N", "2,1,0|N,H,H", "0,1,2|N,H,N"}},
+       {"2,1,0", "0,1,2"}},
       {"repeated variable",
        "?x <http://x/type> <http://x/C> . ?x <http://x/knows> ?x .",
-       {"0,1|N,N", "0,1|N,N", "0,1|N,N", "0,1|N,N"}},
-      {"hash chosen by cost",
+       {"0,1", "0,1"}},
+      {"connected chain",
        "?a <http://x/type> <http://x/C> . ?a <http://x/name> ?n . "
        "?a <http://x/knows> ?b .",
-       {"0,1,2|N,H,H", "0,1,2|N,N,N", "0,1,2|N,H,H", "0,1,2|N,H,H"}},
+       {"0,1,2", "0,1,2"}},
       {"disconnected second step",
        "?a <http://x/knows> ?b . ?c <http://x/rare> ?d . "
        "?b <http://x/type> <http://x/D> .",
-       {"1,2,0|N,N,H", "1,2,0|N,N,N", "1,2,0|N,N,H", "0,1,2|N,N,H"}},
-      {"one pattern", "?a <http://x/name> ?n .", {"0|N", "0|N", "0|N", "0|N"}},
+       {"1,2,0", "0,1,2"}},
+      {"one pattern", "?a <http://x/name> ?n .", {"0", "0"}},
   };
-  const ExecOptions* options[] = {&cost, &off, &force, &written};
+  const ExecOptions* options[] = {&cost, &written};
   for (const Case& c : cases) {
     SelectQuery q = Parse(std::string("SELECT * WHERE { ") + c.where + " }");
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(FormatPlan(PlanGroup(q.where, *options[i], &store)),
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(FormatOrder(PlanGroup(q.where, *options[i], &store)),
                 c.expected[i])
           << c.name << ", option set " << i;
     }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
@@ -634,10 +635,20 @@ TEST_P(FastPathDifferentialTest, StarFamilyBitIdenticalAndCovered) {
 
 // ----------------------------- planner/cache differential harness (~2k)
 
-/// One executor configuration of the {nested-loop, hash-join, pushdown}
-/// x {plan cache on/off} differential matrix. Filter/limit pushdown stay
-/// on in every cell so charged intermediate_bindings must agree across
-/// the whole matrix, not just result tables.
+/// Folds one query's result table bytes, its charged intermediate_bindings
+/// and its result_rows into a running FNV-1a fingerprint.
+uint64_t FoldResult(uint64_t state, const ResultTable& table,
+                    const ExecStats& stats) {
+  state = Fnv64(table.ToJson().Dump(), state);
+  return Fnv64("\x1e" + std::to_string(stats.intermediate_bindings) + "\x1e" +
+                   std::to_string(stats.result_rows) + "\x1f",
+               state);
+}
+
+/// One executor configuration of the {nested-loop, pushdown} x {plan cache
+/// on/off} differential matrix. Filter/limit pushdown stay on in every cell
+/// so charged intermediate_bindings must agree across the whole matrix, not
+/// just result tables.
 struct PlannerConfig {
   const char* name;
   ExecOptions options;
@@ -647,15 +658,12 @@ struct PlannerConfig {
 std::vector<PlannerConfig> PlannerMatrix() {
   ExecOptions nested;
   nested.aggregate_pushdown = false;
-  nested.hash_join = HashJoinMode::kOff;
-  ExecOptions hash;
-  hash.aggregate_pushdown = false;
-  hash.hash_join = HashJoinMode::kForce;
-  ExecOptions pushdown;  // defaults: count pushdown + cost-based hash
+  ExecOptions pushdown;  // defaults: count pushdown on
   return {
-      {"nested", nested, false},   {"nested+cache", nested, true},
-      {"hash", hash, false},       {"hash+cache", hash, true},
-      {"pushdown", pushdown, false}, {"pushdown+cache", pushdown, true},
+      {"nested", nested, false},
+      {"nested+cache", nested, true},
+      {"pushdown", pushdown, false},
+      {"pushdown+cache", pushdown, true},
   };
 }
 
@@ -768,6 +776,17 @@ std::string RandomQuery(const Universe& u, Rng* rng) {
   return query;
 }
 
+/// FoldResult over the default-options executor's answers to seed N's
+/// 200-query corpus, in corpus order. Recorded while the planner could
+/// still pick a hash-join step (seeds 0, 1, 3, 7 and 8 built one), so they
+/// also pin that the nested index-loop alone answers identically.
+constexpr uint64_t kDefaultExecutorFingerprint[10] = {
+    0x8e21d00e3275627fULL, 0xe12972170c4e946cULL, 0x5f529268d72cb8b8ULL,
+    0x4f888652e7ebcf43ULL, 0x6f0a17b56f83696fULL, 0xd48881dafd09d003ULL,
+    0x2b5e42842fa53b1bULL, 0x0153bbc0d0af44ebULL, 0x66d130797a8310ebULL,
+    0x99fa464cee275810ULL,
+};
+
 /// ~2k randomized queries (10 seeds x 200), each executed under every
 /// cell of the planner/cache matrix and compared bit-for-bit — tables AND
 /// charged intermediate_bindings — against the nested-loop reference. The
@@ -796,8 +815,8 @@ TEST_P(PlannerDifferentialTest, MatrixBitIdentical) {
   };
   std::vector<Baseline> reference(corpus.size());
 
-  size_t hash_builds = 0;
   size_t fast_hits = 0;
+  uint64_t fingerprint = kFnv64Basis;
   for (const PlannerConfig& config : PlannerMatrix()) {
     PlanCache cache;
     Executor ex(&u.store, config.options,
@@ -827,7 +846,9 @@ TEST_P(PlannerDifferentialTest, MatrixBitIdentical) {
         ASSERT_EQ(stats.intermediate_bindings, reference[qi].bindings)
             << repro();
         ASSERT_EQ(stats.result_rows, reference[qi].rows) << repro();
-        hash_builds += stats.hash_join_builds;
+        if (config.name == std::string("pushdown")) {
+          fingerprint = FoldResult(fingerprint, *result, stats);
+        }
         fast_hits += stats.fast_path_hits;
       }
     }
@@ -839,9 +860,8 @@ TEST_P(PlannerDifferentialTest, MatrixBitIdentical) {
       EXPECT_GE(cs.hits, corpus.size()) << config.name;
     }
   }
-  // The matrix must actually exercise the new operators somewhere.
-  EXPECT_GT(hash_builds, 0u) << "hash-join configs never built a table";
   EXPECT_GT(fast_hits, 0u) << "pushdown configs never hit a fast path";
+  EXPECT_EQ(fingerprint, kDefaultExecutorFingerprint[seed]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferentialTest,
@@ -849,12 +869,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferentialTest,
 
 // ------------------------------------------- out-of-core differential leg
 
-/// The same planner/cache matrix — plus a spill-forced hash-join cell —
-/// executed over a disk-backed (mmap sorted-run) store and compared
-/// bit-for-bit against the in-RAM nested-loop reference. The executor and
-/// planner only ever see Span/Count/CountDistinct/GroupedCountByObject, so
-/// the backend must be observationally invisible: identical tables AND
-/// identical charged intermediate_bindings.
+/// The same planner/cache matrix executed over a disk-backed (mmap
+/// sorted-run) store and compared bit-for-bit against the in-RAM
+/// nested-loop reference. The executor and planner only ever see
+/// Span/Count/CountDistinct/GroupedCountByObject, so the backend must be
+/// observationally invisible: identical tables AND identical charged
+/// intermediate_bindings.
 class OutOfCoreDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OutOfCoreDifferentialTest, MatrixBitIdenticalOverDiskStore) {
@@ -886,7 +906,6 @@ TEST_P(OutOfCoreDifferentialTest, MatrixBitIdenticalOverDiskStore) {
   // Reference: nested-loop over the in-RAM store.
   ExecOptions nested;
   nested.aggregate_pushdown = false;
-  nested.hash_join = HashJoinMode::kOff;
   struct Baseline {
     ResultTable table;
     size_t bindings = 0;
@@ -903,14 +922,8 @@ TEST_P(OutOfCoreDifferentialTest, MatrixBitIdenticalOverDiskStore) {
     }
   }
 
-  std::vector<PlannerConfig> matrix = PlannerMatrix();
-  ExecOptions spill;  // defaults + forced hash joins that always spill
-  spill.hash_join = HashJoinMode::kForce;
-  spill.hash_join_spill_budget_bytes = 1;
-  matrix.push_back({"hash+spill", spill, false});
-
-  size_t spills = 0;
-  for (const PlannerConfig& config : matrix) {
+  uint64_t fingerprint = kFnv64Basis;
+  for (const PlannerConfig& config : PlannerMatrix()) {
     PlanCache cache;
     Executor ex(&disk.store, config.options, config.cache ? &cache : nullptr);
     for (size_t qi = 0; qi < corpus.size(); ++qi) {
@@ -925,11 +938,13 @@ TEST_P(OutOfCoreDifferentialTest, MatrixBitIdenticalOverDiskStore) {
       ASSERT_TRUE(TablesIdentical(*result, reference[qi].table)) << repro();
       ASSERT_EQ(stats.intermediate_bindings, reference[qi].bindings)
           << repro();
-      spills += stats.hash_join_spills;
+      if (config.name == std::string("pushdown")) {
+        fingerprint = FoldResult(fingerprint, *result, stats);
+      }
     }
   }
-  // The spill cell must actually have spilled — not silently built in RAM.
-  EXPECT_GT(spills, 0u);
+  // The disk store answers with the in-RAM store's bytes.
+  EXPECT_EQ(fingerprint, kDefaultExecutorFingerprint[seed]);
   fs::remove_all(dir);
 }
 
